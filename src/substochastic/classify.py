@@ -18,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Tag, WeightedDigraph, classify_weighting
+from .digraph import Tag, WeightedDigraph
 from .errors import MetadataError
 from .families import FamilyFacts, TruncationFamily, truncate
 from .rational import solve_exact
-from .spectral import perron_ladder
+from .spectral import exact_shifted, float_shifted, perron_ladder
 
 TRANSIENT = "transient"
 RECURRENT = "recurrent"
@@ -94,19 +94,13 @@ def pruitt_certificate(d: WeightedDigraph, lam) -> list | None:
     if ok:
         return ones
     if d.is_exact and isinstance(lam, (int, Fraction)):
-        rows = d.rows_exact()
-        m = [
-            [(Fraction(lam) if i == j else Fraction(0)) - rows[i][j] for j in range(d.order)]
-            for i in range(d.order)
-        ]
         try:
-            xi = solve_exact(m, [Fraction(1)] * d.order)
+            xi = solve_exact(exact_shifted(d, c=lam), [1] * d.order)
         except ZeroDivisionError:
             return None
     else:
-        m = float(lam) * np.eye(d.order) - d.to_numpy()
         try:
-            xi = list(np.linalg.solve(m, np.ones(d.order)))
+            xi = list(np.linalg.solve(float_shifted(d, float(lam)), np.ones(d.order)))
         except np.linalg.LinAlgError:
             return None
     ok, _strict = verify_pruitt(d, xi, lam)
@@ -282,7 +276,3 @@ def classify_recurrence(
 
     return RecurrenceVerdict(UNKNOWN, None, None, tuple(notes))
 
-
-def reclassify_output(d: WeightedDigraph, claimed: Tag) -> bool:
-    """True when the digraph's weighting class is at least as strict as claimed."""
-    return classify_weighting(d).tag.implies(claimed)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success / certified, 2 numerical-only verdict, 3 unknown or
-inconclusive, 1 error.  Data goes to stdout (or --out); progress to stderr.
+inconclusive, 1 error (usage errors included).  Data goes to stdout (or
+--out); progress to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .cycles import (
     sup_cycle_gain,
 )
 from .digraph import WeightedDigraph
-from .errors import BudgetExceededError, MetadataError
 from .families import family_to_float, truncate
 from .inequalities import SUITES, run_suite
 from .rational import weight_to_str
@@ -202,9 +202,7 @@ def _cmd_sweep(args) -> int:
         family=args.family,
         params=json.loads(args.params) if args.params else {},
         n_grid=tuple(int(x) for x in args.n_grid.split(",")) if args.n_grid else (),
-        seed=args.seed,
         mode=args.mode,
-        out_format=args.format,
         compute_fvs=not args.no_fvs,
     )
     rows = run_sweep(spec)
@@ -250,9 +248,7 @@ def _cmd_fit(args) -> int:
 def _add_common(p: argparse.ArgumentParser, family_ok=True, digraph_ok=True):
     p.add_argument("--mode", choices=("exact", "float"), default="exact",
                    help="arithmetic mode for weights")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     if digraph_ok:
         p.add_argument("--digraph", help="digraph JSON file ('-' for stdin)")
     if family_ok:
@@ -261,8 +257,16 @@ def _add_common(p: argparse.ArgumentParser, family_ok=True, digraph_ok=True):
         p.add_argument("--n", type=int, default=None, help="truncation order for --family")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR; argparse's own 2 would read as EXIT_NUMERICAL."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="substochastic",
         description="Spectral analysis of substochastic weightings of strong digraphs",
     )
@@ -327,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--family", choices=BUILTIN_FAMILIES, required=True)
     sw.add_argument("--params", help="JSON parameters")
     sw.add_argument("--n-grid", help="comma-separated strictly increasing orders")
-    sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--mode", choices=("exact", "float"), default="float")
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
     sw.add_argument("--no-fvs", action="store_true", help="skip the transversal column")
@@ -351,7 +354,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, MetadataError, ValueError, OSError, TypeError) as exc:
+    except (RuntimeError, ValueError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

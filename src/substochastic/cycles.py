@@ -25,11 +25,14 @@ from .rational import is_exact_number, safe_log
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gain:
     """``weight ** (1/length)`` kept in cross-powering form.
 
-    A weight of 0 is the "no qualifying cycle" marker.
+    A weight of 0 is the "no qualifying cycle" marker.  Gains are unhashable:
+    equal gains such as (w, l) and (w**m, l*m) have no cheap common key.
+    ``eq=False`` keeps the dataclass from adding a field hash next to the
+    custom ``__eq__``, which leaves Python's ``__hash__ = None`` in place.
     """
 
     weight: object
@@ -67,9 +70,6 @@ class Gain:
             return False
         lhs, rhs = self._cross(other)
         return lhs < rhs
-
-    def __hash__(self):
-        return hash((float(self.value), 0))
 
 
 GAIN_ZERO = Gain(0, 1)

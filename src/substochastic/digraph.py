@@ -8,6 +8,7 @@ a digraph whose weights are all exact drives the exact-arithmetic code paths.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -138,10 +139,19 @@ class WeightedDigraph:
 
     @staticmethod
     def from_json_dict(obj: Mapping, mode: str = "exact") -> "WeightedDigraph":
-        order = int(obj["order"])
+        """Parse ``{"order": n, "arcs": [[u, v, w], ...]}``; schema errors raise ValueError."""
+        if not isinstance(obj, Mapping):
+            raise ValueError("digraph JSON must be an object")
+        order = _json_int(obj.get("order"), "digraph 'order'")
+        triples = obj.get("arcs")
+        if not isinstance(triples, (list, tuple)):
+            raise ValueError("digraph 'arcs' must be a list of [u, v, w] triples")
         arcs = {}
-        for u, v, w in obj["arcs"]:
-            key = (int(u) - 1, int(v) - 1)
+        for triple in triples:
+            if not isinstance(triple, (list, tuple)) or len(triple) != 3:
+                raise ValueError(f"arc {triple!r} is not a [u, v, w] triple")
+            u, v, w = triple
+            key = (_json_int(u, "arc endpoint") - 1, _json_int(v, "arc endpoint") - 1)
             if key in arcs:
                 raise ValueError(f"duplicate arc {u}->{v}")
             arcs[key] = parse_weight(str(w), mode)
@@ -152,8 +162,10 @@ class WeightedDigraph:
         return WeightedDigraph.from_json_dict(json.loads(text), mode)
 
 
-def digraph_from_arcs(order: int, arcs: Mapping[Arc, object]) -> WeightedDigraph:
-    return WeightedDigraph(order, dict(arcs))
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ from typing import Iterable, Sequence
 from .cycles import TransversalResult, is_cycle_transversal, min_cycle_transversal
 from .digraph import WeightedDigraph
 from .errors import SpectralRadiusError
-from .rational import det_exact
+from .rational import det_exact, solve_exact
 from .spectral import (
     charpoly,
     det_i_minus,
+    exact_shifted,
     perron_bounds,
     perron_root,
     resolvent_diagonal,
@@ -116,6 +117,16 @@ def _radius_brackets(d: WeightedDigraph):
     return lam, lam
 
 
+def _contractive_diagonal(d: WeightedDigraph):
+    """Upper radius bracket, certified below 1, and the diagonal of (I - A)^{-1}."""
+    lo, hi = _radius_brackets(d)
+    if hi >= 1:
+        raise SpectralRadiusError(
+            f"spectral radius bracket [{lo}, {hi}] not certified below 1"
+        )
+    return hi, resolvent_diagonal(d, assume_contractive=True)
+
+
 # ---------------------------------------------------------------------------
 # Random instances
 # ---------------------------------------------------------------------------
@@ -202,60 +213,42 @@ def instance_stream(
 # ---------------------------------------------------------------------------
 
 
-def check_boyle_handelman(d: WeightedDigraph) -> InequalityReport:
-    """det(I-A) <= 1 - lambda^r <= r (1-lambda), r = degree of det(I - zA)."""
-    rep = InequalityReport("boyle-handelman", instances_tested=1)
+def _radius_power_chain(d: WeightedDigraph, name: str, r: int, sym: str) -> InequalityReport:
+    """det(I-A) <= 1 - lambda^r <= r (1-lambda); ``sym`` names the exponent in labels."""
+    rep = InequalityReport(name, instances_tested=1)
     fp = fingerprint(d)
     det = det_i_minus(d)
-    coeffs = charpoly(d)
-    r = len(coeffs) - 1
     lo, hi = _radius_brackets(d)
+    first = f"det<=1-radius^{sym}"
     if r == 0:
-        rep.record(fp, "det<=1-radius^r", det, 1)
+        rep.record(fp, first, det, 1)
         return rep
     if det <= 1 - hi**r:
-        rep.record(fp, "det<=1-radius^r", det, 1 - hi**r)
+        rep.record(fp, first, det, 1 - hi**r)
     elif det > 1 - lo**r:
-        rep.record(fp, "det<=1-radius^r", det, 1 - lo**r)
+        rep.record(fp, first, det, 1 - lo**r)
     else:
-        rep.notes.append(f"{fp}: det = 1-radius^r within bracket width")
-        rep.record(fp, "det<=1-radius^r", det, det)
-    rep.record(fp, "1-radius^r<=r(1-radius)", 1 - hi**r, r * (1 - hi))
+        rep.notes.append(f"{fp}: det = 1-radius^{sym} within bracket width")
+        rep.record(fp, first, det, det)
+    rep.record(fp, f"1-radius^{sym}<={sym}(1-radius)", 1 - hi**r, r * (1 - hi))
     return rep
+
+
+def check_boyle_handelman(d: WeightedDigraph) -> InequalityReport:
+    """det(I-A) <= 1 - lambda^r <= r (1-lambda), r = degree of det(I - zA)."""
+    return _radius_power_chain(d, "boyle-handelman", len(charpoly(d)) - 1, "r")
 
 
 def check_ksv(d: WeightedDigraph) -> InequalityReport:
     """det(I-A) <= 1 - lambda^n <= n (1-lambda) with n the order."""
-    rep = InequalityReport("ksv", instances_tested=1)
-    fp = fingerprint(d)
-    n = d.order
-    det = det_i_minus(d)
-    lo, hi = _radius_brackets(d)
-    if det <= 1 - hi**n:
-        rep.record(fp, "det<=1-radius^n", det, 1 - hi**n)
-    elif det > 1 - lo**n:
-        rep.record(fp, "det<=1-radius^n", det, 1 - lo**n)
-    else:
-        rep.notes.append(f"{fp}: det = 1-radius^n within bracket width")
-        rep.record(fp, "det<=1-radius^n", det, det)
-    rep.record(fp, "1-radius^n<=n(1-radius)", 1 - hi**n, n * (1 - hi))
-    return rep
-
-
-def _require_contractive(d: WeightedDigraph, lo, hi):
-    if hi >= 1:
-        raise SpectralRadiusError(
-            f"spectral radius bracket [{lo}, {hi}] not certified below 1"
-        )
+    return _radius_power_chain(d, "ksv", d.order, "n")
 
 
 def check_trace_bounds(d: WeightedDigraph) -> InequalityReport:
     """1/(1-lambda) <= trace (I-S)^{-1} <= n/det(I-S), plus the max-diagonal pinch."""
     rep = InequalityReport("lemma-a1", instances_tested=1)
     fp = fingerprint(d)
-    lo, hi = _radius_brackets(d)
-    _require_contractive(d, lo, hi)
-    diag = resolvent_diagonal(d, assume_contractive=True)
+    hi, diag = _contractive_diagonal(d)
     trace = sum(diag)
     det = det_i_minus(d)
     n = d.order
@@ -279,9 +272,7 @@ def check_diag_transversal_bound(d: WeightedDigraph, w) -> InequalityReport:
     rep = InequalityReport("lemma-a2", instances_tested=1)
     fp = fingerprint(d)
     vs = _verified_transversal(d, w)
-    lo, hi = _radius_brackets(d)
-    _require_contractive(d, lo, hi)
-    diag = resolvent_diagonal(d, assume_contractive=True)
+    _hi, diag = _contractive_diagonal(d)
     bound = 1 + sum(diag[x] - 1 for x in vs)
     for v in range(d.order):
         rep.record(fp, f"diag({v})<=1+sum_loops", diag[v], bound)
@@ -293,9 +284,7 @@ def check_transversal_product(d: WeightedDigraph, w) -> InequalityReport:
     rep = InequalityReport("a1-product", instances_tested=1)
     fp = fingerprint(d)
     vs = _verified_transversal(d, w)
-    lo, hi = _radius_brackets(d)
-    _require_contractive(d, lo, hi)
-    diag = resolvent_diagonal(d, assume_contractive=True)
+    _hi, diag = _contractive_diagonal(d)
     det = det_i_minus(d)
     prod = Fraction(1) if d.is_exact else 1.0
     for x in vs:
@@ -320,9 +309,7 @@ def check_sigma_bound(d: WeightedDigraph, w, k: int) -> InequalityReport:
     vs = sorted(_verified_transversal(d, w))
     if not 1 <= k <= len(vs):
         raise ValueError(f"k={k} outside 1..{len(vs)}")
-    lo, hi = _radius_brackets(d)
-    _require_contractive(d, lo, hi)
-    diag = resolvent_diagonal(d, assume_contractive=True)
+    _hi, diag = _contractive_diagonal(d)
     sigma = _elementary_symmetric([diag[x] for x in vs], k)
     rep.record(fp, f"max_diag<=sigma_{k}", max(diag), sigma)
     return rep
@@ -339,14 +326,10 @@ def check_zeta_identity(d: WeightedDigraph, v: int, z_samples: Sequence) -> Ineq
     fp = fingerprint(d)
     if not d.is_exact:
         raise TypeError("the zeta identity check runs in exact mode only")
-    rows = d.rows_exact()
     n = d.order
     for z in z_samples:
         z = Fraction(z)
-        m = [
-            [Fraction(int(i == j)) - z * rows[i][j] for j in range(n)]
-            for i in range(n)
-        ]
+        m = exact_shifted(d, z)
         det_full = det_exact(m)
         if det_full == 0:
             rep.notes.append(f"{fp}: sample z={z} singular, skipped")
@@ -357,10 +340,7 @@ def check_zeta_identity(d: WeightedDigraph, v: int, z_samples: Sequence) -> Ineq
             if i != v
         ]
         det_minor = det_exact(minor)
-        from .rational import solve_exact
-
-        rhs_vec = [Fraction(int(i == v)) for i in range(n)]
-        g_vv = solve_exact(m, rhs_vec)[v]
+        g_vv = solve_exact(m, [int(i == v) for i in range(n)])[v]
         lhs = g_vv * det_full
         rep.record(fp, f"zeta@z={z}", lhs, det_minor)
         rep.record(fp, f"zeta@z={z} (reverse)", det_minor, lhs)
@@ -389,9 +369,7 @@ def scan_argmax_conjecture(d: WeightedDigraph, extra_size: int = 1) -> Conjectur
     """
     from itertools import combinations
 
-    lo, hi = _radius_brackets(d)
-    _require_contractive(d, lo, hi)
-    diag = resolvent_diagonal(d, assume_contractive=True)
+    _hi, diag = _contractive_diagonal(d)
     peak = max(diag)
     argmax = tuple(v for v in range(d.order) if diag[v] == peak)
 

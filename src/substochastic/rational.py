@@ -132,35 +132,17 @@ def det_exact(rows: Sequence[Sequence[Rat]]) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1]) / scale
 
 
-def solve_exact(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> list[Fraction]:
-    """Solve A x = b exactly via Gaussian elimination with exact pivoting."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix in solve_exact")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
-
-
-def inverse_exact(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
-    """Exact matrix inverse (Gauss-Jordan)."""
+def _gauss_jordan(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
+    """Reduce [rows | right] exactly to [I | rows^{-1} right]; returns the right block."""
     n = len(rows)
     a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
+        [Fraction(x) for x in row] + [Fraction(x) for x in extra]
+        for row, extra in zip(rows, right, strict=True)
     ]
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix in inverse_exact")
+            raise ZeroDivisionError("singular matrix in exact elimination")
         a[k], a[piv] = a[piv], a[k]
         inv = 1 / a[k][k]
         a[k] = [x * inv for x in a[k]]
@@ -169,6 +151,17 @@ def inverse_exact(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
                 f = a[i][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return [row[n:] for row in a]
+
+
+def solve_exact(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> list[Fraction]:
+    """Solve A x = b exactly via Gaussian elimination with exact pivoting."""
+    return [x for (x,) in _gauss_jordan(rows, [[b] for b in rhs])]
+
+
+def inverse_exact(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
+    """Exact matrix inverse (Gauss-Jordan)."""
+    n = len(rows)
+    return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def interpolate_exact(points: Sequence[Rat], values: Sequence[Rat]) -> list[Fraction]:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cycles import enumerate_cycles
 from .digraph import WeightedDigraph, strongly_connected_components
@@ -31,27 +30,40 @@ _SPARSE_THRESHOLD = 256
 # ---------------------------------------------------------------------------
 
 
+class _EdgeOperator:
+    """I + A on one strong component, held as arrays of its arcs.
+
+    ``op @ x`` is a bincount matvec; ``toarray`` gives the dense matrix for
+    the eigensolver fallback.
+    """
+
+    def __init__(self, k: int, rows: list[int], cols: list[int], vals: list[float]):
+        self.shape = (k, k)
+        self.rows = np.array(rows, dtype=np.intp)
+        self.cols = np.array(cols, dtype=np.intp)
+        self.vals = np.array(vals, dtype=float)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return x + np.bincount(self.rows, weights=self.vals * x.take(self.cols),
+                               minlength=self.shape[0])
+
+    def toarray(self) -> np.ndarray:
+        m = np.eye(self.shape[0])
+        np.add.at(m, (self.rows, self.cols), self.vals)
+        return m
+
+
 def _component_operator(d: WeightedDigraph, comp: list[int]):
+    """I + A on a strong component: an edge operator when large, else dense."""
     idx = {v: i for i, v in enumerate(sorted(comp))}
-    k = len(idx)
-    if k >= _SPARSE_THRESHOLD:
-        rows, cols, vals = [], [], []
-        for (u, v), w in d.arcs.items():
-            if u in idx and v in idx:
-                rows.append(idx[u])
-                cols.append(idx[v])
-                vals.append(float(w))
-        rows.extend(range(k))
-        cols.extend(range(k))
-        vals.extend([1.0] * k)
-        return sp.csr_matrix(
-            (np.array(vals), (np.array(rows), np.array(cols))), shape=(k, k)
-        )
-    m = np.eye(k)
+    rows, cols, vals = [], [], []
     for (u, v), w in d.arcs.items():
         if u in idx and v in idx:
-            m[idx[u], idx[v]] += float(w)
-    return m
+            rows.append(idx[u])
+            cols.append(idx[v])
+            vals.append(float(w))
+    op = _EdgeOperator(len(idx), rows, cols, vals)
+    return op if len(idx) >= _SPARSE_THRESHOLD else op.toarray()
 
 
 def _power_brackets(op, tol: float, max_iter: int) -> tuple[float, float]:
@@ -75,7 +87,7 @@ def _power_brackets(op, tol: float, max_iter: int) -> tuple[float, float]:
             return lo, hi
         x = y / y.max()
     if k <= 2048:
-        dense = op.toarray() if sp.issparse(op) else op
+        dense = op if isinstance(op, np.ndarray) else op.toarray()
         eigvals, eigvecs = np.linalg.eig(dense)
         vec = np.abs(np.real(eigvecs[:, int(np.argmax(np.abs(eigvals)))]))
         vec = np.maximum(vec, vec.max() * 1e-280)
@@ -93,6 +105,27 @@ def _power_brackets(op, tol: float, max_iter: int) -> tuple[float, float]:
     )
 
 
+def _max_over_components(d: WeightedDigraph, zero, component_brackets):
+    """Brackets for the Perron root of ``d`` as the max over its strong components.
+
+    A single-vertex component contributes its loop weight (``zero`` without
+    one); ``component_brackets(comp)`` brackets every larger component.
+    """
+    comps = strongly_connected_components(
+        {v: list(d.adjacency[v]) for v in range(d.order)}, range(d.order)
+    )
+    lo = hi = zero
+    for comp in comps:
+        if len(comp) == 1:
+            v = comp[0]
+            clo = chi = zero + d.arcs.get((v, v), 0)
+        else:
+            clo, chi = component_brackets(comp)
+        lo = max(lo, clo)
+        hi = max(hi, chi)
+    return lo, hi
+
+
 def collatz_wielandt_brackets(
     d: WeightedDigraph, tol: float = 1e-12, max_iter: int = 500_000
 ) -> tuple[float, float]:
@@ -101,22 +134,9 @@ def collatz_wielandt_brackets(
     Reducible digraphs are condensed into strong components and bracketed
     per component.
     """
-    if d.order == 0:
-        return 0.0, 0.0
-    comps = strongly_connected_components(
-        {v: list(d.adjacency[v]) for v in range(d.order)}, range(d.order)
+    return _max_over_components(
+        d, 0.0, lambda comp: _power_brackets(_component_operator(d, comp), tol, max_iter)
     )
-    lo = hi = 0.0
-    for comp in comps:
-        if len(comp) == 1:
-            v = comp[0]
-            w = float(d.arcs.get((v, v), 0.0))
-            clo = chi = w
-        else:
-            clo, chi = _power_brackets(_component_operator(d, comp), tol, max_iter)
-        lo = max(lo, clo)
-        hi = max(hi, chi)
-    return lo, hi
 
 
 def perron_root(d: WeightedDigraph, tol: float = 1e-12) -> float:
@@ -142,22 +162,9 @@ def perron_bounds(
     """
     if not d.is_exact:
         raise TypeError("perron_bounds requires exact rational weights")
-    if d.order == 0:
-        return Fraction(0), Fraction(0)
-    comps = strongly_connected_components(
-        {v: list(d.adjacency[v]) for v in range(d.order)}, range(d.order)
+    return _max_over_components(
+        d, Fraction(0), lambda comp: _integer_power_brackets(d, sorted(comp), width, max_iter)
     )
-    lo = hi = Fraction(0)
-    for comp in comps:
-        if len(comp) == 1:
-            v = comp[0]
-            w = Fraction(d.arcs.get((v, v), 0))
-            clo, chi = w, w
-        else:
-            clo, chi = _integer_power_brackets(d, sorted(comp), width, max_iter)
-        lo = max(lo, clo)
-        hi = max(hi, chi)
-    return lo, hi
 
 
 def _integer_power_brackets(d, comp, width, max_iter):
@@ -185,6 +192,34 @@ def _integer_power_brackets(d, comp, width, max_iter):
         shift = max(0, max(y).bit_length() - 160)
         x = [max(1, yi >> shift) for yi in y]
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# The matrices cI - zA
+# ---------------------------------------------------------------------------
+
+
+def exact_shifted(d: WeightedDigraph, z=1, c=1) -> list[list[Fraction]]:
+    """Rows of cI - zA as Fractions; float weights enter as their exact binary rationals."""
+    c, z, n = Fraction(c), Fraction(z), d.order
+    m = [[c if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for (u, v), w in d.arcs.items():
+        m[u][v] -= z * Fraction(w)
+    return m
+
+
+def float_shifted(d: WeightedDigraph, c: float = 1.0) -> np.ndarray:
+    """cI - A as a dense float array."""
+    return c * np.eye(d.order) - d.to_numpy()
+
+
+def _contractive_i_minus_a(d: WeightedDigraph, assume_contractive: bool):
+    """I - A in the digraph's arithmetic, after checking that rho(A) < 1 is possible."""
+    if not assume_contractive:
+        lo, _hi = collatz_wielandt_brackets(d, tol=1e-10)
+        if lo >= 1:
+            raise SpectralRadiusError(f"spectral radius >= 1 (lower bracket {lo})")
+    return exact_shifted(d) if d.is_exact else float_shifted(d)
 
 
 # ---------------------------------------------------------------------------
@@ -256,53 +291,26 @@ def charpoly(d: WeightedDigraph, method: str = "elimination", budget: int = 2_00
         raise ValueError(f"unknown charpoly method {method!r}")
     if d.order > 128:
         raise BudgetExceededError("elimination charpoly capped at order 128")
-    exact = d.is_exact
-    rows = [[Fraction(0)] * d.order for _ in range(d.order)]
-    for (u, v), w in d.arcs.items():
-        rows[u][v] = Fraction(w)
     points = list(range(d.order + 1))
-    values = []
-    for z in points:
-        m = [
-            [Fraction(int(i == j)) - z * rows[i][j] for j in range(d.order)]
-            for i in range(d.order)
-        ]
-        values.append(det_exact(m))
+    values = [det_exact(exact_shifted(d, z)) for z in points]
     coeffs = interpolate_exact(points, values)
-    return coeffs if exact else [float(c) for c in coeffs]
+    return coeffs if d.is_exact else [float(c) for c in coeffs]
 
 
 def det_i_minus(d: WeightedDigraph):
     """det(I - A): fraction-free elimination when exact, pivoted LU otherwise."""
-    if d.order == 0:
-        return Fraction(1) if d.is_exact else 1.0
     if d.is_exact:
-        rows = d.rows_exact()
-        m = [
-            [Fraction(int(i == j)) - rows[i][j] for j in range(d.order)]
-            for i in range(d.order)
-        ]
-        return det_exact(m)
-    return float(np.linalg.det(np.eye(d.order) - d.to_numpy()))
+        return det_exact(exact_shifted(d))
+    return float(np.linalg.det(float_shifted(d)))
 
 
 def resolvent_diag(d: WeightedDigraph, v: int, *, assume_contractive: bool = False):
     """(I - A)^{-1}(v, v) by linear solve; requires spectral radius < 1."""
     if not 0 <= v < d.order:
         raise ValueError(f"vertex {v} out of range")
-    if not assume_contractive:
-        lo, _hi = collatz_wielandt_brackets(d, tol=1e-10)
-        if lo >= 1:
-            raise SpectralRadiusError(f"spectral radius >= 1 (lower bracket {lo})")
+    m = _contractive_i_minus_a(d, assume_contractive)
     if d.is_exact:
-        rows = d.rows_exact()
-        m = [
-            [Fraction(int(i == j)) - rows[i][j] for j in range(d.order)]
-            for i in range(d.order)
-        ]
-        rhs = [Fraction(int(i == v)) for i in range(d.order)]
-        return solve_exact(m, rhs)[v]
-    m = np.eye(d.order) - d.to_numpy()
+        return solve_exact(m, [int(i == v) for i in range(d.order)])[v]
     rhs = np.zeros(d.order)
     rhs[v] = 1.0
     return float(np.linalg.solve(m, rhs)[v])
@@ -310,19 +318,11 @@ def resolvent_diag(d: WeightedDigraph, v: int, *, assume_contractive: bool = Fal
 
 def resolvent_diagonal(d: WeightedDigraph, *, assume_contractive: bool = False) -> list:
     """All diagonal entries of (I - A)^{-1}."""
-    if not assume_contractive:
-        lo, _hi = collatz_wielandt_brackets(d, tol=1e-10)
-        if lo >= 1:
-            raise SpectralRadiusError(f"spectral radius >= 1 (lower bracket {lo})")
+    m = _contractive_i_minus_a(d, assume_contractive)
     if d.is_exact:
-        rows = d.rows_exact()
-        m = [
-            [Fraction(int(i == j)) - rows[i][j] for j in range(d.order)]
-            for i in range(d.order)
-        ]
         inv = inverse_exact(m)
         return [inv[i][i] for i in range(d.order)]
-    inv = np.linalg.inv(np.eye(d.order) - d.to_numpy())
+    inv = np.linalg.inv(m)
     return [float(inv[i, i]) for i in range(d.order)]
 
 

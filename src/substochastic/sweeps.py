@@ -33,9 +33,7 @@ class SweepSpec:
     family: str
     params: Mapping = field(default_factory=dict)
     n_grid: tuple[int, ...] = ()
-    seed: int = 0
     mode: str = "float"
-    out_format: str = "csv"
     fvs_budget: int = 20_000
     compute_fvs: bool = True
 

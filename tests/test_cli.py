@@ -255,3 +255,69 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("n,lambda_n")
+
+
+class TestBoundaryErrors:
+    """Bad input exits 1 with one `error:` line on stderr, never a traceback."""
+
+    @staticmethod
+    def assert_one_line_error(proc):
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"arcs": [[1, 1, "1/2"]]},
+            {"order": 2, "arcs": [[1, 2]]},
+            {"order": 2, "arcs": [[1, 2, "1/2", "1/2"]]},
+        ],
+        ids=["missing-order", "short-arc", "long-arc"],
+    )
+    def test_malformed_digraph_json(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        self.assert_one_line_error(run_cli(["spectral", "perron", "--digraph", str(path)]))
+
+    def test_power_iteration_not_converging(self, star_json):
+        # no bracket width is ever below a negative tolerance
+        proc = run_cli(["spectral", "perron", "--digraph", star_json, "--tol", "-1"])
+        self.assert_one_line_error(proc)
+        assert "did not reach tolerance" in proc.stderr
+
+    def test_sampler_giving_up(self, monkeypatch, capsys):
+        import substochastic.inequalities as ineq
+
+        def give_up(*args, **kwargs):
+            raise RuntimeError("failed to sample a strong digraph")
+
+        monkeypatch.setattr(ineq, "random_strong_digraph", give_up)
+        assert main(["verify", "ksv", "--count", "1"]) == 1
+        assert capsys.readouterr().err == "error: failed to sample a strong digraph\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify"],
+            ["spectral", "perron", "--bogus"],
+            ["spectral", "perron", "--seed", "1"],
+            ["classify", "--family", "example2", "--format", "csv"],
+            ["sweep", "--family", "example2", "--seed", "1"],
+        ],
+        ids=["missing-argument", "unknown-option", "perron-seed", "classify-format",
+             "sweep-seed"],
+    )
+    def test_usage_errors_exit_one(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 1
+        assert "usage:" in proc.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, substochastic; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -110,6 +110,12 @@ class TestGains:
         assert isinstance(info.value.partial, Gain)
         assert info.value.partial.weight > 0
 
+    def test_gains_are_unhashable(self):
+        # equal gains like (w, l) and (w**m, l*m) would need equal hashes
+        assert Gain(F(1, 4), 2) == Gain(F(1, 16), 4)
+        with pytest.raises(TypeError):
+            hash(Gain(F(1, 4), 2))
+
     def test_gain_ordering_mixed_lengths(self):
         assert Gain(F(1, 2), 1) < Gain(F(9, 10), 1)
         assert Gain(F(1, 4), 2) < Gain(F(7, 10), 1)  # 0.5 < 0.7

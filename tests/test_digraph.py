@@ -123,6 +123,28 @@ class TestJsonInterchange:
             )
 
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"arcs": []},
+            {"order": -1, "arcs": []},
+            {"order": "2", "arcs": []},
+            {"order": True, "arcs": []},
+            {"order": 2},
+            {"order": 2, "arcs": {"1": [2, "1/2"]}},
+            {"order": 2, "arcs": [[1, 2]]},
+            {"order": 2, "arcs": [[1, 2, "1/2", "x"]]},
+            {"order": 2, "arcs": ["1,2,1/2"]},
+            {"order": 2, "arcs": [[1.9, 2, "1/2"]]},
+            {"order": 2, "arcs": [[1, "2", "1/2"]]},
+            [2, [[1, 2, "1/2"]]],
+        ],
+    )
+    def test_schema_violations_raise_value_error(self, obj):
+        with pytest.raises(ValueError):
+            WeightedDigraph.from_json_dict(obj)
+
+
 class TestValidation:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):

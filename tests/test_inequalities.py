@@ -90,6 +90,21 @@ class TestKsv:
         assert rep.ok
 
 
+class TestEmptyDigraph:
+    """Order 0: det(I - A) = 1 and the exponent is 0 for both chains."""
+
+    def test_ksv_takes_the_degree_zero_branch(self):
+        rep = check_ksv(WeightedDigraph(0, {}))
+        assert rep.ok and rep.min_margin == 0
+        assert rep.notes == []
+
+    def test_boyle_handelman_matches_ksv(self):
+        empty = WeightedDigraph(0, {})
+        bh, ksv = check_boyle_handelman(empty), check_ksv(empty)
+        assert bh.ok and ksv.ok
+        assert bh.min_margin == ksv.min_margin == 0
+
+
 class TestTraceBounds:
     def test_single_vertex_no_arcs_all_equal(self):
         d = WeightedDigraph(1, {})

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +29,11 @@ from substochastic.constructions import (
     build_example1,
     build_example2,
     f_geometric,
+    f_power,
 )
-from substochastic.families import TruncationFamily
+from substochastic.families import TruncationFamily, family_to_float
 from substochastic.rational import poly_eval
+from substochastic.spectral import _SPARSE_THRESHOLD, _component_operator
 
 from conftest import (
     acyclic3,
@@ -80,6 +83,38 @@ class TestPerronRoot:
         assert lo <= eig_radius(d) + 1e-9
         assert hi >= eig_radius(d) - 1e-9
         assert hi - lo <= 1e-12 * max(hi, 1e-300)
+
+
+class TestEdgeOperator:
+    """Components of order >= _SPARSE_THRESHOLD use the numpy edge-list operator."""
+
+    N = _SPARSE_THRESHOLD + 44
+
+    @pytest.fixture(
+        params=[
+            lambda: build_example1(a=0.5, f=f_power(0.5)),
+            lambda: build_example2(a_power(-0.75)),
+        ],
+        ids=["example1", "example2"],
+    )
+    def big(self, request):
+        return truncate(family_to_float(request.param()), self.N)
+
+    def test_matvec_and_dense_form_match_i_plus_a(self, big):
+        op = _component_operator(big, list(range(big.order)))
+        assert not isinstance(op, np.ndarray)
+        dense = np.eye(big.order) + big.to_numpy()
+        assert np.array_equal(op.toarray(), dense)
+        x = np.linspace(0.5, 2.0, big.order)
+        # positive terms summed in another order: n ulps bound the difference
+        assert np.allclose(op @ x, dense @ x, rtol=big.order * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("max_iter", [500_000, 1], ids=["power", "dense-eig-fallback"])
+    def test_brackets_contain_the_radius(self, big, max_iter):
+        lo, hi = collatz_wielandt_brackets(big, tol=1e-12, max_iter=max_iter)
+        rho = eig_radius(big)
+        assert lo <= rho <= hi
+        assert hi - lo <= 1e-12 * hi
 
 
 class TestExactBrackets:
