@@ -17,7 +17,8 @@ Two host shapes are used:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -49,24 +50,39 @@ def as_sequence(spec, *, name: str = "sequence") -> Callable[[int], object]:
     return at
 
 
-class _Memo1:
-    """Memoized 1-indexed sequence with optional per-value validation."""
+def _one_like(x):
+    """1 in the arithmetic of x: an exact Fraction for int/Fraction, else a float."""
+    return Fraction(1) if isinstance(x, (int, Fraction)) else 1.0
 
-    def __init__(self, fn: Callable[[int], object], check=None):
-        self.fn = fn
+
+class _Memo1:
+    """Lazily grown 1-indexed sequence, safe to share across threads.
+
+    Term k is ``step(k, prev)``, where ``prev`` lists terms 1..k-1, and must
+    pass ``check(k, value, prev)`` if a check is given.  Terms are appended
+    under the memo's lock and read without it.  A step may call other memos but
+    never its own (it reads ``prev`` instead), so the lock is never re-entered.
+    """
+
+    def __init__(self, step: Callable[[int, list], object], check=None):
+        self.step = step
         self.check = check
         self.values: list = []
+        self._lock = threading.Lock()
 
     def __call__(self, k: int):
         if k < 1:
             raise ValueError("sequences are 1-indexed")
-        while len(self.values) < k:
-            j = len(self.values) + 1
-            v = self.fn(j)
-            if self.check is not None:
-                self.check(j, v, self.values)
-            self.values.append(v)
-        return self.values[k - 1]
+        values = self.values
+        if len(values) < k:
+            with self._lock:
+                while len(values) < k:
+                    j = len(values) + 1
+                    v = self.step(j, values)
+                    if self.check is not None:
+                        self.check(j, v, values)
+                    values.append(v)
+        return values[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +95,19 @@ class EpsilonSchedule:
     """Strictly decreasing positive epsilon_k < 1/2, exact rationals."""
 
     eps: Callable[[int], Fraction]
+    _memo: _Memo1 = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        def check(j, v, prev):
+            if not 0 < v < HALF:
+                raise ValueError(f"epsilon_{j} = {v} outside (0, 1/2)")
+            if prev and not v < prev[-1]:
+                raise ValueError(f"epsilon schedule not strictly decreasing at k={j}")
+
+        object.__setattr__(self, "_memo", _Memo1(lambda k, _: Fraction(self.eps(k)), check))
 
     def __call__(self, k: int) -> Fraction:
         return self._memo(k)
-
-    @property
-    def _memo(self) -> _Memo1:
-        memo = self.__dict__.get("_memo_obj")
-        if memo is None:
-            def check(j, v, prev):
-                v = Fraction(v)
-                if not 0 < v < HALF:
-                    raise ValueError(f"epsilon_{j} = {v} outside (0, 1/2)")
-                if prev and not v < prev[-1]:
-                    raise ValueError(f"epsilon schedule not strictly decreasing at k={j}")
-
-            memo = _Memo1(lambda k: Fraction(self.eps(k)), check)
-            object.__setattr__(self, "_memo_obj", memo)
-        return memo
 
     @staticmethod
     def geometric(ratio: Fraction = Fraction(1, 4)) -> "EpsilonSchedule":
@@ -106,7 +117,7 @@ class EpsilonSchedule:
         return EpsilonSchedule(lambda k: ratio**k)
 
 
-class _Minorant:
+class _Minorant(_Memo1):
     """Strictly decreasing minorant of a gap target, with limit zero.
 
     h(1) = min(g(1), 1/2) and h(n) = min(g(n), h(n-1) * n/(n+1)); the product
@@ -115,25 +126,18 @@ class _Minorant:
     """
 
     def __init__(self, g: Callable[[int], object]):
+        super().__init__(self._step)
         self.g = g
-        self.values: list = []
         self.adjusted = False
 
-    def __call__(self, n: int):
-        while len(self.values) < n:
-            m = len(self.values) + 1
-            gv = self.g(m)
-            if not gv > 0:
-                raise ValueError(f"gap target g({m}) = {gv} is not positive")
-            if m == 1:
-                hv = min(gv, HALF if isinstance(gv, (int, Fraction)) else 0.5)
-            else:
-                cap = self.values[-1] * m / (m + 1)
-                hv = min(gv, cap)
-            if hv != gv:
-                self.adjusted = True
-            self.values.append(hv)
-        return self.values[n - 1]
+    def _step(self, m: int, prev: list):
+        gv = self.g(m)
+        if not gv > 0:
+            raise ValueError(f"gap target g({m}) = {gv} is not positive")
+        hv = min(gv, prev[-1] * m / (m + 1) if prev else HALF * _one_like(gv))
+        if hv != gv:
+            self.adjusted = True
+        return hv
 
 
 @dataclass(frozen=True)
@@ -182,27 +186,20 @@ def build_example1(a=Fraction(1, 2), f=None, name: str = "example1") -> Truncati
         raise ValueError("a must lie in (0,1)")
     f_at = as_sequence(f, name="f")
 
-    remainders: list = []  # R_1, R_2, ...
+    def remainder(j: int, prev: list):
+        # R_j = R_{j-1} - f_j with R_0 = 1
+        fj = f_at(j)
+        if not fj > 0:
+            raise FamilyDefinitionError(f"{name}: f_{j} = {fj} is not positive")
+        r = (prev[-1] if prev else _one_like(fj)) - fj
+        if not r > 0:
+            raise FamilyDefinitionError(f"{name}: partial sums of f reach 1 at index {j}")
+        return r
+
+    remainders = _Memo1(remainder)
 
     def rem(m: int):
-        # R_m with R_0 = 1
-        if m == 0:
-            return Fraction(1) if isinstance(f_at(1), (int, Fraction)) else 1.0
-        while len(remainders) < m:
-            j = len(remainders) + 1
-            fj = f_at(j)
-            if not fj > 0:
-                raise FamilyDefinitionError(f"{name}: f_{j} = {fj} is not positive")
-            prev = remainders[-1] if remainders else (
-                Fraction(1) if isinstance(fj, (int, Fraction)) else 1.0
-            )
-            r = prev - fj
-            if not r > 0:
-                raise FamilyDefinitionError(
-                    f"{name}: partial sums of f reach 1 at index {j}"
-                )
-            remainders.append(r)
-        return remainders[m - 1]
+        return remainders(m) if m else _one_like(f_at(1))
 
     def generator(n: int) -> WeightedDigraph:
         arcs = {(0, 0): a * f_at(1)}
@@ -290,13 +287,12 @@ def build_example2(
             c = float(hi) ** 2 * n_probe**decay
             sum_sq = partial + c * (n_probe + 0.5) ** (1 - decay) / (decay - 1)
 
-    squares: list[float] = []
+    # a_1^2 + ... + a_k^2 as floats, summed left to right
+    sums = _Memo1(lambda k, prev: (prev[-1] if prev else 0.0) + float(a_k(k)) ** 2)
 
     def b_n(n: int) -> float:
         kmax = n - 1 if length is None else min(n - 1, length)
-        while len(squares) < kmax:
-            squares.append(float(a_k(len(squares) + 1)) ** 2)
-        return math.sqrt(sum(squares[:kmax]))
+        return math.sqrt(sums(kmax) if kmax else 0.0)
 
     def generator(n: int) -> WeightedDigraph:
         arcs = {}
@@ -349,16 +345,11 @@ class _BeadedChain:
         self.lengths = lengths
         self.bead_arc_weight = bead_arc_weight  # (k, arc_index) -> weight
         self.connector_len = connector_len
-        self._offsets = [0]  # offset of bead k at index k-1
+        #: first vertex of bead k
+        self.offset = _Memo1(lambda k, prev: prev[-1] + self.block_size(k - 1) if prev else 0)
 
     def block_size(self, k: int) -> int:
         return self.lengths(k) + 2 * (self.connector_len - 1)
-
-    def offset(self, k: int) -> int:
-        while len(self._offsets) < k:
-            j = len(self._offsets)
-            self._offsets.append(self._offsets[-1] + self.block_size(j))
-        return self._offsets[k - 1]
 
     def bead_vertices(self, k: int) -> range:
         start = self.offset(k)
@@ -413,16 +404,16 @@ def build_prop1(
     half their slack after the connectors, every other vertex has out-weight
     exactly 1, and the weighting is truthly substochastic.
     """
-    lengths = _Memo1(as_sequence(cycle_lengths, name="cycle_lengths"),
+    raw_lengths = as_sequence(cycle_lengths, name="cycle_lengths")
+    lengths = _Memo1(lambda k, _: raw_lengths(k),
                      lambda j, v, prev: _require(v >= 1, f"length {v} at k={j} must be >= 1"))
-    target_at = _Memo1(as_sequence(targets, name="targets"),
+    raw_targets = as_sequence(targets, name="targets")
+    target_at = _Memo1(lambda k, _: raw_targets(k),
                        lambda j, v, prev: _require(0 < v < 1, f"target {v} at k={j} outside (0,1)"))
 
     chain = _BeadedChain(
         lengths,
-        lambda k, i: target_at(k) if i == 0 else (
-            Fraction(1) if isinstance(target_at(k), (int, Fraction)) else 1.0
-        ),
+        lambda k, i: target_at(k) if i == 0 else _one_like(target_at(k)),
         connector_len=1,
     )
 
@@ -469,21 +460,13 @@ def _require(cond: bool, message: str):
 # ---------------------------------------------------------------------------
 
 
-class _Cor1Lengths:
+def _check_cor1_length(j: int, v, prev: list):
     """Bead lengths: strictly increasing, then (optionally) constant forever."""
-
-    def __init__(self, spec):
-        def check(j, v, prev):
-            _require(v >= 1, f"length {v} at k={j} must be >= 1")
-            if prev:
-                _require(v >= prev[-1], f"lengths must be nondecreasing (k={j})")
-                if len(prev) >= 2 and prev[-1] == prev[-2]:
-                    _require(v == prev[-1], "lengths must stay constant once repeated")
-
-        self._memo = _Memo1(as_sequence(spec, name="cycle_lengths"), check)
-
-    def __call__(self, k: int) -> int:
-        return self._memo(k)
+    _require(v >= 1, f"length {v} at k={j} must be >= 1")
+    if prev:
+        _require(v >= prev[-1], f"lengths must be nondecreasing (k={j})")
+        if len(prev) >= 2 and prev[-1] == prev[-2]:
+            _require(v == prev[-1], "lengths must stay constant once repeated")
 
 
 def build_corollary1(g: GapTarget, cycle_lengths=None, name: str = "corollary1") -> TruncationFamily:
@@ -494,7 +477,9 @@ def build_corollary1(g: GapTarget, cycle_lengths=None, name: str = "corollary1")
     port slack, so the whole weighting is strictly substochastic with
     supremum of gains equal to 1.
     """
-    lengths = _Cor1Lengths(cycle_lengths if cycle_lengths is not None else (lambda k: k))
+    raw_lengths = as_sequence(cycle_lengths if cycle_lengths is not None else (lambda k: k),
+                              name="cycle_lengths")
+    lengths = _Memo1(lambda k, _: raw_lengths(k), _check_cor1_length)
     h = g.minorant()
 
     def bead_weight(k: int):
@@ -504,14 +489,6 @@ def build_corollary1(g: GapTarget, cycle_lengths=None, name: str = "corollary1")
 
     def kstar(n: int) -> int:
         k = 1
-        while k < 10**6:
-            lk = lengths(k)
-            if lk > n:
-                break
-            if h(max(lengths(k + 1), k)) < g(n):
-                return k
-            k += 1
-        # constant-tail scan: keep going while lengths stay <= n
         while k < 10**6 and lengths(k) <= n:
             if h(max(lengths(k + 1), k)) < g(n):
                 return k
@@ -606,62 +583,55 @@ class _LongCycleSchedule:
 
     def __init__(self, eps: EpsilonSchedule):
         self.eps = eps
-        self.lengths: list[int] = [1]  # l_1 = 1: the loop at vertex 1
+        #: l_k; l_1 = 1 is the loop at vertex 1
+        self.length = _Memo1(self._select)
 
     def _certified(self, cand: int, total: int, lo_a: Fraction, hi_b: Fraction) -> bool:
         return cand > total and cand * lo_a > total * hi_b
 
-    def ensure(self, k: int):
-        while len(self.lengths) < k:
-            j = len(self.lengths) + 1
-            e = self.eps(j)
-            total = sum(self.lengths)
-            lo_a, _ = ln_bounds((1 - e) / (1 - 2 * e))
-            _, hi_b = ln_bounds(2**j * (1 - e) / e)
-            cand = total + 1
-            while not self._certified(cand, total, lo_a, hi_b):
-                cand *= 2
-            self.lengths.append(cand)
-
-    def ensure_cover(self, x: int):
-        while self.lengths[-1] < x:
-            self.ensure(len(self.lengths) + 1)
-
-    def length(self, k: int) -> int:
-        self.ensure(k)
-        return self.lengths[k - 1]
+    def _select(self, j: int, prev: list) -> int:
+        if j == 1:
+            return 1
+        e = self.eps(j)
+        total = sum(prev)
+        lo_a, _ = ln_bounds((1 - e) / (1 - 2 * e))
+        _, hi_b = ln_bounds(2**j * (1 - e) / e)
+        cand = total + 1
+        while not self._certified(cand, total, lo_a, hi_b):
+            cand *= 2
+        return cand
 
     def cover_index(self, v: int) -> int:
         """Smallest j with l_j > v (the cycle first covering path arc (v, v+1))."""
-        self.ensure_cover(v + 1)
-        for j, l in enumerate(self.lengths, start=1):
-            if l > v:
-                return j
-        raise AssertionError("cover index must exist")
+        j = 1
+        while self.length(j) <= v:
+            j += 1
+        return j
+
+    def closing_index(self, v: int) -> int | None:
+        """The j with l_j = v (vertex v closes gamma_j), or None."""
+        j = self.cover_index(v - 1)
+        return j if self.length(j) == v else None
 
     # weights on the return-path host, in the notation of 1-based vertices
     def path_weight(self, v: int) -> Fraction:
         j = self.cover_index(v)
         e = self.eps(j)
-        if j >= 2 and v == self.lengths[j - 2]:
+        if j >= 2 and v == self.length(j - 1):
             return e / 2**j
         return 1 - e
 
     def return_weight(self, v: int) -> Fraction:
-        self.ensure_cover(v)
-        if v in self.lengths:
-            j = self.lengths.index(v) + 1
-            return 1 - self.eps(j)
-        return 1 - self.path_weight(v)
+        j = self.closing_index(v)
+        return 1 - self.eps(j) if j is not None else 1 - self.path_weight(v)
 
     def loop_weight(self) -> Fraction:
         return 1 - self.eps(1)
 
     def certify(self, k: int) -> LongCycleCertificate:
-        self.ensure(k)
         e = self.eps(k)
         l_k = self.length(k)
-        total = sum(self.lengths[: k - 1])
+        total = sum(map(self.length, range(1, k)))
         gain_bound = 1 - 2 * e
 
         if k == 1:
@@ -676,7 +646,7 @@ class _LongCycleSchedule:
             # and every such weight (e_j/2^j or 1-e_j) is at least e_k/2^k
             floor = e / 2**k
             inherited_ok = (
-                self.lengths[k - 2] <= total
+                self.length(k - 1) <= total
                 and all(self.eps(j) / 2**j >= floor for j in range(2, k + 1))
                 and 1 - self.eps(1) >= floor
             )
@@ -687,8 +657,8 @@ class _LongCycleSchedule:
                 for j in range(2, k + 1):
                     product *= self.eps(j) / 2**j
                 for j in range(2, k + 1):
-                    lo = self.lengths[j - 2]
-                    hi = self.lengths[j - 1]
+                    lo = self.length(j - 1)
+                    hi = self.length(j)
                     count = (hi - lo - 1) + (1 if j == k else 0)
                     product *= (1 - self.eps(j)) ** count
                 direct = product >= gain_bound**l_k
@@ -734,15 +704,10 @@ def build_prop2(eps: EpsilonSchedule, name: str = "prop2") -> TruncationFamily:
         return WeightedDigraph(n, arcs)
 
     def gamma_generator(n: int) -> WeightedDigraph:
-        sched.ensure_cover(n + 1)
-        closers = set(sched.lengths)
-        arcs = {(0, 0): sched.loop_weight()}
-        for i in range(n - 1):
-            arcs[(i, i + 1)] = sched.path_weight(i + 1)
-        for i in range(1, n):
-            if (i + 1) in closers:
-                arcs[(i, 0)] = sched.return_weight(i + 1)
-        return WeightedDigraph(n, arcs)
+        # the cycle system keeps only the return arcs that close some gamma_k
+        arcs = generator(n).arcs
+        return WeightedDigraph(n, {(u, v): w for (u, v), w in arcs.items()
+                                   if v != 0 or u == 0 or sched.closing_index(u + 1)})
 
     facts = FamilyFacts(
         transversal=frozenset({0}),
@@ -754,16 +719,7 @@ def build_prop2(eps: EpsilonSchedule, name: str = "prop2") -> TruncationFamily:
         return_vertex=0,
         pruitt_strict_vertex=0,
     )
-    gamma_facts = FamilyFacts(
-        transversal=frozenset({0}),
-        sct_size=1,
-        l_min=1,
-        l_max=math.inf,
-        weighting_class=Tag.STRICTLY_SUBSTOCHASTIC,
-        spectral_limit=1,
-        return_vertex=0,
-        pruitt_strict_vertex=0,
-    )
+    gamma_facts = replace(facts, weighting_class=Tag.STRICTLY_SUBSTOCHASTIC)
     gamma = TruncationFamily(name + "-cycles", gamma_generator, gamma_facts,
                              omega_window=lambda n: n)
     return TruncationFamily(
@@ -781,14 +737,27 @@ def _rat(x):
     return Fraction(str(x))
 
 
-def _sequence_from_config(cfg) -> object:
+def _config(cfg, where: str) -> Mapping:
+    """``cfg`` as a JSON object; ``where`` names it in the error message."""
+    if not isinstance(cfg, Mapping):
+        raise ValueError(f"{where} must be a JSON object, got {cfg!r}")
+    return cfg
+
+
+def _required(cfg: Mapping, key: str, where: str):
+    if key not in cfg:
+        raise ValueError(f"{where} of kind {cfg.get('kind')!r} needs key {key!r}")
+    return cfg[key]
+
+
+def _sequence_from_config(cfg, where: str) -> object:
     if isinstance(cfg, (list, tuple)):
         return [_rat(v) for v in cfg]
-    kind = cfg.get("kind")
+    kind = _config(cfg, where).get("kind")
     if kind == "list":
-        return [_rat(v) for v in cfg["values"]]
+        return [_rat(v) for v in _required(cfg, "values", where)]
     if kind == "int-list":
-        return [int(v) for v in cfg["values"]]
+        return [int(v) for v in _required(cfg, "values", where)]
     if kind == "linear":
         start = int(cfg.get("start", 1))
         step = int(cfg.get("step", 1))
@@ -796,80 +765,84 @@ def _sequence_from_config(cfg) -> object:
     if kind == "powers-of-two":
         return lambda k: 2**k
     if kind == "constant":
-        v = _rat(cfg["value"])
+        v = _rat(_required(cfg, "value", where))
         return lambda k: v
     if kind == "one-minus-inverse-length":
-        base = _sequence_from_config(cfg["lengths"])
+        base = _sequence_from_config(_required(cfg, "lengths", where), f"{where}.lengths")
         base_fn = as_sequence(base)
         return lambda k: 1 - Fraction(1, base_fn(k))
     if kind == "one-minus-geometric":
         ratio = _rat(cfg.get("ratio", "1/2"))
         return lambda k: 1 - ratio**k
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    raise ValueError(f"{where}: unknown sequence kind {kind!r}")
 
 
-def _gap_from_config(cfg) -> GapTarget:
-    kind = cfg.get("kind", "exp2")
+def _gap_from_config(cfg, where: str) -> GapTarget:
+    kind = _config(cfg, where).get("kind", "exp2")
     if kind == "exp2":
         return GapTarget.exp2()
     if kind == "power":
         return GapTarget.power(int(cfg.get("exponent", 2)))
     if kind == "constant":
-        return GapTarget.constant(_rat(cfg["value"]))
-    raise ValueError(f"unknown gap-target kind {kind!r}")
+        return GapTarget.constant(_rat(_required(cfg, "value", where)))
+    raise ValueError(f"{where}: unknown gap-target kind {kind!r}")
 
 
 def family_from_config(name: str, params: Mapping | None = None) -> TruncationFamily:
-    """Instantiate a built-in named family from a JSON-style parameter dict."""
-    params = dict(params or {})
+    """Instantiate a built-in named family from a JSON-style parameter dict.
+
+    Malformed parameters raise ``ValueError`` naming the family and the key.
+    """
+    if name not in BUILTIN_FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    params = _config({} if params is None else params, f"{name} params")
+
+    def param(key: str, default):
+        return params.get(key, default), f"{name} params.{key}"
+
     if name == "example1":
         a = _rat(params.get("a", "1/2"))
-        fcfg = params.get("f", {"kind": "geometric", "ratio": "1/2"})
+        fcfg, where = param("f", {"kind": "geometric", "ratio": "1/2"})
         if isinstance(fcfg, (list, tuple)):
             f = [_rat(v) for v in fcfg]
-        elif fcfg.get("kind") == "geometric":
+        elif _config(fcfg, where).get("kind") == "geometric":
             f = f_geometric(_rat(fcfg.get("ratio", "1/2")))
         elif fcfg.get("kind") == "power":
             f = f_power(float(fcfg.get("epsilon", 0.5)))
             a = float(a)
         elif fcfg.get("kind") == "list":
-            f = [_rat(v) for v in fcfg["values"]]
+            f = [_rat(v) for v in _required(fcfg, "values", where)]
         else:
-            raise ValueError(f"unknown f kind {fcfg.get('kind')!r}")
+            raise ValueError(f"{where}: unknown f kind {fcfg.get('kind')!r}")
         return build_example1(a=a, f=f)
     if name == "example2":
-        acfg = params.get("a", {"kind": "power", "exponent": -0.75})
+        acfg, where = param("a", {"kind": "power", "exponent": -0.75})
         if isinstance(acfg, (list, tuple)):
             a = [_rat(v) for v in acfg]
-        elif acfg.get("kind") == "power":
+        elif _config(acfg, where).get("kind") == "power":
             a = a_power(float(acfg.get("exponent", -0.75)))
         elif acfg.get("kind") == "list":
-            a = [_rat(v) for v in acfg["values"]]
+            a = [_rat(v) for v in _required(acfg, "values", where)]
         else:
-            raise ValueError(f"unknown a kind {acfg.get('kind')!r}")
+            raise ValueError(f"{where}: unknown a kind {acfg.get('kind')!r}")
         return build_example2(a, sorted_weights=bool(params.get("sorted", True)))
     if name == "prop1":
-        lengths = _sequence_from_config(params.get("lengths", {"kind": "linear"}))
-        targets = _sequence_from_config(params.get("targets", {"kind": "one-minus-geometric"}))
+        lengths = _sequence_from_config(*param("lengths", {"kind": "linear"}))
+        targets = _sequence_from_config(*param("targets", {"kind": "one-minus-geometric"}))
         declared = params.get("declared_lambda")
         return build_prop1(lengths, targets,
                            declared_lambda=_rat(declared) if declared is not None else None)
     if name == "prop2":
-        ecfg = params.get("epsilon", {"kind": "geometric", "ratio": "1/4"})
-        return build_prop2(EpsilonSchedule.geometric(_rat(ecfg.get("ratio", "1/4"))))
-    if name == "corollary1":
-        lengths = params.get("lengths")
-        return build_corollary1(
-            _gap_from_config(params.get("g", {"kind": "exp2"})),
-            _sequence_from_config(lengths) if lengths is not None else None,
-        )
-    if name == "theorem2-fast":
-        lengths = params.get("lengths")
-        return build_theorem2_fast(
-            _gap_from_config(params.get("g", {"kind": "exp2"})),
-            _sequence_from_config(lengths) if lengths is not None else None,
-        )
-    raise ValueError(f"unknown family {name!r}")
+        ecfg, where = param("epsilon", {"kind": "geometric", "ratio": "1/4"})
+        ratio = _rat(_config(ecfg, where).get("ratio", "1/4"))
+        return build_prop2(EpsilonSchedule.geometric(ratio))
+    # corollary1 and theorem2-fast
+    lengths, where = param("lengths", None)
+    build = build_corollary1 if name == "corollary1" else build_theorem2_fast
+    return build(
+        _gap_from_config(*param("g", {"kind": "exp2"})),
+        _sequence_from_config(lengths, where) if lengths is not None else None,
+    )
 
 
 BUILTIN_FAMILIES = ("example1", "example2", "prop1", "prop2", "corollary1", "theorem2-fast")

@@ -298,6 +298,24 @@ class TestBoundaryErrors:
         assert capsys.readouterr().err == "error: failed to sample a strong digraph\n"
 
     @pytest.mark.parametrize(
+        "family,params,message",
+        [
+            ("prop1", '{"targets": {"kind": "list"}}', "prop1 params.targets"),
+            ("corollary1", '{"g": "exp2"}', "corollary1 params.g"),
+            ("example1", '{"f": "geometric"}', "example1 params.f"),
+            ("theorem2-fast", '{"lengths": {"kind": "constant"}}',
+             "theorem2-fast params.lengths"),
+            ("example1", "[1]", "example1 params must be a JSON object"),
+        ],
+        ids=["list-without-values", "gap-not-object", "f-not-object",
+             "constant-without-value", "params-not-object"],
+    )
+    def test_malformed_family_params(self, family, params, message):
+        proc = run_cli(["construct", family, "--params", params, "--emit-truncation", "3"])
+        self.assert_one_line_error(proc)
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["verify"],

@@ -1,4 +1,8 @@
+import hashlib
 import math
+import sys
+import threading
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,12 +15,15 @@ from substochastic import (
     Tag,
     classify_weighting,
     enumerate_cycles,
+    family_to_float,
     perron_root,
     sup_cycle_gain,
     truncate,
     verify_pruitt,
 )
 from substochastic.constructions import (
+    BUILTIN_FAMILIES,
+    _Memo1,
     a_power,
     build_corollary1,
     build_example1,
@@ -342,3 +349,169 @@ class TestFamilyRegistry:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             family_from_config("nope", {})
+
+
+# ---------------------------------------------------------------------------
+# Output pin: sha1 digests of family outputs, recorded before the lazy
+# sequences were unified.  Any change to a weight, window, witness, closed
+# form, certificate or minorant value changes a digest.
+# ---------------------------------------------------------------------------
+
+PIN_ORDERS = (1, 2, 7, 31, 60, 146, 400)
+
+PIN_CONFIGS = {
+    "example1": ("example1", {}),
+    "example1-power": ("example1", {"f": {"kind": "power", "epsilon": 0.5}}),
+    "example2": ("example2", {}),
+    "example2-list": ("example2", {"a": ["3/5", "1/2", "1/4"]}),
+    "prop1": ("prop1", {}),
+    "prop1-powers": ("prop1", {
+        "lengths": {"kind": "powers-of-two"},
+        "targets": {"kind": "one-minus-inverse-length", "lengths": {"kind": "powers-of-two"}},
+    }),
+    "prop2": ("prop2", {}),
+    "corollary1": ("corollary1", {}),
+    "corollary1-tail": ("corollary1", {
+        "g": {"kind": "power", "exponent": 1},
+        "lengths": {"kind": "int-list", "values": [1, 2, 4]},
+    }),
+    "theorem2-fast": ("theorem2-fast", {"g": {"kind": "power", "exponent": 2}}),
+}
+
+
+def _sha1(lines) -> str:
+    return hashlib.sha1("\n".join(lines).encode()).hexdigest()
+
+
+def _outcome(fn, n) -> str:
+    try:
+        return repr(fn(n))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _family_lines(fam):
+    for n in PIN_ORDERS:
+        yield truncate(fam, n).to_json()
+        if fam.omega_window is not None:
+            yield f"omega {n} {_outcome(fam.omega_window, n)}"
+        if fam.witness_submatrix is not None:
+            yield f"witness {n} {_outcome(lambda m: tuple(fam.witness_submatrix(m)), n)}"
+        if fam.facts.perron_closed_form is not None:
+            yield f"closed {n} {_outcome(fam.facts.perron_closed_form, n)}"
+
+
+PIN_DIGESTS = {
+    "corollary1/exact": "bd1779122590fdade9e704e26a11c6ef329bbdb2",
+    "corollary1/float": "191df457456545532173d54979ff8437f71021ae",
+    "corollary1-tail/exact": "a839d15515a642574846f5d3e2ae1f9f84be10b4",
+    "corollary1-tail/float": "29180d00a8adf759891c0650b7fd527dcb599caf",
+    "example1/exact": "9a86460a1982e39be50e3e1d1a306608fdad511d",
+    "example1/float": "ebeb07141e15b102fe0ecb0fa54cae36c6f76f12",
+    "example1-power/exact": "470b7d06b8ccd6af72959a8cd6cd3551b17c686e",
+    "example1-power/float": "470b7d06b8ccd6af72959a8cd6cd3551b17c686e",
+    "example2/exact": "4ad3458b40cc98996f426acdb05e65dfb7845b47",
+    "example2/float": "4ad3458b40cc98996f426acdb05e65dfb7845b47",
+    "example2-list/exact": "0ed24ebbf06e971482a4722c37832db925a2746e",
+    "example2-list/float": "2af60bcf8d58ffaa03a3017a39c4d91fa56e6048",
+    "prop1/exact": "531ff889d4a3a49548b6bac41ed5328da415ef66",
+    "prop1/float": "88f907fea7136549f2ad72f14898b0807d3692ab",
+    "prop1-powers/exact": "4ec761806502ce560a3c7e07c3e92717d469b8a5",
+    "prop1-powers/float": "28744e104d4f04247cd5003bc69613ed721a171a",
+    "prop2/exact": "f6ff84d7eb7e3df01f1e7f550ecc9f6d39eec839",
+    "prop2/float": "27cdba53b56f3d549fb46c7e8218de4c24ab139c",
+    "theorem2-fast/exact": "543a753486922460270b46945f937e25fd04fc37",
+    "theorem2-fast/float": "e5c063e91e3c1b76932e20fe73458cf6d9df713a",
+    "prop2/certify": "83e03fc42ccae00e01ac2e7df2473a98d7145427",
+    "prop2/cycle_system": "a3590b0c59491ed23f4d5e276aa0453c4d8f31a1",
+    "minorant/exact": "cc9274b6889dbf6cb09129b49b4da441495cbec1",
+    "minorant/float": "cf95352fa8163e7c5588f9247d87da60dfabecba",
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("config", sorted(PIN_CONFIGS))
+def test_family_outputs_pinned(config, mode):
+    name, params = PIN_CONFIGS[config]
+    fam = family_from_config(name, params)
+    if mode == "float":
+        fam = family_to_float(fam)
+    assert _sha1(_family_lines(fam)) == PIN_DIGESTS[f"{config}/{mode}"]
+
+
+def test_prop2_certificates_and_cycle_system_pinned():
+    extras = build_prop2(EpsilonSchedule.geometric(F(1, 4))).extras
+    lines = [repr(extras["certify"](k)) for k in range(1, 5)]
+    assert _sha1(lines) == PIN_DIGESTS["prop2/certify"]
+    lines = [truncate(extras["cycle_system"], n).to_json() for n in PIN_ORDERS]
+    assert _sha1(lines) == PIN_DIGESTS["prop2/cycle_system"]
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_non_monotone_minorant_pinned(kind):
+    hi, lo = (F(3, 4), F(1, 2)) if kind == "exact" else (0.75, 0.5)
+    h = GapTarget(lambda n: lo if n % 2 else hi).minorant()
+    lines = [repr(h(n)) for n in range(1, 61)] + [repr(h.adjusted)]
+    assert _sha1(lines) == PIN_DIGESTS[f"minorant/{kind}"]
+
+
+# ---------------------------------------------------------------------------
+# Thread safety: one family (and one lazy sequence) shared by a few threads
+# ---------------------------------------------------------------------------
+
+N_THREADS = 4
+
+
+def _run_threads(work):
+    """Run ``work(i)`` on N_THREADS threads started together; return the results.
+
+    A short switch interval makes the threads interleave inside the memos.
+    """
+    barrier = threading.Barrier(N_THREADS)
+    results = [None] * N_THREADS
+    errors = []
+
+    def run(i):
+        barrier.wait(timeout=60)
+        try:
+            results[i] = work(i)
+        except Exception as exc:  # reported on the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(N_THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    return results
+
+
+def test_memo_shared_across_threads_stays_indexed():
+    def step(k, prev=None):
+        time.sleep(0)  # hand the GIL over mid-step
+        return k
+
+    for _ in range(5):
+        memo = _Memo1(step)
+        results = _run_threads(lambda i: [memo(k) for k in range(1, 201)])
+        assert all(r == list(range(1, 201)) for r in results)
+        assert memo.values == list(range(1, 201))
+
+
+@pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+def test_family_shared_across_threads_matches_serial(name):
+    orders = (146, 7, 60, 31)
+    serial = [truncate(family_from_config(name), n).to_json() for n in orders]
+    shared = family_from_config(name)
+    results = _run_threads(
+        lambda i: [truncate(shared, n).to_json() for n in orders[i:] + orders[:i]]
+    )
+    for i, r in enumerate(results):
+        assert r == serial[i:] + serial[:i]
