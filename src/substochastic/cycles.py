@@ -431,7 +431,21 @@ def min_cycle_transversal(d: WeightedDigraph, budget: int = 200_000) -> Transver
     node budget runs out the best-found set is returned with
     ``optimality="upper-bound"``.  The result is always re-verified to leave
     an acyclic digraph.
+
+    Results are memoised on ``d``.  The search is deterministic, so an exact
+    result that took N nodes is the answer for every budget of at least N,
+    and an upper bound is reused for its own budget only.
     """
+    searches = d.memo("min_cycle_transversal", list)  # (budget, nodes, result)
+    for b, nodes, res in searches:
+        if b == budget or (res.optimality == "exact" and nodes <= budget):
+            return res
+    res, nodes = _branch_and_bound(d, budget)
+    searches.append((budget, nodes, res))
+    return res
+
+
+def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResult, int]:
     succ = _succ_sets(d)
     all_vs = set(range(d.order))
 
@@ -474,7 +488,8 @@ def min_cycle_transversal(d: WeightedDigraph, budget: int = 200_000) -> Transver
     rec(set(), frozenset())
 
     assert _shortest_cycle(succ, all_vs - best) is None, "transversal re-verification failed"
-    return TransversalResult(frozenset(best), len(best), "upper-bound" if exhausted else "exact")
+    result = TransversalResult(frozenset(best), len(best), "upper-bound" if exhausted else "exact")
+    return result, nodes
 
 
 def is_cycle_transversal(d: WeightedDigraph, vertices: Iterable[int]) -> bool:

@@ -67,6 +67,8 @@ class WeightedDigraph:
     arcs: Mapping[Arc, object]
 
     def __post_init__(self):
+        # a private copy: mutating the caller's dict must not reach the cached views
+        object.__setattr__(self, "arcs", dict(self.arcs))
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         for (u, v), w in self.arcs.items():
@@ -87,6 +89,24 @@ class WeightedDigraph:
     @cached_property
     def is_exact(self) -> bool:
         return all(is_exact_number(w) for w in self.arcs.values())
+
+    @cached_property
+    def _analysis(self) -> dict:
+        return {}
+
+    def memo(self, key, compute):
+        """``compute()``, stored under ``key`` for the life of this digraph.
+
+        The spectral and cycle layers keep their exact results here (and the
+        inequality reports their fingerprint), so each is computed once per
+        digraph object.  An exception is never stored.
+        Two threads may both compute a missing entry; both get the value
+        stored first, and neither sees a partial one.
+        """
+        cache = self._analysis
+        if key in cache:
+            return cache[key]
+        return cache.setdefault(key, compute())
 
     def out_weight(self, v: int):
         return sum(self.adjacency[v].values(), start=Fraction(0) if self.is_exact else 0.0)

@@ -106,7 +106,7 @@ class InequalityReport:
 
 
 def fingerprint(d: WeightedDigraph) -> str:
-    return hashlib.sha1(d.to_json().encode()).hexdigest()[:12]
+    return d.memo("fingerprint", lambda: hashlib.sha1(d.to_json().encode()).hexdigest()[:12])
 
 
 def _radius_brackets(d: WeightedDigraph):

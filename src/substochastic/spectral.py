@@ -159,39 +159,78 @@ def perron_bounds(
     right shifts, which preserves positivity and therefore soundness of the
     Collatz-Wielandt bounds.  Brackets are returned once their width drops
     under ``width`` (or after ``max_iter`` steps, still sound but wider).
+    The result is memoised on ``d`` per (width, max_iter).
     """
     if not d.is_exact:
         raise TypeError("perron_bounds requires exact rational weights")
-    return _max_over_components(
+    width = Fraction(width)
+    return d.memo(("perron_bounds", width, max_iter), lambda: _max_over_components(
         d, Fraction(0), lambda comp: _integer_power_brackets(d, sorted(comp), width, max_iter)
-    )
+    ))
+
+
+def _float_perron_vector(k: int, local) -> np.ndarray | None:
+    """abs of the float Perron vector of A (that of I + A too), max 1; None if unusable.
+
+    The Perron root is the eigenvalue of largest real part.  Solving A
+    rather than I + A keeps the vector accurate when the weights are tiny.
+    """
+    m = np.zeros((k, k))
+    try:
+        for i, j, w in local:
+            m[i, j] += float(w)
+        eigvals, eigvecs = np.linalg.eig(m)
+    except (OverflowError, np.linalg.LinAlgError):  # weights beyond float range
+        return None
+    vec = np.abs(eigvecs[:, int(np.argmax(eigvals.real))])
+    top = vec.max()
+    return vec / top if np.isfinite(vec).all() and top > 0 else None
 
 
 def _integer_power_brackets(d, comp, width, max_iter):
+    """Collatz-Wielandt brackets on one strong component, in integers.
+
+    B = scale (I + A) has integer entries.  The first step takes x = all
+    ones, which brackets a component with equal row sums exactly.  Otherwise
+    x restarts from the float Perron vector scaled to about 2^62, and power
+    steps renormalized to 160 bits narrow the bracket.  Every positive
+    integer x gives the sound bracket min_i, max_i of (Bx)_i / (scale x_i),
+    minus 1; the float only chooses x.  The extreme quotients are found and
+    the width is tested by integer cross-multiplication, and the two
+    Fractions are built once, from the final (x, y = Bx) pair.
+    """
     idx = {v: i for i, v in enumerate(comp)}
     k = len(comp)
-    entries = [Fraction(w) for (u, v), w in d.arcs.items() if u in idx and v in idx]
-    scale = math.lcm(*(e.denominator for e in entries)) if entries else 1
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for (u, v), w in d.arcs.items():
-        if u in idx and v in idx:
-            rows[idx[u]].append((idx[v], int(Fraction(w) * scale)))
-    for i in range(k):
-        rows[i].append((i, scale))  # the +I shift
+    local = [(idx[u], idx[v], Fraction(w)) for (u, v), w in d.arcs.items()
+             if u in idx and v in idx]
+    scale = math.lcm(*(w.denominator for _u, _v, w in local)) if local else 1
+    rows: list[list[tuple[int, int]]] = [[(i, scale)] for i in range(k)]  # the +I shift
+    for i, j, w in local:
+        rows[i].append((j, int(w * scale)))
 
     x = [1] * k
-    lo = Fraction(0)
-    hi = Fraction(10)
-    for _ in range(max_iter):
+    steps = max(1, max_iter)
+    for step in range(steps):
         y = [sum(e * x[j] for j, e in row) for row in rows]
-        quotients = [Fraction(y[i], scale * x[i]) for i in range(k)]
-        lo = min(quotients) - 1
-        hi = max(quotients) - 1
-        if hi - lo <= width:
+        lo = hi = 0  # indices of the least and greatest y_i / x_i
+        for i in range(1, k):
+            if y[i] * x[lo] < y[lo] * x[i]:
+                lo = i
+            elif y[i] * x[hi] > y[hi] * x[i]:
+                hi = i
+        # (y_hi/x_hi - y_lo/x_lo) / scale <= width, cleared of denominators;
+        # out of steps, the bracket of this (x, y) pair is still sound
+        spread = y[hi] * x[lo] - y[lo] * x[hi]
+        if (spread * width.denominator <= width.numerator * scale * x[hi] * x[lo]
+                or step == steps - 1):
             break
-        shift = max(0, max(y).bit_length() - 160)
-        x = [max(1, yi >> shift) for yi in y]
-    return lo, hi
+        vec = _float_perron_vector(k, local) if step == 0 else None
+        if vec is not None:
+            x = [max(1, int(c)) for c in (vec * 2.0**62).tolist()]
+        else:
+            shift = max(0, max(y).bit_length() - 160)
+            x = [max(1, yi >> shift) for yi in y]
+    return Fraction(y[lo], scale * x[lo]) - 1, Fraction(y[hi], scale * x[hi]) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +252,17 @@ def float_shifted(d: WeightedDigraph, c: float = 1.0) -> np.ndarray:
     return c * np.eye(d.order) - d.to_numpy()
 
 
-def _contractive_i_minus_a(d: WeightedDigraph, assume_contractive: bool):
-    """I - A in the digraph's arithmetic, after checking that rho(A) < 1 is possible."""
+def _i_minus_a(d: WeightedDigraph):
+    """I - A in the digraph's arithmetic."""
+    return exact_shifted(d) if d.is_exact else float_shifted(d)
+
+
+def _check_contractive(d: WeightedDigraph, assume_contractive: bool) -> None:
+    """Raise unless rho(A) < 1 is possible (a float bracket; skipped when assumed)."""
     if not assume_contractive:
         lo, _hi = collatz_wielandt_brackets(d, tol=1e-10)
         if lo >= 1:
             raise SpectralRadiusError(f"spectral radius >= 1 (lower bracket {lo})")
-    return exact_shifted(d) if d.is_exact else float_shifted(d)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +326,20 @@ def charpoly(d: WeightedDigraph, method: str = "elimination", budget: int = 2_00
     The elimination route evaluates the determinant exactly (fraction-free)
     at order+1 integer points and interpolates; float weights are lifted to
     their exact binary rationals first, so both routes are exact and the two
-    methods are independent of each other.
+    methods are independent of each other.  The coefficients are memoised on
+    ``d`` per method (and per budget for Coates, whose budget can fail a call).
     """
     if method == "coates":
-        return coates_charpoly(d, budget)
+        return list(d.memo(("charpoly", method, budget),
+                           lambda: tuple(coates_charpoly(d, budget))))
     if method != "elimination":
         raise ValueError(f"unknown charpoly method {method!r}")
     if d.order > 128:
         raise BudgetExceededError("elimination charpoly capped at order 128")
+    return list(d.memo(("charpoly", method), lambda: tuple(_elimination_charpoly(d))))
+
+
+def _elimination_charpoly(d: WeightedDigraph) -> list:
     points = list(range(d.order + 1))
     values = [det_exact(exact_shifted(d, z)) for z in points]
     coeffs = interpolate_exact(points, values)
@@ -298,17 +347,20 @@ def charpoly(d: WeightedDigraph, method: str = "elimination", budget: int = 2_00
 
 
 def det_i_minus(d: WeightedDigraph):
-    """det(I - A): fraction-free elimination when exact, pivoted LU otherwise."""
-    if d.is_exact:
-        return det_exact(exact_shifted(d))
-    return float(np.linalg.det(float_shifted(d)))
+    """det(I - A), memoised on ``d``: fraction-free elimination when exact, pivoted LU otherwise."""
+    def compute():
+        m = _i_minus_a(d)
+        return det_exact(m) if d.is_exact else float(np.linalg.det(m))
+
+    return d.memo("det_i_minus", compute)
 
 
 def resolvent_diag(d: WeightedDigraph, v: int, *, assume_contractive: bool = False):
     """(I - A)^{-1}(v, v) by linear solve; requires spectral radius < 1."""
     if not 0 <= v < d.order:
         raise ValueError(f"vertex {v} out of range")
-    m = _contractive_i_minus_a(d, assume_contractive)
+    _check_contractive(d, assume_contractive)
+    m = _i_minus_a(d)
     if d.is_exact:
         return solve_exact(m, [int(i == v) for i in range(d.order)])[v]
     rhs = np.zeros(d.order)
@@ -317,13 +369,22 @@ def resolvent_diag(d: WeightedDigraph, v: int, *, assume_contractive: bool = Fal
 
 
 def resolvent_diagonal(d: WeightedDigraph, *, assume_contractive: bool = False) -> list:
-    """All diagonal entries of (I - A)^{-1}."""
-    m = _contractive_i_minus_a(d, assume_contractive)
-    if d.is_exact:
-        inv = inverse_exact(m)
-        return [inv[i][i] for i in range(d.order)]
-    inv = np.linalg.inv(m)
-    return [float(inv[i, i]) for i in range(d.order)]
+    """All diagonal entries of (I - A)^{-1}, memoised on ``d``.
+
+    The contractivity check runs on every call that asks for it; the
+    diagonal itself does not depend on it.
+    """
+    _check_contractive(d, assume_contractive)
+
+    def compute():
+        m = _i_minus_a(d)
+        if d.is_exact:
+            inv = inverse_exact(m)
+            return tuple(inv[i][i] for i in range(d.order))
+        inv = np.linalg.inv(m)
+        return tuple(float(inv[i, i]) for i in range(d.order))
+
+    return list(d.memo("resolvent_diagonal", compute))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.
+dense eigensolver.  Exact Perron brackets have an oracle too: the all-ones
+Fraction-quotient iteration that the float-seeded one replaced.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 
 from substochastic import WeightedDigraph
 from substochastic.inequalities import random_strong_digraph
+from substochastic.spectral import _max_over_components
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +127,45 @@ def eig_radius(d: WeightedDigraph) -> float:
     if d.order == 0:
         return 0.0
     return float(max(abs(np.linalg.eigvals(d.to_numpy()))))
+
+
+def oracle_perron_bounds(d: WeightedDigraph, width=F(1, 10**18), max_iter: int = 20_000):
+    """The exact Perron bracket as computed before the float-seeded iteration.
+
+    Integer power steps from the all-ones vector, with every quotient built
+    as a Fraction.  Slow, but independent of the float eigenvector and of the
+    integer cross-multiplication in ``spectral._integer_power_brackets``.
+    """
+    return _max_over_components(
+        d, F(0), lambda comp: _allones_power_brackets(d, sorted(comp), width, max_iter)
+    )
+
+
+def _allones_power_brackets(d, comp, width, max_iter):
+    idx = {v: i for i, v in enumerate(comp)}
+    k = len(comp)
+    entries = [Fraction(w) for (u, v), w in d.arcs.items() if u in idx and v in idx]
+    scale = math.lcm(*(e.denominator for e in entries)) if entries else 1
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for (u, v), w in d.arcs.items():
+        if u in idx and v in idx:
+            rows[idx[u]].append((idx[v], int(Fraction(w) * scale)))
+    for i in range(k):
+        rows[i].append((i, scale))  # the +I shift
+
+    x = [1] * k
+    lo = Fraction(0)
+    hi = Fraction(10)
+    for _ in range(max_iter):
+        y = [sum(e * x[j] for j, e in row) for row in rows]
+        quotients = [Fraction(y[i], scale * x[i]) for i in range(k)]
+        lo = min(quotients) - 1
+        hi = max(quotients) - 1
+        if hi - lo <= width:
+            break
+        shift = max(0, max(y).bit_length() - 160)
+        x = [max(1, yi >> shift) for yi in y]
+    return lo, hi
 
 
 def brute_reachable(d: WeightedDigraph) -> bool:

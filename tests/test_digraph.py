@@ -153,3 +153,13 @@ class TestValidation:
     def test_out_of_range_arc_rejected(self):
         with pytest.raises(ValueError):
             WeightedDigraph(1, {(0, 1): F(1, 2)})
+
+
+def test_mutating_the_callers_arcs_does_not_reach_the_digraph():
+    arcs = {(0, 1): F(1, 2), (1, 0): F(1, 2)}
+    d = WeightedDigraph(2, arcs)
+    assert d.adjacency[0] == {1: F(1, 2)}
+    arcs[(0, 1)] = F(1, 3)
+    arcs[(0, 0)] = F(1, 4)
+    assert d.arcs == {(0, 1): F(1, 2), (1, 0): F(1, 2)}
+    assert d.adjacency[0] == {1: F(1, 2)}
