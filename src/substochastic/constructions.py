@@ -16,6 +16,7 @@ Two host shapes are used:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -26,7 +27,7 @@ from .cycles import Gain
 from .digraph import Tag, WeightedDigraph
 from .errors import FamilyDefinitionError
 from .families import FamilyFacts, TruncationFamily
-from .rational import ln_bounds
+from .rational import is_exact_number, ln_bounds, safe_log
 
 HALF = Fraction(1, 2)
 
@@ -83,6 +84,27 @@ class _Memo1:
                         self.check(j, v, values)
                     values.append(v)
         return values[k - 1]
+
+
+class _MemoN:
+    """``compute(n)`` memoised per argument, safe to share across threads.
+
+    Values are stored under the memo's lock and read without it; ``compute``
+    never calls its own memo, so the lock is never re-entered.  Errors are
+    not stored.
+    """
+
+    def __init__(self, compute: Callable[[int], object]):
+        self.compute = compute
+        self.values: dict = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, n: int):
+        if n not in self.values:
+            with self._lock:
+                if n not in self.values:
+                    self.values[n] = self.compute(n)
+        return self.values[n]
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +251,9 @@ def f_geometric(q=Fraction(1, 2)) -> Callable[[int], Fraction]:
     return lambda n: (1 - q) * q ** (n - 1)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def power_series_sum(s: float, n_terms: int = 100_000) -> float:
-    """sum_{k>=1} k^(-s) for s > 1, partial sum plus midpoint tail."""
+    """sum_{k>=1} k^(-s) for s > 1, partial sum plus midpoint tail (memoised)."""
     if s <= 1:
         raise ValueError("series diverges for s <= 1")
     partial = sum(k ** (-s) for k in range(1, n_terms + 1))
@@ -420,13 +443,30 @@ def build_prop1(
     def bead_gain(k: int) -> Gain:
         return Gain(target_at(k), lengths(k))
 
+    def log_gain(k: int) -> float | None:
+        """Float log of bead k's gain for an exact target, else None."""
+        t = target_at(k)
+        if not is_exact_number(t):
+            return None
+        gap = float(1 - Fraction(t))
+        if gap < 1e-300:
+            return None
+        return (math.log1p(-gap) if gap < HALF else safe_log(t)) / lengths(k)
+
     def witness(n: int):
-        best_k = None
-        for k in range(1, 513):
-            if lengths(k) <= n and (best_k is None or bead_gain(best_k) < bead_gain(k)):
-                best_k = k
-        if best_k is None:
+        """Vertices of the first bead of length <= n with the largest gain."""
+        beads = [k for k in range(1, 513) if lengths(k) <= n]
+        if not beads:
             raise ValueError(f"no bead of length <= {n}")
+        logs = [log_gain(k) for k in beads]
+        if None not in logs:
+            # drop beads the float logs rank clearly lower; Gain settles near ties
+            top = max(logs)
+            beads = [k for k, x in zip(beads, logs) if x >= top * (1 + 1e-9)]
+        best_k = beads[0]
+        for k in beads[1:]:
+            if bead_gain(best_k) < bead_gain(k):
+                best_k = k
         return tuple(chain.bead_vertices(best_k))
 
     def window(n: int) -> int:
@@ -445,7 +485,7 @@ def build_prop1(
     )
     return TruncationFamily(
         name, chain.generator, facts,
-        omega_window=window, witness_submatrix=witness,
+        omega_window=window, witness_submatrix=_MemoN(witness),
         extras={"bead_gain": bead_gain, "chain": chain},
     )
 

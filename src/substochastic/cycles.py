@@ -389,31 +389,68 @@ def _cycle_weight(d: WeightedDigraph, cyc: list[int]):
     return w
 
 
+def _greedy_packing(succ: dict[int, set[int]], alive: set[int]) -> Iterator[list[int]]:
+    """Greedy shortest-first vertex-disjoint cycles within ``alive``."""
+    alive = set(alive)
+    while (cyc := _shortest_cycle(succ, alive)) is not None:
+        yield cyc
+        alive.difference_update(cyc)
+
+
 def disjoint_cycle_packing(d: WeightedDigraph) -> list[Cycle]:
     """Greedy shortest-first family of vertex-disjoint cycles.
 
     Its size lower-bounds the minimum cycle transversal.
     """
-    succ = _succ_sets(d)
-    alive = set(range(d.order))
-    out: list[Cycle] = []
-    while True:
-        cyc = _shortest_cycle(succ, alive)
-        if cyc is None:
-            return out
-        out.append(Cycle.from_path(cyc, _cycle_weight(d, cyc)))
-        alive -= set(cyc)
+    return [
+        Cycle.from_path(cyc, _cycle_weight(d, cyc))
+        for cyc in _greedy_packing(_succ_sets(d), set(range(d.order)))
+    ]
 
 
-def _packing_count(succ, alive: set[int]) -> int:
-    alive = set(alive)
-    count = 0
-    while True:
-        cyc = _shortest_cycle(succ, alive)
-        if cyc is None:
-            return count
-        count += 1
-        alive -= set(cyc)
+def _reduce(succ: dict[int, set[int]], alive: set[int]) -> tuple[int, dict[int, set[int]]]:
+    """Levy–Low reduction of the digraph induced on ``alive``.
+
+    Returns ``(forced, reduced)``, where ``reduced`` maps each surviving vertex
+    to its successors and the minimum cycle transversal of the input is
+    exactly ``forced`` larger than that of ``reduced``.  Rules, applied until
+    none fires: a vertex with a loop lies in every transversal, so it counts
+    as forced and is deleted; a vertex with in-degree or out-degree 0 lies on
+    no cycle and is deleted; a vertex with in-degree 1 (out-degree 1) is
+    bypassed, every path p -> v -> s becoming an arc p -> s, because every
+    cycle through it also passes its only predecessor (successor).  Bypassing
+    can create loops and arcs the input does not have.
+    """
+    out = {v: succ[v] & alive for v in alive}
+    inn: dict[int, set[int]] = {v: set() for v in alive}
+    for u, ws in out.items():
+        for w in ws:
+            inn[w].add(u)
+    forced = 0
+    stack = sorted(alive, reverse=True)
+    while stack:
+        v = stack.pop()
+        if v not in out:
+            continue
+        preds, succs = inn[v], out[v]
+        bypass = v not in succs
+        if bypass and len(preds) > 1 and len(succs) > 1:
+            continue
+        if not bypass:
+            forced += 1
+            preds.discard(v)
+            succs.discard(v)
+        del inn[v], out[v]
+        for p in preds:
+            out[p].discard(v)
+            if bypass:
+                out[p] |= succs
+        for s in succs:
+            inn[s].discard(v)
+            if bypass:
+                inn[s] |= preds
+        stack.extend(preds | succs)
+    return forced, out
 
 
 @dataclass(frozen=True)
@@ -427,7 +464,12 @@ def min_cycle_transversal(d: WeightedDigraph, budget: int = 200_000) -> Transver
     """Minimum directed feedback vertex set by branch and bound.
 
     Branches over the vertices of a shortest uncovered cycle with sibling
-    exclusion, pruned by the disjoint-cycle-packing lower bound.  When the
+    exclusion.  A node is pruned when its lower bound cannot beat the
+    incumbent: the vertices the Levy–Low reduction (``_reduce``) forces,
+    plus a greedy disjoint-cycle packing of the reduced digraph.  The bound
+    is valid, so pruning drops only subtrees without a smaller transversal,
+    and the search returns the first minimum set of the same depth-first
+    order as a search pruned by any weaker valid bound.  When the
     node budget runs out the best-found set is returned with
     ``optimality="upper-bound"``.  The result is always re-verified to leave
     an acyclic digraph.
@@ -475,7 +517,8 @@ def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResul
             return
         if len(removed) + 1 >= len(best):
             return
-        lb = _packing_count(succ, all_vs - removed)
+        forced, reduced = _reduce(succ, all_vs - removed)
+        lb = forced + sum(1 for _ in _greedy_packing(reduced, set(reduced)))
         if len(removed) + lb >= len(best):
             return
         skip = set(banned)

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Exact Perron brackets have an oracle too: the all-ones
-Fraction-quotient iteration that the float-seeded one replaced.
+dense eigensolver.  Two fast paths keep the code they replaced as an oracle:
+exact Perron brackets (the all-ones Fraction-quotient iteration) and the
+minimum cycle transversal (the branch and bound pruned by the packing bound
+alone, without the Levy–Low reduction).
 """
 
 import itertools
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from substochastic import WeightedDigraph
+from substochastic.cycles import TransversalResult, _shortest_cycle, _succ_sets
 from substochastic.inequalities import random_strong_digraph
 from substochastic.spectral import _max_over_components
 
@@ -166,6 +169,72 @@ def _allones_power_brackets(d, comp, width, max_iter):
         shift = max(0, max(y).bit_length() - 160)
         x = [max(1, yi >> shift) for yi in y]
     return lo, hi
+
+
+def oracle_min_cycle_transversal(
+    d: WeightedDigraph, budget: int = 200_000
+) -> tuple[TransversalResult, int]:
+    """The minimum cycle transversal search as it was before the Levy–Low bound.
+
+    Same branching, sibling exclusion and greedy incumbent as
+    ``cycles._branch_and_bound``, pruned by the greedy disjoint-cycle packing
+    of the unreduced residual digraph.  Returns ``(result, nodes)``.
+    """
+    succ = _succ_sets(d)
+    all_vs = set(range(d.order))
+
+    # greedy initial upper bound: hit shortest cycles at maximum-degree vertices
+    greedy: set[int] = set()
+    while True:
+        cyc = _shortest_cycle(succ, all_vs - greedy)
+        if cyc is None:
+            break
+        greedy.add(max(cyc, key=lambda v: len(succ[v]) + sum(v in succ[u] for u in all_vs)))
+
+    best = set(greedy)
+    nodes = 0
+    exhausted = False
+
+    def rec(removed: set[int], banned: frozenset[int]):
+        nonlocal best, nodes, exhausted
+        if exhausted or len(removed) >= len(best):
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        cyc = _shortest_cycle(succ, all_vs - removed)
+        if cyc is None:
+            best = set(removed)
+            return
+        if len(removed) + 1 >= len(best):
+            return
+        lb = _packing_count(succ, all_vs - removed)
+        if len(removed) + lb >= len(best):
+            return
+        skip = set(banned)
+        for v in cyc:
+            if v in banned:
+                continue
+            rec(removed | {v}, frozenset(skip))
+            skip.add(v)
+
+    rec(set(), frozenset())
+
+    assert _shortest_cycle(succ, all_vs - best) is None, "transversal re-verification failed"
+    result = TransversalResult(frozenset(best), len(best), "upper-bound" if exhausted else "exact")
+    return result, nodes
+
+
+def _packing_count(succ, alive: set[int]) -> int:
+    alive = set(alive)
+    count = 0
+    while True:
+        cyc = _shortest_cycle(succ, alive)
+        if cyc is None:
+            return count
+        count += 1
+        alive -= set(cyc)
 
 
 def brute_reachable(d: WeightedDigraph) -> bool:

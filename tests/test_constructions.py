@@ -24,6 +24,7 @@ from substochastic import (
 from substochastic.constructions import (
     BUILTIN_FAMILIES,
     _Memo1,
+    _MemoN,
     a_power,
     build_corollary1,
     build_example1,
@@ -78,6 +79,14 @@ class TestExample1:
     def test_a_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             build_example1(a=F(3, 2), f=f_geometric())
+
+    def test_power_series_sum_pinned_and_memoised(self):
+        before = power_series_sum.cache_info().hits
+        assert power_series_sum(1.5).hex() == "0x1.4e6250bfbd88ep+1"
+        assert power_series_sum(1.5) == 2.6123753486854815
+        assert power_series_sum.cache_info().hits > before
+        assert power_series_sum(2.0) == 1.6449340668482426
+        assert power_series_sum(1.5, 1000) == 2.6123753506594434
 
     def test_power_schedule_normalizes(self):
         f = f_power(0.5)
@@ -175,6 +184,44 @@ class TestProp1:
     def test_bad_targets_rejected(self):
         with pytest.raises(ValueError):
             truncate(build_prop1(lambda k: 1, lambda k: F(3, 2)), 3)
+
+    @pytest.mark.parametrize("n, first", [(7, 21), (60, 1770), (400, 79800)])
+    def test_default_witness_pinned(self, n, first):
+        fam = family_from_config("prop1", {})
+        assert fam.witness_submatrix(n) == tuple(range(first, first + n))
+
+    def test_witness_repeat_call_does_no_scan(self):
+        memo = family_from_config("prop1", {}).witness_submatrix
+        scans = []
+        scan = memo.compute
+        memo.compute = lambda n: scans.append(n) or scan(n)
+        first = memo(400)
+        assert memo(400) is first and memo(7) == tuple(range(21, 28))
+        assert scans == [400, 7]
+
+    @pytest.mark.parametrize("lengths, targets", [
+        (lambda k: k, lambda k: 1 - F(1, 2**k)),
+        ([2, 4, 1, 4], [F(1, 4), F(1, 16), F(1, 2), F(1, 16)]),  # equal gains: first bead wins
+        ([3], [1 - F(1, 10**20), 1 - F(1, 10**20) - F(1, 10**40), 1 - F(1, 10**20) + F(1, 10**40)]),
+        # bead 2 wins by 1e-40, but its float log is one ulp below bead 1's
+        ([1, 2], [1 - F(6, 7919000), (1 - F(6, 7919000)) ** 2 + F(1, 10**40)]),
+        (lambda k: k % 5 + 1, lambda k: 0.5 + 0.4 / k),
+        (lambda k: k, lambda k: 1 - F(1, 2 ** (40 * k))),  # gaps below float range
+        (lambda k: 2**k, lambda k: F(1, 2)),
+    ])
+    def test_witness_matches_unfiltered_scan(self, lengths, targets):
+        fam = build_prop1(lengths, targets)
+        gain, chain = fam.extras["bead_gain"], fam.extras["chain"]
+        for n in (1, 2, 3, 5, 8, 13, 40):
+            best = None
+            for k in range(1, 513):
+                if chain.lengths(k) <= n and (best is None or gain(best) < gain(k)):
+                    best = k
+            if best is None:
+                with pytest.raises(ValueError):
+                    fam.witness_submatrix(n)
+            else:
+                assert fam.witness_submatrix(n) == tuple(chain.bead_vertices(best))
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +550,22 @@ def test_memo_shared_across_threads_stays_indexed():
         results = _run_threads(lambda i: [memo(k) for k in range(1, 201)])
         assert all(r == list(range(1, 201)) for r in results)
         assert memo.values == list(range(1, 201))
+
+
+def test_keyed_memo_shared_across_threads_computes_once():
+    calls = []
+
+    def compute(n):
+        calls.append(n)
+        time.sleep(0)  # hand the GIL over mid-compute
+        return (n,)
+
+    for _ in range(5):
+        calls.clear()
+        memo = _MemoN(compute)
+        results = _run_threads(lambda i: [memo(n) for n in range(50)])
+        assert all(r == [(n,) for n in range(50)] for r in results)
+        assert sorted(calls) == list(range(50))
 
 
 @pytest.mark.parametrize("name", BUILTIN_FAMILIES)

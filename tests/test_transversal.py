@@ -1,0 +1,170 @@
+"""The minimum cycle transversal search and its Levy–Low lower bound.
+
+The search is checked against ``conftest.oracle_min_cycle_transversal``, the
+same branch and bound pruned by the packing bound alone: a stronger valid
+bound may only skip subtrees without a smaller transversal, so every exact
+answer must be the same vertex set.  The reduction is checked on its own
+against exhaustive subset search, and the beaded-chain hosts of the paper's
+families are pinned at sizes the packing bound alone could not finish.
+"""
+
+import random
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from substochastic import WeightedDigraph, family_from_config, min_cycle_transversal, truncate
+from substochastic.cycles import _branch_and_bound, _reduce, _succ_sets
+from substochastic.inequalities import instance_stream, random_strong_digraph
+
+from conftest import brute_is_acyclic, brute_min_fvs, oracle_min_cycle_transversal
+
+HOSTS = ("prop1", "corollary1", "theorem2-fast")
+
+
+def assert_same_as_oracle(d: WeightedDigraph):
+    got = min_cycle_transversal(d)
+    want, _nodes = oracle_min_cycle_transversal(d)
+    assert (got.vertices, got.size, got.optimality) == (want.vertices, want.size, want.optimality)
+    assert brute_is_acyclic(d, got.vertices)
+    return got
+
+
+# ---------------------------------------------------------------------------
+# Differential: same answers as the packing-bound search
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_instance_stream_matches_oracle(seed):
+    [(_i, d)] = instance_stream(seed, 1, 12)
+    assert_same_as_oracle(d)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 9))
+@settings(max_examples=60, deadline=None)
+def test_small_random_matches_oracle_and_brute_force(seed, order):
+    d = random_strong_digraph(random.Random(f"fvs:{seed}"), order)
+    res = assert_same_as_oracle(d)
+    assert res.optimality == "exact"
+    assert res.size == brute_min_fvs(d)
+
+
+@pytest.mark.parametrize("order", [14, 15, 16, 17, 18])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_larger_random_matches_oracle(order, seed):
+    assert_same_as_oracle(random_strong_digraph(random.Random(f"fvs-large:{seed}"), order))
+
+
+# ---------------------------------------------------------------------------
+# The reduction alone
+# ---------------------------------------------------------------------------
+
+
+def random_digraph(rng: random.Random, order: int) -> WeightedDigraph:
+    """Arbitrary arcs, loops included; not necessarily strongly connected."""
+    density = rng.uniform(0.25, 0.55)
+    arcs = {
+        (u, v): F(1, 2)
+        for u in range(order)
+        for v in range(order)
+        if rng.random() < (0.1 if u == v else density)
+    }
+    return WeightedDigraph(order, arcs)
+
+
+def reduce_digraph(d: WeightedDigraph) -> tuple[int, WeightedDigraph, set]:
+    """``_reduce`` on all of ``d``, with the reduced digraph relabelled 0..k-1."""
+    forced, reduced = _reduce(_succ_sets(d), set(range(d.order)))
+    label = {v: i for i, v in enumerate(sorted(reduced))}
+    arcs = {(u, w) for u, ws in reduced.items() for w in ws}
+    relabelled = WeightedDigraph(len(label), {(label[u], label[w]): F(1, 2) for u, w in arcs})
+    return forced, relabelled, arcs
+
+
+@given(st.integers(0, 10**6), st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_reduction_preserves_minimum_transversal(seed, order):
+    d = random_digraph(random.Random(f"reduce:{seed}"), order)
+    forced, reduced, _arcs = reduce_digraph(d)
+    assert forced + brute_min_fvs(reduced) == brute_min_fvs(d)
+
+
+def test_reduction_is_exhaustive_and_creates_loops_and_arcs():
+    """Over a fixed sample: bypasses made loops and new arcs, and the identity held."""
+    made_loops = new_arcs = 0
+    for seed in range(300):
+        rng = random.Random(f"reduce-sample:{seed}")
+        d = random_digraph(rng, rng.randint(2, 9))
+        forced, reduced, arcs = reduce_digraph(d)
+        assert forced + brute_min_fvs(reduced) == brute_min_fvs(d)
+        # nothing left to reduce: no loops, every in- and out-degree at least 2
+        for v in range(reduced.order):
+            succ = {w for (u, w) in reduced.arcs if u == v}
+            pred = {u for (u, w) in reduced.arcs if w == v}
+            assert v not in succ and len(succ) >= 2 and len(pred) >= 2
+        made_loops += forced > sum(u == v for (u, v) in d.arcs)
+        new_arcs += bool(arcs - set(d.arcs))
+    assert made_loops > 100 and new_arcs > 20
+
+
+def test_bypass_of_a_two_cycle_forces_one_vertex():
+    forced, reduced, _arcs = reduce_digraph(WeightedDigraph(2, {(0, 1): F(1, 2), (1, 0): F(1, 2)}))
+    assert (forced, reduced.order) == (1, 0)
+
+
+def test_complete_digraph_is_irreducible():
+    d = WeightedDigraph(3, {(u, v): F(1, 4) for u in range(3) for v in range(3) if u != v})
+    forced, reduced, arcs = reduce_digraph(d)
+    assert forced == 0 and arcs == set(d.arcs)
+
+
+# ---------------------------------------------------------------------------
+# The paper's beaded-chain hosts
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hosts():
+    return {h: family_from_config(h, {}) for h in HOSTS}
+
+
+@pytest.mark.parametrize("host", HOSTS)
+@pytest.mark.parametrize("n", [60, 100])
+def test_beaded_hosts_match_oracle(hosts, host, n):
+    res = assert_same_as_oracle(truncate(hosts[host], n))
+    assert res.optimality == "exact"
+
+
+@pytest.mark.parametrize("host", HOSTS)
+def test_beaded_host_bound_is_tight_at_the_root(hosts, host):
+    res, nodes = _branch_and_bound(truncate(hosts[host], 146), 20_000)
+    assert (res.size, res.optimality, nodes) == (16, "exact", 1)
+
+
+@pytest.mark.parametrize("host", HOSTS)
+def test_beaded_host_exact_at_n200_within_200_nodes(hosts, host):
+    res = min_cycle_transversal(truncate(hosts[host], 200), budget=200)
+    assert (res.size, res.optimality) == (19, "exact")
+
+
+def test_corollary1_n400_exact_under_default_budget(hosts):
+    d = truncate(hosts["corollary1"], 400)
+    res = min_cycle_transversal(d)
+    assert (res.size, res.optimality) == (27, "exact")
+    assert brute_is_acyclic(d, res.vertices)
+
+
+def test_cli_fvs_corollary1_n400_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "-m", "substochastic.cli", "cycles", "fvs", "--family", "corollary1",
+         "--n", "400"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"optimality": "exact"' in proc.stdout and '"size": 27' in proc.stdout
