@@ -22,7 +22,7 @@ from .digraph import Tag, WeightedDigraph
 from .errors import MetadataError
 from .families import FamilyFacts, TruncationFamily, truncate
 from .rational import solve_exact
-from .spectral import exact_shifted, float_shifted, perron_ladder
+from .spectral import edge_operator, exact_shifted, float_shifted, perron_ladder
 
 TRANSIENT = "transient"
 RECURRENT = "recurrent"
@@ -148,14 +148,18 @@ def cyr_criterion(facts: FamilyFacts) -> bool:
 
 
 def green_partial_sums(d: WeightedDigraph, v: int, lam: float, p_max: int) -> np.ndarray:
-    """G_P = sum_{p<=P} A^p(v,v) lam^{-p} for P = 0..p_max."""
-    a = d.to_numpy().T  # iterate x -> A^T x so x[p][v] tracks (A^p e_v)[v]
+    """G_P = sum_{p<=P} A^p(v,v) lam^{-p} for P = 0..p_max.
+
+    Iterates x -> A^T x / lam on the arc arrays, so x[v] after p steps is
+    A^p(v, v) lam^{-p}; no n x n matrix is built.
+    """
+    op = edge_operator(d)
     x = np.zeros(d.order)
     x[v] = 1.0
     sums = np.empty(p_max + 1)
     sums[0] = 1.0
     for p in range(1, p_max + 1):
-        x = (a @ x) / lam
+        x = op.rmatvec(x) / lam
         sums[p] = sums[p - 1] + x[v]
     return sums
 

@@ -382,6 +382,61 @@ def _shortest_cycle(succ: dict[int, set[int]], alive: set[int]) -> list[int] | N
     return best
 
 
+def peel_transversal(succ, alive: Iterable[int], max_size: int) -> tuple[list[int], list[int]] | None:
+    """Greedy cycle transversal W of the digraph induced on ``alive``, in O(arcs + |W| n).
+
+    ``succ[v]`` iterates the successors of v, without repeats.  Returns
+    ``(order, W)``, or None when W would need more than ``max_size``
+    vertices.  A vertex peels once none of its out-arcs stays in the rest, so
+    ``order`` lists the acyclic rest R in reverse topological order: every
+    successor of a peeled vertex was peeled before it or lies in W.  When
+    nothing peels, one vertex moves into W: the smallest with a loop, else
+    the one with the largest in-degree times out-degree in the rest (the
+    smallest on ties).  ``max_size=0`` is a Kahn acyclicity test.
+    """
+    alive = set(alive)
+    loops = sorted((v for v in alive if v in succ[v]), reverse=True)
+    if len(loops) > max_size:  # every vertex with a loop goes into W
+        return None
+    out_deg: dict[int, int] = {}
+    preds: dict[int, list[int]] = {v: [] for v in alive}
+    for u in alive:
+        k = 0
+        for w in succ[u]:
+            if w in alive:
+                k += 1
+                preds[w].append(u)
+        out_deg[u] = k
+    in_deg = None  # in-degrees in the rest, counted once W is first needed
+    ready = [v for v, k in out_deg.items() if k == 0]
+    order: list[int] = []
+    chosen: list[int] = []
+    while out_deg:
+        if ready:
+            v = ready.pop()
+            order.append(v)
+        else:
+            if len(chosen) == max_size:
+                return None
+            if in_deg is None:
+                in_deg = {u: sum(p in out_deg for p in preds[u]) for u in out_deg}
+            # a vertex with a loop never peels, so it is still in the rest
+            v = loops.pop() if loops else max(
+                out_deg, key=lambda u: (in_deg[u] * out_deg[u], -u))
+            chosen.append(v)
+        del out_deg[v]
+        for p in preds[v]:
+            if p in out_deg:
+                out_deg[p] -= 1
+                if out_deg[p] == 0:
+                    ready.append(p)
+        if in_deg is not None:
+            for s in succ[v]:
+                if s in out_deg:
+                    in_deg[s] -= 1
+    return order, chosen
+
+
 def _cycle_weight(d: WeightedDigraph, cyc: list[int]):
     w = 1
     for i, u in enumerate(cyc):
@@ -530,14 +585,14 @@ def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResul
 
     rec(set(), frozenset())
 
-    assert _shortest_cycle(succ, all_vs - best) is None, "transversal re-verification failed"
+    assert peel_transversal(succ, all_vs - best, 0) is not None, "transversal re-verification failed"
     result = TransversalResult(frozenset(best), len(best), "upper-bound" if exhausted else "exact")
     return result, nodes
 
 
 def is_cycle_transversal(d: WeightedDigraph, vertices: Iterable[int]) -> bool:
-    succ = _succ_sets(d)
-    return _shortest_cycle(succ, set(range(d.order)) - set(vertices)) is None
+    """True iff removing ``vertices`` leaves ``d`` acyclic (one Kahn peel)."""
+    return peel_transversal(d.adjacency, set(range(d.order)) - set(vertices), 0) is not None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Perron roots, characteristic polynomials of I - zA, resolvents, ladders.
 
-Floating-point Perron roots come from power iteration on A + I (the shift
-removes periodicity) with Collatz-Wielandt bracketing as the convergence
-certificate.  Exact rational brackets use the same iteration over integers,
-valid because min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i holds for every
-positive vector x and nonnegative B.
+Every Perron bracket is a Collatz-Wielandt bracket: min_i (Bx)_i/x_i <=
+rho(B) <= max_i (Bx)_i/x_i holds for every positive vector x and
+nonnegative B, so the method that chooses x only decides how narrow the
+bracket is.  Floating-point roots take x from a short power loop on A + I
+(the shift removes periodicity); a component that loop does not settle gets
+x from the first-return equation over a greedy cycle transversal, checked
+by one quotient evaluation, and otherwise goes back to the loop and its
+dense-eig fallback.  Exact rational brackets run the power iteration over
+integers from a float-seeded vector.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cycles import enumerate_cycles
+from .cycles import enumerate_cycles, peel_transversal
 from .digraph import WeightedDigraph, strongly_connected_components
 from .errors import BudgetExceededError, SpectralRadiusError
 from .families import TruncationFamily, truncate
@@ -24,17 +28,43 @@ from .rational import det_exact, interpolate_exact, inverse_exact, poly_eval, so
 
 _SPARSE_THRESHOLD = 256
 
+# Power steps taken before the transversal route is tried.  Components that
+# converge within them keep the power loop's bracket bit for bit: example2's
+# star needs 34-35 steps at every n and the CLI's default example1 108.  On
+# small components the route (about 0.7 ms of Python) costs as much as
+# another 128 dense steps: over the random strong digraphs of order 2-32
+# that certification draws, the 77 components needing 129-192 steps took
+# 55 ms through the route against 17 ms through the rest of the loop, and
+# the break-even lies near 256.  On example2 at n = 10^4 the route alone is
+# about twice as slow as the loop's 35 steps.
+_ROUTE_PREFIX = 256
+
+# Largest greedy transversal W the route accepts.  Each Newton step runs one
+# plain-Python pass over the arcs per vertex of W, so the route costs about
+# |W| times the arcs times ten Newton steps, in Python, against about ten
+# numpy nanoseconds per arc and power step for the loop.  The beaded chains
+# need |W| = 27 at n = 400, 34 at n = 600 and 48 at n = 1200, where the
+# route takes 10-60 ms; at n = 600 the loop alone ran 500,000 steps (11 s)
+# and raised.
+_ROUTE_MAX_W = 64
+
+# Newton steps are capped far above the handful a root needs; the
+# Collatz-Wielandt check, not the step count, decides the result.
+_NEWTON_STEPS = 100
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
+
 
 # ---------------------------------------------------------------------------
 # Floating Perron root with Collatz-Wielandt certificate
 # ---------------------------------------------------------------------------
 
 
-class _EdgeOperator:
-    """I + A on one strong component, held as arrays of its arcs.
+class EdgeOperator:
+    """A on a vertex set, held as arrays of its arcs.
 
-    ``op @ x`` is a bincount matvec; ``toarray`` gives the dense matrix for
-    the eigensolver fallback.
+    ``op @ x`` is A x and ``op.rmatvec(x)`` is A^T x, both bincount
+    matvecs; ``toarray`` gives the dense A.
     """
 
     def __init__(self, k: int, rows: list[int], cols: list[int], vals: list[float]):
@@ -44,65 +74,232 @@ class _EdgeOperator:
         self.vals = np.array(vals, dtype=float)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return x + np.bincount(self.rows, weights=self.vals * x.take(self.cols),
-                               minlength=self.shape[0])
+        return np.bincount(self.rows, weights=self.vals * x.take(self.cols),
+                           minlength=self.shape[0])
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, weights=self.vals * x.take(self.rows),
+                           minlength=self.shape[0])
 
     def toarray(self) -> np.ndarray:
-        m = np.eye(self.shape[0])
+        m = np.zeros(self.shape)
         np.add.at(m, (self.rows, self.cols), self.vals)
         return m
 
 
-def _component_operator(d: WeightedDigraph, comp: list[int]):
-    """I + A on a strong component: an edge operator when large, else dense."""
-    idx = {v: i for i, v in enumerate(sorted(comp))}
+def edge_operator(d: WeightedDigraph, vertices=None) -> EdgeOperator:
+    """A on the subdigraph induced on ``vertices`` (default: all), reindexed in sorted order."""
+    verts = range(d.order) if vertices is None else sorted(vertices)
+    idx = {v: i for i, v in enumerate(verts)}
     rows, cols, vals = [], [], []
     for (u, v), w in d.arcs.items():
         if u in idx and v in idx:
             rows.append(idx[u])
             cols.append(idx[v])
             vals.append(float(w))
-    op = _EdgeOperator(len(idx), rows, cols, vals)
-    return op if len(idx) >= _SPARSE_THRESHOLD else op.toarray()
+    return EdgeOperator(len(idx), rows, cols, vals)
 
 
-def _power_brackets(op, tol: float, max_iter: int) -> tuple[float, float]:
-    """Brackets for rho(A) where op = A + I on an irreducible component.
+def _converged(lo: float, hi: float, tol: float) -> bool:
+    return hi - lo <= tol * max(hi, 1e-300)
 
-    When the iteration stalls (tiny spectral gap) the dominant eigenvector
-    from a dense solve seeds one more quotient evaluation; the resulting
-    bracket is still a genuine Collatz-Wielandt certificate because the
-    bounds hold for every positive vector.
+
+def _power_steps(step, x: np.ndarray, count: int, tol: float):
+    """Up to ``count`` power steps x -> step(x) with Collatz-Wielandt quotients on A + I.
+
+    Returns ``(lo, hi, x, converged)``; without convergence x is the last
+    normalised iterate, from which the loop can resume.
     """
-    k = op.shape[0]
-    x = np.ones(k)
     lo, hi = 0.0, math.inf
-    budget = min(max_iter, 5000) if k < _SPARSE_THRESHOLD else max_iter
-    for _ in range(budget):
-        y = op @ x
+    for _ in range(count):
+        y = step(x)
         q = y / x
         lo = float(q.min()) - 1.0
         hi = float(q.max()) - 1.0
-        if hi - lo <= tol * max(hi, 1e-300):
-            return lo, hi
+        if _converged(lo, hi, tol):
+            return lo, hi, x, True
         x = y / y.max()
+    return lo, hi, x, False
+
+
+def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float, float]:
+    """Brackets for rho(A) on an irreducible component, A held by ``op``.
+
+    Power steps run on A + I (the shift removes periodicity), densely below
+    ``_SPARSE_THRESHOLD`` vertices.  A component not converged after
+    ``_ROUTE_PREFIX`` steps (or ``max_iter``, if fewer) tries the transversal
+    route, which accepts its vector only through one Collatz-Wielandt check.
+    Otherwise the loop resumes, from the route's vector when it has one.
+    When the loop stalls too (tiny spectral gap) the dominant eigenvector
+    from a dense solve seeds a few more quotient evaluations.  Every
+    returned bracket is a Collatz-Wielandt bracket of a positive vector,
+    which bounds rho(A) whatever chose the vector.
+    """
+    k = op.shape[0]
+    if k < _SPARSE_THRESHOLD:
+        step = (op.toarray() + np.eye(k)).__matmul__
+        budget = min(max_iter, 5000)
+    else:
+        step = lambda x: x + op @ x  # noqa: E731
+        budget = max_iter
+    prefix = min(budget, _ROUTE_PREFIX)
+    lo, hi, x, done = _power_steps(step, np.ones(k), prefix, tol)
+    if done:
+        return lo, hi
+    route = _transversal_route(op)
+    if route is not None:
+        rlo, rhi, x = route
+        if _converged(rlo, rhi, tol):
+            # Widen to half the tolerance about the same midpoint.  The float
+            # quotients carry rounding of their own, as does any other float
+            # estimate of the radius (numpy's eigenvalues on example1 at
+            # n = 300 sit 7 ulps above the true root), and a bracket a few
+            # ulps wide would exclude them.
+            pad = max(0.0, tol * rhi / 2 - (rhi - rlo)) / 2
+            return rlo - pad, rhi + pad
+    lo, hi, x, done = _power_steps(step, x, budget - prefix, tol)
+    if done:
+        return lo, hi
     if k <= 2048:
-        dense = op if isinstance(op, np.ndarray) else op.toarray()
+        dense = op.toarray() + np.eye(k)
         eigvals, eigvecs = np.linalg.eig(dense)
         vec = np.abs(np.real(eigvecs[:, int(np.argmax(np.abs(eigvals)))]))
         vec = np.maximum(vec, vec.max() * 1e-280)
-        for _ in range(50):
-            y = dense @ vec
-            q = y / vec
-            lo = float(q.min()) - 1.0
-            hi = float(q.max()) - 1.0
-            if hi - lo <= tol * max(hi, 1e-300):
-                return lo, hi
-            vec = y / y.max()
+        lo, hi, _x, done = _power_steps(dense.__matmul__, vec, 50, tol)
+        if done:
+            return lo, hi
     raise RuntimeError(
         f"power iteration did not reach tolerance {tol} in {max_iter} steps "
         f"(bracket [{lo}, {hi}])"
     )
+
+
+def _transversal_route(op: EdgeOperator) -> tuple[float, float, np.ndarray] | None:
+    """Collatz-Wielandt bracket of a Perron vector built through a cycle transversal.
+
+    With W a greedy cycle transversal (``cycles.peel_transversal``) and
+    mu = 1/lambda, the first-return matrix F(mu) (Meyer's Perron
+    complement) sums weight * mu^length over the paths from W to W with
+    interior in the acyclic rest R; rho(A) = 1/mu exactly when
+    rho(F(mu)) = 1.  Newton's method on log rho(F) against log mu starts at
+    1/max row sum, a lower bound on the root; rho(F) is log-convex in log mu
+    (Kingman), so after the first step the iterates fall monotonically, and
+    they stop when a step stalls at rounding level.  The vector is x_W, the
+    Perron vector of F, on W, and on R the values the same dynamic program
+    gives, so A x = lambda x up to rounding.  The bracket is min and max of
+    (A x)_i / x_i, unshifted, so that a small root keeps its relative
+    precision.  Returns ``(lo, hi, x)``, or None without a small W or a
+    finite positive x.
+    """
+    k = op.shape[0]
+    out: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    for r, c, w in zip(op.rows.tolist(), op.cols.tolist(), op.vals.tolist()):
+        out[r].append((c, w))
+    peeled = peel_transversal([[c for c, _w in arcs] for arcs in out], range(k), _ROUTE_MAX_W)
+    if peeled is None:
+        return None
+    order, transversal = peeled
+    m = len(transversal)
+
+    def fill(mu: float, h: list[float], hd: list[float] | None) -> None:
+        """h (and its mu-derivative hd) on R from their values on W, in peel order."""
+        for v in order:
+            s = sd = 0.0
+            for u, a in out[v]:
+                s += a * h[u]
+                if hd is not None:
+                    sd += a * hd[u]
+            h[v] = mu * s
+            if hd is not None:
+                hd[v] = s + mu * sd
+
+    def first_return(mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """F(mu) and dF/dmu, one pass per vertex of W."""
+        f_cols, df_cols = [], []
+        for target in transversal:
+            h = [0.0] * k
+            hd = [0.0] * k
+            h[target] = 1.0
+            fill(mu, h, hd)
+            f_col, df_col = [], []
+            for w in transversal:
+                s = sd = 0.0
+                for u, a in out[w]:
+                    s += a * h[u]
+                    sd += a * hd[u]
+                f_col.append(mu * s)
+                df_col.append(s + mu * sd)
+            f_cols.append(f_col)
+            df_cols.append(df_col)
+        return np.array(f_cols).T, np.array(df_cols).T
+
+    # Newton in log mu, kept inside [lo_mu, hi_mu] with rho(F) <= 1 at lo_mu
+    # and rho(F) > 1 (or overflow) at hi_mu; a step leaving it bisects.  It
+    # stops at a step of a few eps, or at a step below sqrt(eps) that did not
+    # halve the one before: in the quadratic phase that is rounding noise.
+    mu = lo_mu = 1.0 / float((op @ np.ones(k)).max())
+    hi_mu = last = math.inf
+    right = None
+    for _ in range(_NEWTON_STEPS):
+        f, df = first_return(mu)
+        rho, right, left = _perron_triple(f)
+        # left @ right is 0 when F underflows to a reducible matrix
+        finite = 0 < rho < math.inf and bool(np.isfinite(df).all())
+        overlap = float(left @ right) if finite else 0.0
+        slope = mu * float(left @ df @ right) / (rho * overlap) if overlap > 0 else 0.0
+        if not 0 < slope < math.inf:
+            right = None
+            if mu == lo_mu:
+                return None
+            hi_mu, last = mu, math.inf
+            mu = lo_mu * math.sqrt(hi_mu / lo_mu)
+            continue
+        if rho <= 1:
+            lo_mu = mu
+        else:
+            hi_mu = mu
+        newton = -math.log(rho) / slope
+        size = abs(newton)
+        if size <= 4 * _EPS or _SQRT_EPS >= size >= last / 2:
+            break
+        last = size
+        mu = mu * math.exp(min(newton, 64.0))  # at most a factor e^64 upwards
+        if not lo_mu < mu < hi_mu:
+            mu, last = lo_mu * math.sqrt(hi_mu / lo_mu), math.inf
+    if right is None:
+        return None
+
+    # The eigensolver gives x_W to eps in absolute terms only, which leaves
+    # its tiny entries (1e-16 of the largest on sparse random digraphs)
+    # without correct digits.  F x_W = x_W, and a sum of nonnegative terms
+    # keeps relative accuracy, so m - 1 steps x_W <- F x_W carry the
+    # accuracy of the large entries to the small ones, one arc of F a step.
+    for _ in range(m - 1):
+        right = f @ right
+        right /= right.max()
+    x = [0.0] * k
+    for w, xw in zip(transversal, (right / right.max()).tolist()):
+        x[w] = xw
+    fill(mu, x, None)
+    vec = np.array(x)
+    if not (np.isfinite(vec).all() and (vec > 0).all()):
+        return None
+    q = (op @ vec) / vec
+    return float(q.min()), float(q.max()), vec / vec.max()
+
+
+def _perron_triple(f: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(rho, right, left) Perron root and nonnegative eigenvectors of a small nonnegative matrix."""
+    if f.shape[0] == 1:
+        one = np.ones(1)
+        return float(f[0, 0]), one, one
+    if not np.isfinite(f).all():
+        return math.inf, np.ones(f.shape[0]), np.ones(f.shape[0])
+    vals, vecs = np.linalg.eig(f)
+    i = int(np.argmax(vals.real))
+    lvals, lvecs = np.linalg.eig(f.T)
+    j = int(np.argmax(lvals.real))
+    return float(vals[i].real), np.abs(vecs[:, i].real), np.abs(lvecs[:, j].real)
 
 
 def _max_over_components(d: WeightedDigraph, zero, component_brackets):
@@ -135,7 +332,7 @@ def collatz_wielandt_brackets(
     per component.
     """
     return _max_over_components(
-        d, 0.0, lambda comp: _power_brackets(_component_operator(d, comp), tol, max_iter)
+        d, 0.0, lambda comp: _power_brackets(edge_operator(d, comp), tol, max_iter)
     )
 
 

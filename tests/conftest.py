@@ -3,12 +3,15 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Two fast paths keep the code they replaced as an oracle:
-exact Perron brackets (the all-ones Fraction-quotient iteration) and the
-minimum cycle transversal (the branch and bound pruned by the packing bound
-alone, without the Levy–Low reduction).
+dense eigensolver.  Three fast paths keep the code they replaced as an
+oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
+float Perron brackets (the power loop on I + A with its dense-eig fallback,
+without the transversal route) and the minimum cycle transversal (the branch
+and bound pruned by the packing bound alone, without the Levy–Low
+reduction).
 """
 
+import functools
 import itertools
 import math
 import random
@@ -21,7 +24,7 @@ import pytest
 from substochastic import WeightedDigraph
 from substochastic.cycles import TransversalResult, _shortest_cycle, _succ_sets
 from substochastic.inequalities import random_strong_digraph
-from substochastic.spectral import _max_over_components
+from substochastic.spectral import _SPARSE_THRESHOLD, _max_over_components, edge_operator
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,84 @@ def _allones_power_brackets(d, comp, width, max_iter):
         shift = max(0, max(y).bit_length() - 160)
         x = [max(1, yi >> shift) for yi in y]
     return lo, hi
+
+
+class ShiftedOperator:
+    """I + A on one strong component, as the float power loop took it.
+
+    ``op @ x`` is a dense product below ``_SPARSE_THRESHOLD`` vertices and
+    x plus the bincount matvec above, ``toarray`` is the dense I + A, and
+    ``matvecs`` counts the products, i.e. the power steps.
+    """
+
+    def __init__(self, d: WeightedDigraph, comp):
+        self.edges = edge_operator(d, comp)
+        self.shape = self.edges.shape
+        self.matvecs = 0
+
+    @functools.cached_property
+    def dense(self):
+        return np.eye(self.shape[0]) + self.edges.toarray()
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        if self.shape[0] < _SPARSE_THRESHOLD:
+            return self.dense @ x
+        return x + self.edges @ x
+
+    def toarray(self):
+        return self.dense
+
+
+def oracle_collatz_wielandt_brackets(
+    d: WeightedDigraph, tol: float = 1e-12, max_iter: int = 500_000, operators=None
+):
+    """The float Perron bracket as computed before the transversal route.
+
+    Power steps on I + A from the all-ones vector, then the dense-eig
+    fallback.  Each component's ``ShiftedOperator`` is appended to
+    ``operators`` when given, so a caller can read its step count.
+    """
+
+    def brackets(comp):
+        op = ShiftedOperator(d, comp)
+        if operators is not None:
+            operators.append(op)
+        return _oracle_power_brackets(op, tol, max_iter)
+
+    return _max_over_components(d, 0.0, brackets)
+
+
+def _oracle_power_brackets(op, tol: float, max_iter: int) -> tuple[float, float]:
+    k = op.shape[0]
+    x = np.ones(k)
+    lo, hi = 0.0, math.inf
+    budget = min(max_iter, 5000) if k < _SPARSE_THRESHOLD else max_iter
+    for _ in range(budget):
+        y = op @ x
+        q = y / x
+        lo = float(q.min()) - 1.0
+        hi = float(q.max()) - 1.0
+        if hi - lo <= tol * max(hi, 1e-300):
+            return lo, hi
+        x = y / y.max()
+    if k <= 2048:
+        dense = op if isinstance(op, np.ndarray) else op.toarray()
+        eigvals, eigvecs = np.linalg.eig(dense)
+        vec = np.abs(np.real(eigvecs[:, int(np.argmax(np.abs(eigvals)))]))
+        vec = np.maximum(vec, vec.max() * 1e-280)
+        for _ in range(50):
+            y = dense @ vec
+            q = y / vec
+            lo = float(q.min()) - 1.0
+            hi = float(q.max()) - 1.0
+            if hi - lo <= tol * max(hi, 1e-300):
+                return lo, hi
+            vec = y / y.max()
+    raise RuntimeError(
+        f"power iteration did not reach tolerance {tol} in {max_iter} steps "
+        f"(bracket [{lo}, {hi}])"
+    )
 
 
 def oracle_min_cycle_transversal(

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -30,6 +31,7 @@ from substochastic.constructions import (
     build_example2,
     build_prop1,
     f_geometric,
+    f_power,
 )
 
 from conftest import loop, seeded_digraph, two_cycle
@@ -151,6 +153,53 @@ class TestGreenSums:
             if prev is not None:
                 assert all(sums >= prev - 1e-12)
             prev = sums
+
+
+def dense_green_partial_sums(d: WeightedDigraph, v: int, lam: float, p_max: int) -> np.ndarray:
+    """The Green partial sums as computed before the edge operator: dense A^T matvecs."""
+    a = d.to_numpy().T
+    x = np.zeros(d.order)
+    x[v] = 1.0
+    sums = np.empty(p_max + 1)
+    sums[0] = 1.0
+    for p in range(1, p_max + 1):
+        x = (a @ x) / lam
+        sums[p] = sums[p - 1] + x[v]
+    return sums
+
+
+class TestGreenSumsOnTheArcArrays:
+    @pytest.mark.parametrize(
+        "d",
+        [
+            truncate(build_example1(a=0.5, f=f_power(0.5)), 300),
+            truncate(build_example2(a_power(-0.75)), 300).to_float(),
+            truncate(build_prop1([1, 2, 3, 4], [F(1, 2), F(2, 3), F(3, 4), F(4, 5)]), 30).to_float(),
+        ],
+        ids=["example1", "example2", "prop1"],
+    )
+    def test_matches_the_dense_form(self, d):
+        lam = perron_root(d)
+        got = green_partial_sums(d, 0, lam, 300)
+        want = dense_green_partial_sums(d, 0, lam, 300)
+        # nonnegative terms summed in another order
+        assert np.allclose(got, want, rtol=d.order * np.finfo(float).eps, atol=0)
+
+    def test_builds_no_dense_matrix_at_n_ten_thousand(self, monkeypatch):
+        d = truncate(build_example1(a=0.5, f=f_power(0.5)), 10_000)
+
+        def no_dense(_self):
+            raise AssertionError("dense n x n matrix built")
+
+        monkeypatch.setattr(WeightedDigraph, "to_numpy", no_dense)
+        tracemalloc.start()
+        try:
+            sums = green_partial_sums(d, 0, 1.0, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.diff(sums) >= 0)
+        assert peak < 8 * 10**6  # a dense matrix would take 800 MB
 
 
 class TestClassifyRecurrence:

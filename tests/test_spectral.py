@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -24,16 +25,27 @@ from substochastic import (
     sup_cycle_gain,
     truncate,
 )
+from substochastic import spectral
 from substochastic.constructions import (
     a_power,
     build_example1,
     build_example2,
     f_geometric,
     f_power,
+    family_from_config,
 )
+from substochastic.cycles import peel_transversal
+from substochastic.digraph import strongly_connected_components
 from substochastic.families import TruncationFamily, family_to_float
+from substochastic.inequalities import instance_stream
 from substochastic.rational import poly_eval
-from substochastic.spectral import _SPARSE_THRESHOLD, _component_operator
+from substochastic.spectral import (
+    _ROUTE_MAX_W,
+    _ROUTE_PREFIX,
+    _SPARSE_THRESHOLD,
+    _transversal_route,
+    edge_operator,
+)
 
 from conftest import (
     acyclic3,
@@ -41,6 +53,7 @@ from conftest import (
     k3,
     leibniz_det,
     loop,
+    oracle_collatz_wielandt_brackets,
     seeded_digraph,
     triangle,
     two_cycle,
@@ -100,20 +113,202 @@ class TestEdgeOperator:
     def big(self, request):
         return truncate(family_to_float(request.param()), self.N)
 
-    def test_matvec_and_dense_form_match_i_plus_a(self, big):
-        op = _component_operator(big, list(range(big.order)))
-        assert not isinstance(op, np.ndarray)
-        dense = np.eye(big.order) + big.to_numpy()
+    def test_matvec_rmatvec_and_dense_form_match_a(self, big):
+        op = edge_operator(big)
+        dense = big.to_numpy()
         assert np.array_equal(op.toarray(), dense)
         x = np.linspace(0.5, 2.0, big.order)
         # positive terms summed in another order: n ulps bound the difference
-        assert np.allclose(op @ x, dense @ x, rtol=big.order * np.finfo(float).eps, atol=0)
+        rtol = big.order * np.finfo(float).eps
+        assert np.allclose(op @ x, dense @ x, rtol=rtol, atol=0)
+        assert np.allclose(op.rmatvec(x), dense.T @ x, rtol=rtol, atol=0)
 
     @pytest.mark.parametrize("max_iter", [500_000, 1], ids=["power", "dense-eig-fallback"])
     def test_brackets_contain_the_radius(self, big, max_iter):
         lo, hi = collatz_wielandt_brackets(big, tol=1e-12, max_iter=max_iter)
         rho = eig_radius(big)
         assert lo <= rho <= hi
+        assert hi - lo <= 1e-12 * hi
+
+
+def _sparse_strong_digraph(seed: int, order: int) -> WeightedDigraph:
+    """A random Hamiltonian cycle plus order/10 random arcs, float weights in [1/20, 1]."""
+    rng = random.Random(f"sparse-strong:{seed}")
+    perm = list(range(order))
+    rng.shuffle(perm)
+    arcs = {(perm[i], perm[(i + 1) % order]): rng.uniform(0.05, 1.0) for i in range(order)}
+    for _ in range(order // 10):
+        arcs.setdefault((rng.randrange(order), rng.randrange(order)), rng.uniform(0.05, 1.0))
+    return WeightedDigraph(order, arcs)
+
+
+def _successor_lists(d: WeightedDigraph, comp) -> list[list[int]]:
+    """Successors within ``comp``, indexed as in ``edge_operator(d, comp)``."""
+    op = edge_operator(d, comp)
+    succ: list[list[int]] = [[] for _ in range(op.shape[0])]
+    for r, c in zip(op.rows.tolist(), op.cols.tolist()):
+        succ[r].append(c)
+    return succ
+
+
+def _strong_components(d: WeightedDigraph) -> list[list[int]]:
+    succ = {v: list(d.adjacency[v]) for v in range(d.order)}
+    return [c for c in strongly_connected_components(succ, range(d.order)) if len(c) > 1]
+
+
+def assert_contains_numpy_radius(d: WeightedDigraph, lo: float, hi: float) -> None:
+    # numpy's radius is off by a few 1e-15 itself (3e-15 on a stochastic
+    # digraph of order 11, whose radius is 1), and the loop rounds its
+    # quotients on A + I, so the power loop's own brackets miss it by that
+    rho = eig_radius(d)
+    slack = 64 * np.finfo(float).eps * (1 + rho)
+    assert lo - slack <= rho <= hi + slack
+
+
+def _assert_matches_oracle(d: WeightedDigraph, tol: float = 1e-12) -> tuple[float, float]:
+    """The float bracket against the pre-route power loop and the numpy radius.
+
+    Both brackets are sound, so they overlap; where the loop raised, only
+    the numpy radius is left to compare with.  A component that the loop
+    settles within the route's prefix must give the loop's bracket bit for
+    bit.
+    """
+    operators: list = []
+    try:
+        olo, ohi = oracle_collatz_wielandt_brackets(d, tol, operators=operators)
+    except RuntimeError:  # the loop and its dense fallback both stalled
+        olo, ohi = -math.inf, math.inf
+    lo, hi = collatz_wielandt_brackets(d, tol)
+    assert max(lo, olo) <= min(hi, ohi)
+    assert_contains_numpy_radius(d, lo, hi)
+    assert hi - lo <= tol * max(hi, 1e-300)
+    if all(op.matvecs <= _ROUTE_PREFIX for op in operators):
+        assert (lo, hi) == (olo, ohi)
+    return lo, hi
+
+
+FLOAT_FAMILIES = {
+    "example1-power": ("example1", {"a": "1/2", "f": {"kind": "power", "epsilon": 0.5}}),
+    "example1": ("example1", None),
+    "example2": ("example2", None),
+    "prop1": ("prop1", None),
+    "corollary1": ("corollary1", None),
+}
+
+
+def _float_truncation(name: str, n: int) -> WeightedDigraph:
+    family, params = FLOAT_FAMILIES[name]
+    return truncate(family_to_float(family_from_config(family, params)), n)
+
+
+class TestTransversalRoute:
+    """Float brackets through a greedy cycle transversal, checked against the power loop."""
+
+    @given(st.integers(0, 10**6),
+           st.sampled_from(["truthly", "strictly", "stochastic", "substochastic"]))
+    @settings(max_examples=40, deadline=None)
+    def test_instance_stream_matches_the_oracle(self, seed, weighting):
+        [(_i, d)] = instance_stream(seed, 1, 12, weighting=weighting, mode="float")
+        _assert_matches_oracle(d)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=6, deadline=None)
+    def test_sparse_strong_digraphs_on_the_edge_operator(self, seed):
+        d = _sparse_strong_digraph(seed, _SPARSE_THRESHOLD + seed % 64)
+        _assert_matches_oracle(d)
+
+    @given(st.sampled_from(sorted(FLOAT_FAMILIES)), st.integers(2, 150))
+    @settings(max_examples=25, deadline=None)
+    def test_family_truncations_match_the_oracle(self, name, n):
+        _assert_matches_oracle(_float_truncation(name, n))
+
+    @given(st.sampled_from(sorted(FLOAT_FAMILIES)), st.integers(2, 150))
+    @settings(max_examples=25, deadline=None)
+    def test_route_alone_certifies_family_components(self, name, n):
+        d = _float_truncation(name, n)
+        for comp in _strong_components(d):
+            route = _transversal_route(edge_operator(d, comp))
+            assert route is not None
+            lo, hi, x = route
+            assert (x > 0).all() and x.max() == 1.0
+            rho = eig_radius(d.induced(comp))
+            assert abs(rho - (lo + hi) / 2) <= 1e-12 * rho
+            assert hi - lo <= 1e-12 * hi
+
+    @pytest.mark.parametrize("name", ["example1-power", "example1", "example2"])
+    @pytest.mark.parametrize("n", [2, 3, 10, 300])
+    def test_greedy_transversal_is_the_declared_hub(self, name, n):
+        family, params = FLOAT_FAMILIES[name]
+        declared = family_from_config(family, params).facts.transversal
+        succ = _successor_lists(_float_truncation(name, n), range(n))
+        order, transversal = peel_transversal(succ, range(n), _ROUTE_MAX_W)
+        assert transversal == sorted(declared) == [0]
+        assert sorted(order) == list(range(1, n))
+
+    def test_small_root_meets_the_tolerance_through_the_route(self, monkeypatch):
+        # the shifted power loop cannot resolve rho ~ 1.2e-7 to 1e-12 relative
+        arcs = {(0, 1): 1e-20, (1, 2): 0.5, (2, 0): 1 / 3, (1, 0): 0.2}
+        d = WeightedDigraph(3, arcs)
+        results = []
+        route = spectral._transversal_route
+        monkeypatch.setattr(spectral, "_transversal_route",
+                            lambda op: results.append(route(op)) or results[-1])
+        lo, hi = collatz_wielandt_brackets(d, tol=1e-12)
+        assert results and results[0] is not None
+        assert hi - lo <= 1e-12 * hi
+        # the root of z^3 = w01 w10 z + w01 w12 w20, exactly, for the float weights
+        w = {a: F(v) for a, v in arcs.items()}
+        p, q = w[(0, 1)] * w[(1, 0)], w[(0, 1)] * w[(1, 2)] * w[(2, 0)]
+        a, b = F(0), F(1)
+        for _ in range(120):
+            mid = (a + b) / 2
+            a, b = (mid, b) if mid**3 - p * mid - q < 0 else (a, mid)
+        assert F(lo) <= a and b <= F(hi)
+
+    def test_beaded_chain_the_power_loop_cannot_settle(self):
+        # |W| = 34; the loop alone ran 500,000 steps and its dense fallback raised
+        d = _float_truncation("corollary1", 600)
+        [comp] = _strong_components(d)
+        _order, transversal = peel_transversal(_successor_lists(d, comp), range(len(comp)),
+                                               _ROUTE_MAX_W)
+        assert len(transversal) == 34
+        lo, hi = collatz_wielandt_brackets(d, tol=1e-12)
+        assert lo <= eig_radius(d) <= hi
+        assert hi - lo <= 1e-12 * hi
+
+    def test_first_return_underflow_gives_up_cleanly(self):
+        # far-apart beads of corollary1 at n = 1600 have first-return weights
+        # below float range, so F is numerically reducible
+        d = _float_truncation("corollary1", 1600)
+        [comp] = _strong_components(d)
+        assert _transversal_route(edge_operator(d, comp)) is None
+
+    def test_cut_short_newton_is_caught_by_the_quotient_check(self, monkeypatch):
+        # one Newton step leaves the root far off: the route's bracket is
+        # sound but wide, and the loop must finish the job from its vector
+        d = _float_truncation("example1-power", 300)
+        olo, ohi = oracle_collatz_wielandt_brackets(d)
+        monkeypatch.setattr(spectral, "_NEWTON_STEPS", 1)
+        lo, hi, _x = _transversal_route(edge_operator(d))
+        assert lo <= olo and ohi <= hi
+        assert hi - lo > 1e-6 * hi
+        lo, hi = collatz_wielandt_brackets(d, tol=1e-12)
+        assert max(lo, olo) <= min(hi, ohi)
+        assert hi - lo <= 1e-12 * hi
+
+    def test_dense_eig_fallback_without_a_small_transversal(self, monkeypatch):
+        # a complete digraph needs order - 1 vertices in any transversal
+        rng = random.Random(7)
+        order = _ROUTE_MAX_W + 8
+        d = WeightedDigraph(order, {(u, v): rng.uniform(0.1, 1.0)
+                                    for u in range(order) for v in range(order)})
+        assert _transversal_route(edge_operator(d)) is None
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
+        lo, hi = collatz_wielandt_brackets(d, tol=1e-12, max_iter=1)
+        assert calls == [(order, order)]
+        assert_contains_numpy_radius(d, lo, hi)
         assert hi - lo <= 1e-12 * hi
 
 

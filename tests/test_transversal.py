@@ -17,8 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from substochastic import WeightedDigraph, family_from_config, min_cycle_transversal, truncate
-from substochastic.cycles import _branch_and_bound, _reduce, _succ_sets
+from substochastic import (
+    WeightedDigraph,
+    family_from_config,
+    is_cycle_transversal,
+    min_cycle_transversal,
+    truncate,
+)
+from substochastic.cycles import _branch_and_bound, _reduce, _succ_sets, peel_transversal
 from substochastic.inequalities import instance_stream, random_strong_digraph
 
 from conftest import brute_is_acyclic, brute_min_fvs, oracle_min_cycle_transversal
@@ -122,6 +128,45 @@ def test_complete_digraph_is_irreducible():
     d = WeightedDigraph(3, {(u, v): F(1, 4) for u in range(3) for v in range(3) if u != v})
     forced, reduced, arcs = reduce_digraph(d)
     assert forced == 0 and arcs == set(d.arcs)
+
+
+# ---------------------------------------------------------------------------
+# The greedy peel: yes/no acyclicity and the float route's transversal
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(0, 10**6), st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_peel_gives_a_transversal_and_a_reverse_topological_rest(seed, order):
+    d = random_digraph(random.Random(f"peel:{seed}"), order)
+    succ = _succ_sets(d)
+    alive = set(range(order))
+    rest, chosen = peel_transversal(succ, alive, order)
+    assert sorted(rest + chosen) == list(range(order))
+    assert brute_is_acyclic(d, frozenset(chosen))
+    position = {v: i for i, v in enumerate(rest)}
+    for v in rest:
+        assert all(w in chosen or position[w] < position[v] for w in succ[v])
+    # it stops as soon as W would outgrow the cap, and a cap of 0 tests acyclicity
+    if chosen:
+        assert peel_transversal(succ, alive, len(chosen) - 1) is None
+    assert (peel_transversal(succ, alive, 0) is not None) == brute_is_acyclic(d)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_is_cycle_transversal_matches_kahn_oracle(seed, order):
+    rng = random.Random(f"is-fvs:{seed}")
+    d = random_digraph(rng, order)
+    removed = {v for v in range(order) if rng.random() < 0.4}
+    assert is_cycle_transversal(d, removed) == brute_is_acyclic(d, frozenset(removed))
+
+
+def test_peel_takes_loops_first_then_the_largest_degree_product():
+    # the loop at 2 goes first; 0 and 1 then tie at in x out = 1, and 0 wins
+    assert peel_transversal({0: {1}, 1: {0, 2}, 2: {1, 2}}, {0, 1, 2}, 3) == ([1], [2, 0])
+    # without the loop, 1 has in x out = 4 and breaks both cycles alone
+    assert peel_transversal({0: {1}, 1: {0, 2}, 2: {1}}, {0, 1, 2}, 3) == ([2, 0], [1])
 
 
 # ---------------------------------------------------------------------------
