@@ -89,6 +89,7 @@ from .spectral import (
     perron_bounds,
     perron_ladder,
     perron_root,
+    radius_brackets,
     resolvent_diag,
     resolvent_diagonal,
     spectral_report,

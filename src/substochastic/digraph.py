@@ -246,10 +246,7 @@ def is_strongly_connected(d: WeightedDigraph) -> bool:
     """True iff every ordered vertex pair is path-connected (order <= 1 is strong)."""
     if d.order <= 1:
         return True
-    comps = strongly_connected_components(
-        {v: list(d.adjacency[v]) for v in range(d.order)}, range(d.order)
-    )
-    return len(comps) == 1
+    return len(strongly_connected_components(d.adjacency, range(d.order))) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cycles import TransversalResult, is_cycle_transversal, min_cycle_transversal
-from .digraph import WeightedDigraph
-from .errors import SpectralRadiusError
+from .digraph import WeightedDigraph, strongly_connected_components
 from .rational import det_exact, solve_exact
 from .spectral import (
     charpoly,
+    contractive_radius,
     det_i_minus,
     exact_shifted,
-    perron_bounds,
-    perron_root,
+    radius_brackets,
     resolvent_diagonal,
 )
-
-BRACKET_WIDTH = Fraction(1, 10**18)
 
 
 @dataclass
@@ -63,11 +60,11 @@ class InequalityReport:
         self.violations.extend(other.violations)
         self.notes.extend(other.notes)
         self.findings.extend(other.findings)
-        for m in (other.min_margin,):
-            if m is not None and (self.min_margin is None or m < self.min_margin):
-                self.min_margin = m
+        m = other.min_margin
+        if m is not None and (self.min_margin is None or m < self.min_margin):
+            self.min_margin = m
 
-    def record(self, fingerprint: str, inequality: str, lhs, rhs, *, note: str | None = None):
+    def record(self, fingerprint: str, inequality: str, lhs, rhs):
         """LHS <= RHS expected; margin = RHS - LHS.
 
         Exact margins are compared strictly; float margins get the scaled
@@ -79,8 +76,6 @@ class InequalityReport:
             slack = 1e-9 * max(1.0, abs(float(lhs)), abs(float(rhs)))
         if margin < -slack:
             self.violations.append(Violation(fingerprint, inequality, lhs, rhs, margin))
-        if note:
-            self.notes.append(note)
         if self.min_margin is None or margin < self.min_margin:
             self.min_margin = margin
 
@@ -107,24 +102,6 @@ class InequalityReport:
 
 def fingerprint(d: WeightedDigraph) -> str:
     return d.memo("fingerprint", lambda: hashlib.sha1(d.to_json().encode()).hexdigest()[:12])
-
-
-def _radius_brackets(d: WeightedDigraph):
-    """(lo, hi) brackets around the Perron root in the digraph's arithmetic."""
-    if d.is_exact:
-        return perron_bounds(d, BRACKET_WIDTH)
-    lam = perron_root(d)
-    return lam, lam
-
-
-def _contractive_diagonal(d: WeightedDigraph):
-    """Upper radius bracket, certified below 1, and the diagonal of (I - A)^{-1}."""
-    lo, hi = _radius_brackets(d)
-    if hi >= 1:
-        raise SpectralRadiusError(
-            f"spectral radius bracket [{lo}, {hi}] not certified below 1"
-        )
-    return hi, resolvent_diagonal(d, assume_contractive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +136,10 @@ def random_strong_digraph(
         }
         if order == 1:
             arcs = {(0, 0)} if rng.random() < 0.5 else arcs & {(0, 0)}
-            break
-        succ = {v: [w for (u, w) in arcs if u == v] for v in range(order)}
-        from .digraph import strongly_connected_components
-
-        if len(strongly_connected_components(succ, range(order))) == 1:
+        succ: dict[int, list[int]] = {v: [] for v in range(order)}
+        for u, w in arcs:
+            succ[u].append(w)
+        if len(strongly_connected_components(succ, range(order))) == 1:  # a single vertex always is
             break
     else:
         raise RuntimeError("failed to sample a strong digraph")
@@ -187,7 +163,7 @@ def random_strong_digraph(
 
     weights: dict[tuple[int, int], Fraction] = {}
     for v in range(order):
-        out = sorted(w for (u, w) in arcs if u == v)
+        out = sorted(succ[v])
         if not out:
             continue
         raw = [Fraction(rng.randint(1, den), den) for _ in out]
@@ -200,7 +176,7 @@ def random_strong_digraph(
 def instance_stream(
     seed: int, count: int, order_max: int, weighting: str = "truthly", mode: str = "exact"
 ) -> Iterable[tuple[int, WeightedDigraph]]:
-    """Deterministic per-index instances (worker count cannot change the stream)."""
+    """Deterministic instances, each from its own generator seeded by ``f"{seed}:{i}"``."""
     for i in range(count):
         rng = random.Random(f"{seed}:{i}")
         order = rng.randint(2, max(2, order_max))
@@ -218,7 +194,7 @@ def _radius_power_chain(d: WeightedDigraph, name: str, r: int, sym: str) -> Ineq
     rep = InequalityReport(name, instances_tested=1)
     fp = fingerprint(d)
     det = det_i_minus(d)
-    lo, hi = _radius_brackets(d)
+    lo, hi = radius_brackets(d)
     first = f"det<=1-radius^{sym}"
     if r == 0:
         rep.record(fp, first, det, 1)
@@ -248,7 +224,8 @@ def check_trace_bounds(d: WeightedDigraph) -> InequalityReport:
     """1/(1-lambda) <= trace (I-S)^{-1} <= n/det(I-S), plus the max-diagonal pinch."""
     rep = InequalityReport("lemma-a1", instances_tested=1)
     fp = fingerprint(d)
-    hi, diag = _contractive_diagonal(d)
+    hi = contractive_radius(d)
+    diag = resolvent_diagonal(d)
     trace = sum(diag)
     det = det_i_minus(d)
     n = d.order
@@ -272,7 +249,7 @@ def check_diag_transversal_bound(d: WeightedDigraph, w) -> InequalityReport:
     rep = InequalityReport("lemma-a2", instances_tested=1)
     fp = fingerprint(d)
     vs = _verified_transversal(d, w)
-    _hi, diag = _contractive_diagonal(d)
+    diag = resolvent_diagonal(d)
     bound = 1 + sum(diag[x] - 1 for x in vs)
     for v in range(d.order):
         rep.record(fp, f"diag({v})<=1+sum_loops", diag[v], bound)
@@ -284,7 +261,7 @@ def check_transversal_product(d: WeightedDigraph, w) -> InequalityReport:
     rep = InequalityReport("a1-product", instances_tested=1)
     fp = fingerprint(d)
     vs = _verified_transversal(d, w)
-    _hi, diag = _contractive_diagonal(d)
+    diag = resolvent_diagonal(d)
     det = det_i_minus(d)
     prod = Fraction(1) if d.is_exact else 1.0
     for x in vs:
@@ -309,7 +286,7 @@ def check_sigma_bound(d: WeightedDigraph, w, k: int) -> InequalityReport:
     vs = sorted(_verified_transversal(d, w))
     if not 1 <= k <= len(vs):
         raise ValueError(f"k={k} outside 1..{len(vs)}")
-    _hi, diag = _contractive_diagonal(d)
+    diag = resolvent_diagonal(d)
     sigma = _elementary_symmetric([diag[x] for x in vs], k)
     rep.record(fp, f"max_diag<=sigma_{k}", max(diag), sigma)
     return rep
@@ -369,7 +346,7 @@ def scan_argmax_conjecture(d: WeightedDigraph, extra_size: int = 1) -> Conjectur
     """
     from itertools import combinations
 
-    _hi, diag = _contractive_diagonal(d)
+    diag = resolvent_diagonal(d)
     peak = max(diag)
     argmax = tuple(v for v in range(d.order) if diag[v] == peak)
 

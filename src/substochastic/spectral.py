@@ -28,6 +28,9 @@ from .rational import det_exact, interpolate_exact, inverse_exact, poly_eval, so
 
 _SPARSE_THRESHOLD = 256
 
+# Width of the exact Perron brackets that ``radius_brackets`` certifies with.
+BRACKET_WIDTH = Fraction(1, 10**18)
+
 # Power steps taken before the transversal route is tried.  Components that
 # converge within them keep the power loop's bracket bit for bit: example2's
 # star needs 34-35 steps at every n and the CLI's default example1 108.  On
@@ -162,8 +165,7 @@ def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float,
         return lo, hi
     if k <= 2048:
         dense = op.toarray() + np.eye(k)
-        eigvals, eigvecs = np.linalg.eig(dense)
-        vec = np.abs(np.real(eigvecs[:, int(np.argmax(np.abs(eigvals)))]))
+        _rho, vec = _perron_eig(dense)
         vec = np.maximum(vec, vec.max() * 1e-280)
         lo, hi, _x, done = _power_steps(dense.__matmul__, vec, 50, tol)
         if done:
@@ -242,7 +244,8 @@ def _transversal_route(op: EdgeOperator) -> tuple[float, float, np.ndarray] | No
     right = None
     for _ in range(_NEWTON_STEPS):
         f, df = first_return(mu)
-        rho, right, left = _perron_triple(f)
+        rho, right = _perron_eig(f)
+        _rho, left = _perron_eig(f.T)
         # left @ right is 0 when F underflows to a reducible matrix
         finite = 0 < rho < math.inf and bool(np.isfinite(df).all())
         overlap = float(left @ right) if finite else 0.0
@@ -288,18 +291,21 @@ def _transversal_route(op: EdgeOperator) -> tuple[float, float, np.ndarray] | No
     return float(q.min()), float(q.max()), vec / vec.max()
 
 
-def _perron_triple(f: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(rho, right, left) Perron root and nonnegative eigenvectors of a small nonnegative matrix."""
-    if f.shape[0] == 1:
-        one = np.ones(1)
-        return float(f[0, 0]), one, one
-    if not np.isfinite(f).all():
-        return math.inf, np.ones(f.shape[0]), np.ones(f.shape[0])
-    vals, vecs = np.linalg.eig(f)
+def _perron_eig(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Eigenvalue of largest real part of a square float matrix, and abs of its eigenvector.
+
+    For a nonnegative matrix that is the Perron root and vector.  A 1 x 1
+    matrix answers at once, and one with a non-finite entry gives
+    ``(inf, ones)``.
+    """
+    k = m.shape[0]
+    if k == 1:
+        return float(m[0, 0]), np.ones(1)
+    if not np.isfinite(m).all():
+        return math.inf, np.ones(k)
+    vals, vecs = np.linalg.eig(m)
     i = int(np.argmax(vals.real))
-    lvals, lvecs = np.linalg.eig(f.T)
-    j = int(np.argmax(lvals.real))
-    return float(vals[i].real), np.abs(vecs[:, i].real), np.abs(lvecs[:, j].real)
+    return float(vals[i].real), np.abs(vecs[:, i])
 
 
 def _max_over_components(d: WeightedDigraph, zero, component_brackets):
@@ -308,11 +314,8 @@ def _max_over_components(d: WeightedDigraph, zero, component_brackets):
     A single-vertex component contributes its loop weight (``zero`` without
     one); ``component_brackets(comp)`` brackets every larger component.
     """
-    comps = strongly_connected_components(
-        {v: list(d.adjacency[v]) for v in range(d.order)}, range(d.order)
-    )
     lo = hi = zero
-    for comp in comps:
+    for comp in strongly_connected_components(d.adjacency, range(d.order)):
         if len(comp) == 1:
             v = comp[0]
             clo = chi = zero + d.arcs.get((v, v), 0)
@@ -348,7 +351,7 @@ def perron_root(d: WeightedDigraph, tol: float = 1e-12) -> float:
 
 
 def perron_bounds(
-    d: WeightedDigraph, width: Fraction = Fraction(1, 10**18), max_iter: int = 20_000
+    d: WeightedDigraph, width: Fraction = BRACKET_WIDTH, max_iter: int = 20_000
 ) -> tuple[Fraction, Fraction]:
     """Exact rational brackets [lo, hi] containing the Perron root.
 
@@ -364,24 +367,6 @@ def perron_bounds(
     return d.memo(("perron_bounds", width, max_iter), lambda: _max_over_components(
         d, Fraction(0), lambda comp: _integer_power_brackets(d, sorted(comp), width, max_iter)
     ))
-
-
-def _float_perron_vector(k: int, local) -> np.ndarray | None:
-    """abs of the float Perron vector of A (that of I + A too), max 1; None if unusable.
-
-    The Perron root is the eigenvalue of largest real part.  Solving A
-    rather than I + A keeps the vector accurate when the weights are tiny.
-    """
-    m = np.zeros((k, k))
-    try:
-        for i, j, w in local:
-            m[i, j] += float(w)
-        eigvals, eigvecs = np.linalg.eig(m)
-    except (OverflowError, np.linalg.LinAlgError):  # weights beyond float range
-        return None
-    vec = np.abs(eigvecs[:, int(np.argmax(eigvals.real))])
-    top = vec.max()
-    return vec / top if np.isfinite(vec).all() and top > 0 else None
 
 
 def _integer_power_brackets(d, comp, width, max_iter):
@@ -421,9 +406,16 @@ def _integer_power_brackets(d, comp, width, max_iter):
         if (spread * width.denominator <= width.numerator * scale * x[hi] * x[lo]
                 or step == steps - 1):
             break
-        vec = _float_perron_vector(k, local) if step == 0 else None
-        if vec is not None:
-            x = [max(1, int(c)) for c in (vec * 2.0**62).tolist()]
+        vec = None
+        if step == 0:
+            # the float Perron vector of A, which is that of I + A; solving A
+            # keeps it accurate when the weights are tiny
+            try:
+                _rho, vec = _perron_eig(edge_operator(d, comp).toarray())
+            except (OverflowError, np.linalg.LinAlgError):  # weights beyond float range
+                pass
+        if vec is not None and np.isfinite(vec).all() and vec.max() > 0:
+            x = [max(1, int(c)) for c in (vec / vec.max() * 2.0**62).tolist()]
         else:
             shift = max(0, max(y).bit_length() - 160)
             x = [max(1, yi >> shift) for yi in y]
@@ -454,12 +446,23 @@ def _i_minus_a(d: WeightedDigraph):
     return exact_shifted(d) if d.is_exact else float_shifted(d)
 
 
-def _check_contractive(d: WeightedDigraph, assume_contractive: bool) -> None:
-    """Raise unless rho(A) < 1 is possible (a float bracket; skipped when assumed)."""
-    if not assume_contractive:
-        lo, _hi = collatz_wielandt_brackets(d, tol=1e-10)
-        if lo >= 1:
-            raise SpectralRadiusError(f"spectral radius >= 1 (lower bracket {lo})")
+def radius_brackets(d: WeightedDigraph) -> tuple:
+    """(lo, hi) around the Perron root in the digraph's arithmetic, memoised on ``d``.
+
+    Exact digraphs get ``perron_bounds`` at ``BRACKET_WIDTH``; float digraphs get
+    the float root as a point bracket.
+    """
+    if d.is_exact:
+        return perron_bounds(d)
+    return d.memo("radius_brackets", lambda: (perron_root(d),) * 2)
+
+
+def contractive_radius(d: WeightedDigraph):
+    """The upper radius bracket, raising SpectralRadiusError unless it is below 1."""
+    lo, hi = radius_brackets(d)
+    if hi >= 1:
+        raise SpectralRadiusError(f"spectral radius bracket [{lo}, {hi}] not certified below 1")
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +555,11 @@ def det_i_minus(d: WeightedDigraph):
     return d.memo("det_i_minus", compute)
 
 
-def resolvent_diag(d: WeightedDigraph, v: int, *, assume_contractive: bool = False):
-    """(I - A)^{-1}(v, v) by linear solve; requires spectral radius < 1."""
+def resolvent_diag(d: WeightedDigraph, v: int):
+    """(I - A)^{-1}(v, v) by linear solve; ``contractive_radius`` guards rho(A) < 1."""
     if not 0 <= v < d.order:
         raise ValueError(f"vertex {v} out of range")
-    _check_contractive(d, assume_contractive)
+    contractive_radius(d)
     m = _i_minus_a(d)
     if d.is_exact:
         return solve_exact(m, [int(i == v) for i in range(d.order)])[v]
@@ -565,13 +568,13 @@ def resolvent_diag(d: WeightedDigraph, v: int, *, assume_contractive: bool = Fal
     return float(np.linalg.solve(m, rhs)[v])
 
 
-def resolvent_diagonal(d: WeightedDigraph, *, assume_contractive: bool = False) -> list:
+def resolvent_diagonal(d: WeightedDigraph) -> list:
     """All diagonal entries of (I - A)^{-1}, memoised on ``d``.
 
-    The contractivity check runs on every call that asks for it; the
-    diagonal itself does not depend on it.
+    ``contractive_radius`` guards rho(A) < 1 on every call; after the first
+    it only reads the memoised radius bracket.
     """
-    _check_contractive(d, assume_contractive)
+    contractive_radius(d)
 
     def compute():
         m = _i_minus_a(d)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from substochastic import (
     perron_ladder,
     perron_root,
     resolvent_diag,
+    resolvent_diagonal,
     spectral_report,
     sup_cycle_gain,
     truncate,
@@ -425,6 +427,37 @@ class TestResolvent:
     def test_radius_at_least_one_raises(self):
         with pytest.raises(SpectralRadiusError):
             resolvent_diag(loop(F(1)), 0)
+
+    def test_radius_exactly_one_raises_before_the_singular_solve(self):
+        # the cycle product 1/2 * 4 * 1/2 is 1, so rho = 1 and I - A is
+        # singular; a float bracket 1e-10 wide straddles 1
+        d = triangle(F(1, 2), F(4), F(1, 2))
+        with pytest.raises(SpectralRadiusError):
+            resolvent_diagonal(d)
+        with pytest.raises(SpectralRadiusError):
+            resolvent_diag(d, 0)
+
+    def test_exact_guard_reads_the_memoised_bracket(self):
+        d = seeded_digraph(7)
+        with mock.patch.object(spectral, "collatz_wielandt_brackets",
+                               wraps=spectral.collatz_wielandt_brackets) as floats, \
+             mock.patch.object(spectral, "_integer_power_brackets",
+                               wraps=spectral._integer_power_brackets) as exact:
+            perron_bounds(d)
+            for _ in range(3):
+                resolvent_diagonal(d)
+                resolvent_diag(d, 0)
+        assert (floats.call_count, exact.call_count) == (0, 1)
+
+    def test_float_guard_finds_the_root_once(self):
+        d = seeded_digraph(7).to_float()
+        with mock.patch.object(spectral, "collatz_wielandt_brackets",
+                               wraps=spectral.collatz_wielandt_brackets) as roots:
+            first = resolvent_diagonal(d)
+            for _ in range(3):
+                assert resolvent_diagonal(d) == first
+                resolvent_diag(d, 0)
+        assert roots.call_count == 1
 
     @given(st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
