@@ -1,14 +1,15 @@
 """Simple-cycle machinery: enumeration, gains, transversals, packings.
 
-Enumeration follows Johnson's blocked search (unbounded) and a lock-based
-bounded search, both run per strongly connected component from the minimal
-vertex, which yields each cycle exactly once with its minimal vertex first.
+Enumeration is one search, the length-bounded lock/relax search of Gupta &
+Suzumura (2021), run per strongly connected component from the minimal
+vertex with the bound clamped to the component order; it yields each cycle
+exactly once with its minimal vertex first.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
@@ -135,107 +136,67 @@ class CycleUnion:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_adjacency(d: WeightedDigraph, drop_loops: bool) -> dict[int, list[tuple[int, object]]]:
-    adj: dict[int, list[tuple[int, object]]] = {v: [] for v in range(d.order)}
-    for (u, v), w in d.arcs.items():
-        if drop_loops and u == v:
-            continue
-        adj[u].append((v, w))
-    return adj
+def _bounded_paths(adj, start, bound):
+    """Yield (live_path, weight) for every simple cycle of length <= ``bound`` through ``start``.
 
-
-def _johnson_paths(adj, start):
-    """Yield (live_path, weight) for every simple cycle through ``start``.
+    The lock/relax search of Gupta & Suzumura (2021).  A path of length k
+    may step to w only while k < lock[w], and stepping sets lock[w] to the
+    new length.  A vertex that leaves the path having found a way back to
+    ``start`` in b steps relaxes its lock to ``bound - b + 1``, and the locks
+    of the vertices waiting on it in ``deps`` to one less per step back; one
+    that found none waits on its successors.  Only branches that hold no
+    cycle are pruned, so with ``bound`` at the component order every cycle
+    through ``start`` comes out.
 
     ``live_path`` is reused between yields; callers that keep it must copy.
     """
     path = [start]
-    prefix = [1]
-    blocked = {start}
-    closed = [False]
-    blocked_deps: dict[int, set[int]] = defaultdict(set)
-    stack: list[Iterator[tuple[int, object]]] = [iter(adj[start])]
-    while stack:
-        advanced = False
-        for w, wt in stack[-1]:
-            if w == start:
-                yield path, prefix[-1] * wt
-                closed[-1] = True
-            elif w not in blocked:
-                path.append(w)
-                prefix.append(prefix[-1] * wt)
-                closed.append(False)
-                blocked.add(w)
-                stack.append(iter(adj[w]))
-                advanced = True
-                break
-        if advanced:
-            continue
-        stack.pop()
-        v = path.pop()
-        prefix.pop()
-        if closed.pop():
-            if closed:
-                closed[-1] = True
-            unblock = {v}
-            while unblock:
-                u = unblock.pop()
-                if u in blocked:
-                    blocked.discard(u)
-                    unblock.update(blocked_deps[u])
-                    blocked_deps[u].clear()
-        else:
-            for w, _ in adj[v]:
-                blocked_deps[w].add(v)
-
-
-def _bounded_paths(adj, start, bound):
-    """Length-bounded variant (lock/relax search); yields like ``_johnson_paths``."""
-    path = [start]
     on_path = {start}
-    prefix = [1]
-    lock = {start: 0}
-    deps: dict[int, set[int]] = defaultdict(set)
-    seen_bound = [bound]
-    stack: list[Iterator[tuple[int, object]]] = [iter(adj[start])]
-    while stack:
-        advanced = False
-        for w, wt in stack[-1]:
+    lock = dict.fromkeys(adj, bound)  # never read for ``start``, which closes cycles
+    deps: dict[int, set[int]] = {v: set() for v in adj}
+    # the top vertex's successor iterator, path weight and shortest way back
+    # to ``start`` found so far; ``below`` holds the same for the vertices under it
+    succ, weight, back = iter(adj[start]), 1, bound
+    below: list[tuple[Iterator[tuple[int, object]], object, int]] = []
+    while True:
+        depth = len(path)
+        for w, wt in succ:
             if w == start:
-                yield path, prefix[-1] * wt
-                seen_bound[-1] = 1
-            elif len(path) < lock.get(w, bound):
+                yield path, weight * wt
+                back = 1
+            elif depth < lock[w]:
+                below.append((succ, weight, back))
                 path.append(w)
                 on_path.add(w)
-                prefix.append(prefix[-1] * wt)
-                lock[w] = len(path)
-                seen_bound.append(bound)
-                stack.append(iter(adj[w]))
-                advanced = True
+                lock[w] = depth + 1
+                succ, weight, back = iter(adj[w]), weight * wt, bound
                 break
-        if advanced:
-            continue
-        stack.pop()
-        v = path.pop()
-        on_path.discard(v)
-        prefix.pop()
-        b = seen_bound.pop()
-        if seen_bound:
-            seen_bound[-1] = min(seen_bound[-1], b)
-        if b < bound:
-            relax = [(b, v)]
-            while relax:
-                bl, u = relax.pop()
-                if lock.get(u, bound) < bound - bl + 1:
-                    lock[u] = bound - bl + 1
-                    relax.extend((bl + 1, x) for x in deps[u] if x not in on_path)
         else:
-            for w, _ in adj[v]:
-                deps[w].add(v)
+            if not below:
+                return
+            v = path.pop()
+            on_path.discard(v)
+            if back < bound:
+                relax = [(bound - back + 1, v)]
+                while relax:
+                    new, u = relax.pop()
+                    if lock[u] < new:
+                        lock[u] = new
+                        if deps[u]:
+                            relax.extend((new - 1, x) for x in deps[u] if x not in on_path)
+            else:
+                for w, _ in adj[v]:
+                    deps[w].add(v)
+            succ, weight, parent_back = below.pop()
+            back = min(parent_back, back)
 
 
 def _cycle_paths(d: WeightedDigraph, max_length=None):
-    """Yield (live_path, weight) over all simple cycles, minimal vertex first."""
+    """Yield (live_path, weight) over all simple cycles, minimal vertex first.
+
+    Loops come first; then each nontrivial strong component is searched from
+    its minimal vertex, which is removed before the rest is re-split.
+    """
     if max_length is not None and max_length < 1:
         return
     for v in range(d.order):
@@ -244,24 +205,21 @@ def _cycle_paths(d: WeightedDigraph, max_length=None):
             yield [v], w
     if max_length == 1:
         return
-    adj = _weighted_adjacency(d, drop_loops=True)
-    succ = {v: [w for w, _ in adj[v]] for v in range(d.order)}
-    comps = [set(c) for c in strongly_connected_components(succ, range(d.order)) if len(c) >= 2]
+    adj = d.adjacency
+    comps = [set(c) for c in strongly_connected_components(adj, range(d.order)) if len(c) >= 2]
     while comps:
         comp = comps.pop()
         start = min(comp)
-        local = {v: [(w, wt) for w, wt in adj[v] if w in comp] for v in comp}
-        if max_length is None:
-            yield from _johnson_paths(local, start)
-        else:
-            yield from _bounded_paths(local, start, max_length)
+        local = {v: [(w, wt) for w, wt in adj[v].items() if w in comp and w != v] for v in comp}
+        bound = len(comp) if max_length is None else min(max_length, len(comp))
+        yield from _bounded_paths(local, start, bound)
         comp.discard(start)
-        sub = {v: [w for w in succ[v] if w in comp] for v in comp}
+        sub = {v: [w for w, _ in local[v] if w != start] for v in comp}
         comps.extend(set(c) for c in strongly_connected_components(sub, comp) if len(c) >= 2)
 
 
 class CycleStream:
-    """Iterator over cycles with a ``truncated`` flag set when max_count hits."""
+    """Iterator over cycles; ``truncated`` is set when a cycle beyond max_count exists."""
 
     def __init__(self, source: Iterator[Cycle], max_count: int | None):
         self._source = source
@@ -273,10 +231,10 @@ class CycleStream:
         return self
 
     def __next__(self) -> Cycle:
+        item = next(self._source)
         if self._max is not None and self.count >= self._max:
             self.truncated = True
             raise StopIteration
-        item = next(self._source)
         self.count += 1
         return item
 
@@ -287,7 +245,7 @@ def enumerate_cycles(
     """Stream every simple cycle of length <= max_length exactly once.
 
     Cycles come out rotated so the minimal vertex leads.  When ``max_count``
-    stops the stream early its ``truncated`` flag is set.
+    cuts off a further cycle the stream's ``truncated`` flag is set.
     """
 
     def gen():
@@ -312,8 +270,8 @@ def sup_cycle_gain(
 
     A cycle using every arc of ``d`` (i.e. ``d`` itself is one directed cycle)
     is excluded unless ``proper_only=False``.  Returns the zero-gain marker
-    when no cycle qualifies.  If ``max_count`` is exhausted the partial
-    maximum (a valid lower bound) rides on the raised
+    when no cycle qualifies.  If a qualifying cycle lies beyond the first
+    ``max_count``, their maximum (a valid lower bound) rides on the raised
     :class:`BudgetExceededError`.
     """
     arc_total = len(d.arcs)
@@ -322,15 +280,15 @@ def sup_cycle_gain(
     for path, weight in _cycle_paths(d, max_length):
         if proper_only and len(path) == arc_total:
             continue
-        seen += 1
-        g = Gain(weight, len(path))
-        if best < g:
-            best = g
         if max_count is not None and seen >= max_count:
             raise BudgetExceededError(
                 f"cycle budget {max_count} exhausted; partial max gain attached",
                 partial=best,
             )
+        seen += 1
+        g = Gain(weight, len(path))
+        if best < g:
+            best = g
     return best
 
 

@@ -3,26 +3,29 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Three fast paths keep the code they replaced as an
+dense eigensolver.  Four fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
-without the transversal route) and the minimum cycle transversal (the branch
+without the transversal route), the minimum cycle transversal (the branch
 and bound pruned by the packing bound alone, without the Levy–Low
-reduction).
+reduction) and unbounded cycle enumeration (Johnson's blocked search).
 """
 
 import functools
 import itertools
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 from fractions import Fraction as F
+from typing import Iterator
 
 import numpy as np
 import pytest
 
 from substochastic import WeightedDigraph
 from substochastic.cycles import TransversalResult, _shortest_cycle, _succ_sets
+from substochastic.digraph import strongly_connected_components
 from substochastic.inequalities import random_strong_digraph
 from substochastic.spectral import _SPARSE_THRESHOLD, _max_over_components, edge_operator
 
@@ -74,6 +77,77 @@ def brute_cycles(d: WeightedDigraph, max_length=None) -> set[tuple[int, ...]]:
     for s in range(d.order):
         walk(s, [s], {s})
     return found
+
+
+def oracle_cycles(d: WeightedDigraph) -> list[tuple[tuple[int, ...], object]]:
+    """Every simple cycle as ``(vertices, weight)``, in the order the library yields them.
+
+    Loops first, then Johnson's blocked search (SIAM J. Comput. 4(1), 1975)
+    from the minimal vertex of each nontrivial strong component, which is
+    removed before the rest is re-split: the unbounded enumeration as it was
+    before the lock search took it over.
+    """
+    out = [((v,), d.arcs[(v, v)]) for v in range(d.order) if (v, v) in d.arcs]
+    adj = {v: [] for v in range(d.order)}
+    for (u, v), w in d.arcs.items():
+        if u != v:
+            adj[u].append((v, w))
+    succ = {v: [w for w, _ in adj[v]] for v in range(d.order)}
+    comps = [set(c) for c in strongly_connected_components(succ, range(d.order)) if len(c) >= 2]
+    while comps:
+        comp = comps.pop()
+        start = min(comp)
+        local = {v: [(w, wt) for w, wt in adj[v] if w in comp] for v in comp}
+        out.extend((tuple(path), weight) for path, weight in _johnson_paths(local, start))
+        comp.discard(start)
+        sub = {v: [w for w in succ[v] if w in comp] for v in comp}
+        comps.extend(set(c) for c in strongly_connected_components(sub, comp) if len(c) >= 2)
+    return out
+
+
+def _johnson_paths(adj, start):
+    """Yield (live_path, weight) for every simple cycle through ``start``.
+
+    ``live_path`` is reused between yields; callers that keep it must copy.
+    """
+    path = [start]
+    prefix = [1]
+    blocked = {start}
+    closed = [False]
+    blocked_deps: dict[int, set[int]] = defaultdict(set)
+    stack: list[Iterator[tuple[int, object]]] = [iter(adj[start])]
+    while stack:
+        advanced = False
+        for w, wt in stack[-1]:
+            if w == start:
+                yield path, prefix[-1] * wt
+                closed[-1] = True
+            elif w not in blocked:
+                path.append(w)
+                prefix.append(prefix[-1] * wt)
+                closed.append(False)
+                blocked.add(w)
+                stack.append(iter(adj[w]))
+                advanced = True
+                break
+        if advanced:
+            continue
+        stack.pop()
+        v = path.pop()
+        prefix.pop()
+        if closed.pop():
+            if closed:
+                closed[-1] = True
+            unblock = {v}
+            while unblock:
+                u = unblock.pop()
+                if u in blocked:
+                    blocked.discard(u)
+                    unblock.update(blocked_deps[u])
+                    blocked_deps[u].clear()
+        else:
+            for w, _ in adj[v]:
+                blocked_deps[w].add(v)
 
 
 def brute_is_acyclic(d: WeightedDigraph, removed=frozenset()) -> bool:

@@ -124,6 +124,13 @@ class TestCyclesCommands:
         assert len(payload["cycles"]) == 2
         assert payload["cycles"][0]["vertices"][0] == 1  # 1-based ids
 
+    def test_enumerate_budget_equal_to_cycle_count_is_not_truncated(self, star_json):
+        proc = run_cli(["cycles", "enumerate", "--digraph", star_json, "--max-count", "2"])
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert len(payload["cycles"]) == 2
+        assert payload["truncated"] is False
+
     def test_fvs(self, star_json):
         proc = run_cli(["cycles", "fvs", "--digraph", star_json])
         assert proc.returncode == 0

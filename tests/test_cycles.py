@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,11 +19,14 @@ from substochastic import (
     truncate,
 )
 from substochastic.constructions import (
+    BUILTIN_FAMILIES,
     a_power,
     build_example1,
     build_example2,
     f_geometric,
+    family_from_config,
 )
+from substochastic.inequalities import instance_stream, random_strong_digraph
 
 from conftest import (
     brute_cycles,
@@ -30,6 +34,7 @@ from conftest import (
     brute_min_fvs,
     k3,
     loop,
+    oracle_cycles,
     seeded_digraph,
     triangle,
     two_cycle,
@@ -80,6 +85,52 @@ class TestEnumeration:
         list(stream)
         assert not stream.truncated
 
+    def test_budget_equal_to_cycle_count_is_not_truncated(self):
+        half = F(1, 2)
+        stream = enumerate_cycles(triangle(half, half, half), max_count=1)
+        assert [c.vertices for c in stream] == [(0, 1, 2)]
+        assert not stream.truncated
+
+
+def assert_matches_johnson(d):
+    """The lock search yields Johnson's sequence, and at each bound L its length <= L part."""
+    expected = oracle_cycles(d)
+    assert [(c.vertices, c.weight) for c in enumerate_cycles(d)] == expected
+    for bound in range(1, d.order + 1):
+        got = [(c.vertices, c.weight) for c in enumerate_cycles(d, max_length=bound)]
+        assert got == [(vs, w) for vs, w in expected if len(vs) <= bound]
+    for budget in range(max(len(expected) - 1, 0), len(expected) + 1):
+        stream = enumerate_cycles(d, max_count=budget)
+        assert [(c.vertices, c.weight) for c in stream] == expected[:budget]
+        assert stream.truncated == (budget < len(expected))
+
+
+class TestOneSearch:
+    """``_bounded_paths`` against Johnson's blocked search, the path it replaced."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_instance_stream(self, seed):
+        (_, d), = instance_stream(seed, 1, 11)
+        assert_matches_johnson(d)
+
+    @given(st.integers(0, 10**6), st.integers(2, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_sparse_strong_digraphs_with_loops(self, seed, order):
+        d = random_strong_digraph(random.Random(seed), order, arc_prob=0.3)
+        assert_matches_johnson(d)
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_complete_digraphs_with_loops(self, order):
+        d = WeightedDigraph(
+            order, {(u, v): F(1, order + 1) for u in range(order) for v in range(order)}
+        )
+        assert_matches_johnson(d)
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_family_truncations(self, name):
+        assert_matches_johnson(truncate(family_from_config(name), 40))
+
 
 class TestGains:
     def test_loop_gain_with_improper_allowed(self):
@@ -109,6 +160,23 @@ class TestGains:
             sup_cycle_gain(k3(), max_count=2, proper_only=False)
         assert isinstance(info.value.partial, Gain)
         assert info.value.partial.weight > 0
+
+    def test_budget_equal_to_cycle_count_does_not_raise(self):
+        half = F(1, 2)
+        g = sup_cycle_gain(triangle(half, half, half), proper_only=False, max_count=1)
+        assert g == Gain(F(1, 8), 3)
+
+    @given(st.integers(0, 200), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_budget_raises_only_when_another_cycle_exists(self, seed, budget):
+        d = seeded_digraph(seed, order_max=6)
+        gains = [c.gain for c in enumerate_cycles(d)]
+        if len(gains) <= budget:
+            assert sup_cycle_gain(d, proper_only=False, max_count=budget) == max(gains)
+            return
+        with pytest.raises(BudgetExceededError) as info:
+            sup_cycle_gain(d, proper_only=False, max_count=budget)
+        assert info.value.partial == max(gains[:budget])
 
     def test_gains_are_unhashable(self):
         # equal gains like (w, l) and (w**m, l*m) would need equal hashes

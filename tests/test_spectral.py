@@ -56,6 +56,7 @@ from conftest import (
     leibniz_det,
     loop,
     oracle_collatz_wielandt_brackets,
+    oracle_perron_bounds,
     seeded_digraph,
     triangle,
     two_cycle,
@@ -335,6 +336,27 @@ class TestExactBrackets:
         with pytest.raises(TypeError):
             perron_bounds(loop(0.5))
 
+    @staticmethod
+    def small_root_digraph():
+        # rho ~ 1.19e-7: the power loop on I + A contracts by about 1 - rho per step
+        return WeightedDigraph(
+            3, {(0, 1): F(1, 10**20), (1, 2): F(1, 2), (2, 0): F(1, 3), (1, 0): F(1, 5)}
+        )
+
+    def test_small_root_bracket_is_sound(self):
+        d = self.small_root_digraph()
+        lo, hi = perron_bounds(d)
+        rho = eig_radius(d)
+        assert float(lo) <= rho * (1 + 1e-9)
+        assert float(hi) >= rho * (1 - 1e-9)
+        olo, ohi = oracle_perron_bounds(d)
+        assert max(lo, olo) <= min(hi, ohi)
+
+    @pytest.mark.xfail(strict=True, reason="the I + A power loop stops about 3.9e-13 wide")
+    def test_small_root_bracket_meets_its_width(self):
+        lo, hi = perron_bounds(self.small_root_digraph())
+        assert hi - lo <= spectral.BRACKET_WIDTH
+
 
 class TestCharpoly:
     def test_loop_linear(self):
@@ -384,6 +406,10 @@ class TestCharpoly:
     def test_union_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExceededError):
             coates_charpoly(k3(), budget=2)
+
+    def test_budget_equal_to_cycle_count_is_enough(self):
+        half = F(1, 2)
+        assert coates_charpoly(triangle(half, half, half), budget=1) == [F(1), 0, 0, F(-1, 8)]
 
     def test_float_weights_give_float_coefficients(self):
         coeffs = coates_charpoly(loop(0.7))
