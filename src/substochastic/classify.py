@@ -207,6 +207,8 @@ def classify_recurrence(
     vertex across growing truncations, with a presentation-level all-ones
     certificate required before declaring transience.
     """
+    if vertex is not None and vertex < 0:
+        raise ValueError(f"vertex {vertex} out of range")
     facts = family.facts
     notes: list[str] = []
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -37,10 +38,16 @@ def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe after the work was done: send the unflushed
+        # rest (and the interpreter's exit-time flush) to devnull so neither errs
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load_digraph(args) -> WeightedDigraph:

@@ -114,9 +114,6 @@ class WeightedDigraph:
     def out_weights(self) -> list:
         return [self.out_weight(v) for v in range(self.order)]
 
-    def weight(self, u: int, v: int):
-        return self.arcs.get((u, v))
-
     def rows_exact(self) -> list[list[Fraction]]:
         if not self.is_exact:
             raise TypeError("digraph carries float weights; exact rows unavailable")

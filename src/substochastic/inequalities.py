@@ -304,6 +304,8 @@ def check_zeta_identity(d: WeightedDigraph, v: int, z_samples: Sequence) -> Ineq
     if not d.is_exact:
         raise TypeError("the zeta identity check runs in exact mode only")
     n = d.order
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range")
     for z in z_samples:
         z = Fraction(z)
         m = exact_shifted(d, z)

@@ -1,6 +1,7 @@
 """Exact rational helpers: weight parsing, rigorous log bounds, exact linear algebra.
 
 Everything here operates on ``fractions.Fraction`` (or ints) and never rounds.
+One fraction-free (Bareiss) elimination serves determinants, solves and inverses.
 The floating-point counterparts live in :mod:`substochastic.spectral`.
 """
 
@@ -93,75 +94,72 @@ LN2_LO, LN2_HI = _atanh_series_bounds(Fraction(1, 3), 40)
 # ---------------------------------------------------------------------------
 
 
-def det_exact(rows: Sequence[Sequence[Rat]]) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination.
+def _eliminate(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
+    """Fraction-free (Bareiss) forward elimination of ``[rows | right]``.
 
-    Denominators are cleared row by row, the integer Bareiss recurrence runs
-    with exact integer division, and the row multipliers are divided back out.
+    Rows are cleared of denominators, then the integer recurrence divides exactly.
+    Returns ``(sign, scale, m)``, ``m`` upper triangular in its first n columns with
+    ``det(rows) == sign * m[-1][-1] / scale``, or None when ``rows`` is singular.
     """
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
+    sign = prev = scale = 1
     m: list[list[int]] = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        if len(fr) != n:
+    for row, extra in zip(rows, right, strict=True):
+        if len(row) != n:
             raise ValueError("determinant requires a square matrix")
-        den = math.lcm(*(x.denominator for x in fr)) if fr else 1
+        full = [*row, *extra]
+        den = math.lcm(*(x.denominator for x in full))
         scale *= den
-        m.append([int(x * den) for x in fr])
-
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1]) / scale
-
-
-def _gauss_jordan(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
-    """Reduce [rows | right] exactly to [I | rows^{-1} right]; returns the right block."""
-    n = len(rows)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(x) for x in extra]
-        for row, extra in zip(rows, right, strict=True)
-    ]
+        m.append([x.numerator * (den // x.denominator) for x in full])
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix in exact elimination")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
+            return None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            f, row[k] = row[k], 0
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    return sign, scale, m
+
+
+def det_exact(rows: Sequence[Sequence[Rat]]) -> Fraction:
+    """Determinant: the last Bareiss pivot with the row multipliers divided back out."""
+    done = _eliminate(rows, [()] * len(rows))
+    if done is None:
+        return Fraction(0)
+    sign, scale, m = done
+    return Fraction(sign * m[-1][-1], scale) if m else Fraction(1)
+
+
+def _solve_block(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
+    """rows^{-1} right: back substitution over Fraction on the Bareiss triangle."""
+    done = _eliminate(rows, right)
+    if done is None:
+        raise ZeroDivisionError("singular matrix in exact elimination")
+    n, m = len(rows), done[2]
+    x: list[list[Fraction]] = [[]] * n
+    for i, row in reversed(list(enumerate(m))):
+        acc = [Fraction(c) for c in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [a - row[j] * b for a, b in zip(acc, x[j])]
+        x[i] = [a / row[i] for a in acc]
+    return x
 
 
 def solve_exact(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> list[Fraction]:
-    """Solve A x = b exactly via Gaussian elimination with exact pivoting."""
-    return [x for (x,) in _gauss_jordan(rows, [[b] for b in rhs])]
+    """Solve A x = b exactly."""
+    return [x for (x,) in _solve_block(rows, [[b] for b in rhs])]
 
 
 def inverse_exact(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
-    """Exact matrix inverse (Gauss-Jordan)."""
+    """Exact matrix inverse."""
     n = len(rows)
-    return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    return _solve_block(rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def interpolate_exact(points: Sequence[Rat], values: Sequence[Rat]) -> list[Fraction]:

@@ -3,12 +3,13 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Four fast paths keep the code they replaced as an
+dense eigensolver.  Five fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
 without the transversal route), the minimum cycle transversal (the branch
 and bound pruned by the packing bound alone, without the Levy–Low
-reduction) and unbounded cycle enumeration (Johnson's blocked search).
+reduction), unbounded cycle enumeration (Johnson's blocked search) and
+exact solves and inverses (Gauss–Jordan over Fraction).
 """
 
 import functools
@@ -201,6 +202,36 @@ def leibniz_det(rows) -> F:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def _gauss_jordan(rows, right):
+    """Reduce [rows | right] exactly to [I | rows^{-1} right]; returns the right block."""
+    n = len(rows)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(x) for x in extra]
+        for row, extra in zip(rows, right, strict=True)
+    ]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix in exact elimination")
+        a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def oracle_solve(rows, rhs) -> list[F]:
+    return [x for (x,) in _gauss_jordan(rows, [[b] for b in rhs])]
+
+
+def oracle_inverse(rows) -> list[list[F]]:
+    n = len(rows)
+    return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def eig_radius(d: WeightedDigraph) -> float:

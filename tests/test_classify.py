@@ -231,6 +231,12 @@ class TestClassifyRecurrence:
         fam = build_example2(a_power(-0.75))
         assert classify_recurrence(fam).verdict == "recurrent"
 
+    def test_negative_vertex_rejected(self):
+        # -1 would silently read the last vertex of each truncation
+        fam = build_example1(F(1, 2), f_power(0.5))
+        with pytest.raises(ValueError, match="out of range"):
+            classify_recurrence(fam, n_max=20, p_max=100, vertex=-1)
+
     def test_unknown_without_certificate(self):
         # bounded sums but no declared presentation class: stays unknown
         fam = TruncationFamily(

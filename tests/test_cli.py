@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -257,6 +258,21 @@ class TestSweepAndFit:
         assert "error" in proc.stderr.lower()
 
 
+def test_closed_stdout_is_not_an_error():
+    # the reader closed its end before any output: the command still did its work
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            RUN + ["construct", "example2", "--emit-truncation", "50"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_main_callable_directly(capsys):
     code = main(["spectral", "ladder", "--family", "example2", "--n-list", "2,3"])
     assert code == 0
@@ -293,6 +309,11 @@ class TestBoundaryErrors:
         proc = run_cli(["spectral", "perron", "--digraph", star_json, "--tol", "-1"])
         self.assert_one_line_error(proc)
         assert "did not reach tolerance" in proc.stderr
+
+    def test_negative_vertex(self):
+        proc = run_cli(["classify", "--family", "example2", "--vertex", "-1"])
+        self.assert_one_line_error(proc)
+        assert "vertex -1 out of range" in proc.stderr
 
     def test_sampler_giving_up(self, monkeypatch, capsys):
         import substochastic.inequalities as ineq

@@ -226,6 +226,13 @@ class TestZetaIdentity:
         with pytest.raises(TypeError):
             check_zeta_identity(loop(0.5), 0, [F(1, 2)])
 
+    @pytest.mark.parametrize("v", [-1, 3], ids=["negative", "order"])
+    def test_vertex_out_of_range_rejected(self, v):
+        # -1 would remove no row from the minor and report a false violation;
+        # 3 is past the last row
+        with pytest.raises(ValueError, match="out of range"):
+            check_zeta_identity(acyclic3(), v, [F(1, 3)])
+
 
 class TestChainConsistency:
     @given(st.integers(0, 150))

@@ -1,14 +1,18 @@
-"""Exact solve and inverse against a Cramer's-rule oracle on Leibniz determinants."""
+"""Exact det, solve and inverse against Leibniz determinants, Cramer's rule and
+the Gauss–Jordan elimination they replaced."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from substochastic.rational import inverse_exact, solve_exact
+from substochastic.inequalities import instance_stream, random_strong_digraph
+from substochastic.rational import det_exact, inverse_exact, solve_exact
+from substochastic.spectral import exact_shifted
 
-from conftest import leibniz_det
+from conftest import leibniz_det, oracle_inverse, oracle_solve
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -66,3 +70,63 @@ def test_pivoting_past_a_zero_leading_entry():
 def test_mismatched_right_hand_side_rejected():
     with pytest.raises(ValueError):
         solve_exact([[1, 0], [0, 1]], [1])
+
+
+@st.composite
+def det_matrices(draw):
+    """Order 0-5, many zeros (so zero leading entries), some forced singular."""
+    n = draw(st.integers(0, 5))
+    sparse = st.one_of(st.just(0), st.just(F(0)), entries)
+    rows = [[draw(sparse) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[j] = [draw(entries) * x for x in rows[i]]
+    return rows
+
+
+@given(det_matrices())
+@settings(max_examples=200, deadline=None)
+def test_det_matches_leibniz(rows):
+    det = det_exact(rows)
+    assert type(det) is F
+    assert det == leibniz_det(rows)
+
+
+def test_det_of_order_zero_is_one():
+    assert det_exact([]) == 1 and type(det_exact([])) is F
+
+
+def test_det_swaps_flip_the_sign():
+    assert det_exact([[0, 1], [1, 0]]) == -1
+    assert det_exact([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det_exact([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+
+
+def test_det_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="determinant requires a square matrix"):
+        det_exact([[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(ValueError, match="determinant requires a square matrix"):
+        det_exact([[1, 2]])
+
+
+def outcome(f, *args):
+    """The repr (so values and entry types) of the result, or the singular-matrix message."""
+    try:
+        return repr(f(*args))
+    except ZeroDivisionError as exc:
+        return str(exc)
+
+
+SHIFTS = [F(1, 3), F(1, 2), F(1), F(2)]
+STREAM = [d for _, d in instance_stream(3, 40, 12)]
+LARGE = [random_strong_digraph(random.Random(order), order) for order in (24, 28, 32)]
+
+
+@pytest.mark.parametrize("d", STREAM + LARGE, ids=lambda d: f"order{d.order}")
+def test_solve_and_inverse_match_gauss_jordan(d):
+    n = d.order
+    rhs = [F(i % 3, i + 1) for i in range(n)]
+    for z in SHIFTS:
+        m = exact_shifted(d, z)
+        assert outcome(solve_exact, m, rhs) == outcome(oracle_solve, m, rhs)
+        assert outcome(inverse_exact, m) == outcome(oracle_inverse, m)
