@@ -164,7 +164,7 @@ def green_partial_sums(d: WeightedDigraph, v: int, lam: float, p_max: int) -> np
     return sums
 
 
-def _growth_assessment(sums: np.ndarray, growth_factor: float) -> str:
+def _growth_assessment(sums: np.ndarray) -> str:
     """One of "divergent", "bounded", "inconclusive" for a partial-sum series."""
     p_max = len(sums) - 1
     if p_max < 20:
@@ -173,7 +173,7 @@ def _growth_assessment(sums: np.ndarray, growth_factor: float) -> str:
     ratio = sums[p_max] / sums[p_lo]
     inc_late = sums[p_max] - sums[(p_max + p_lo) // 2]
     inc_early = sums[(p_max + p_lo) // 2] - sums[p_lo]
-    if ratio >= growth_factor and inc_late >= 0.4 * inc_early > 0:
+    if ratio >= 5.0 and inc_late >= 0.4 * inc_early > 0:
         return "divergent"
     step = max(1, p_max // 10)
     tail = sums[p_max] - sums[p_max - step]
@@ -197,18 +197,20 @@ def classify_recurrence(
     family: TruncationFamily,
     n_max: int = 120,
     p_max: int = 1000,
-    growth_factor: float = 5.0,
     vertex: int | None = None,
 ) -> RecurrenceVerdict:
     """Transient / Recurrent / Unknown with evidence.
 
     Order of attack: the structural criterion when both facts are declared
     finite (certified recurrence); otherwise Green partial sums at the return
-    vertex across growing truncations, with a presentation-level all-ones
-    certificate required before declaring transience.
+    vertex on the order-n_max truncation, with a presentation-level all-ones
+    certificate required before declaring transience.  ``p_max`` must be
+    at least 1.
     """
     if vertex is not None and vertex < 0:
         raise ValueError(f"vertex {vertex} out of range")
+    if p_max < 1:
+        raise ValueError(f"p_max must be >= 1, got {p_max}")
     facts = family.facts
     notes: list[str] = []
 
@@ -235,14 +237,10 @@ def classify_recurrence(
         return RecurrenceVerdict(UNKNOWN, None, None, tuple(notes + ["radius estimate <= 0"]))
 
     v = vertex if vertex is not None else (facts.return_vertex or 0)
-    grid = sorted({max(v + 1, 2, n_max // 4), max(v + 1, 2, n_max // 2), max(v + 1, 2, n_max)})
-    assessments = []
-    sums = None
-    for n in grid:
-        d = truncate(family, n).to_float()
-        sums = green_partial_sums(d, v, lam, p_max)
-        assessments.append(_growth_assessment(sums, growth_factor))
-    verdict_raw = assessments[-1]
+    n = max(v + 1, 2, n_max)
+    d = truncate(family, n)
+    sums = green_partial_sums(d.to_float(), v, lam, p_max)
+    verdict_raw = _growth_assessment(sums)
     marks = sorted(set(range(0, p_max + 1, max(1, p_max // 16))) | {p_max})
     subsample = tuple(float(sums[p]) for p in marks)
     ratio = float(sums[-1] / sums[max(1, p_max // 10)])
@@ -250,7 +248,7 @@ def classify_recurrence(
     if verdict_raw == "divergent":
         return RecurrenceVerdict(
             RECURRENT,
-            DivergingSeries(v, grid[-1], subsample, ratio),
+            DivergingSeries(v, n, subsample, ratio),
             "numerical",
             tuple(notes),
         )
@@ -264,7 +262,6 @@ def classify_recurrence(
             and Fraction(lam_exact) == 1
         )
         if ones_applicable:
-            d = truncate(family, grid[-1])
             cert_ok, strict = verify_pruitt(
                 d, [Fraction(1) if d.is_exact else 1.0] * d.order, 1
             )

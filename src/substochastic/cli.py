@@ -252,20 +252,28 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, family_ok=True, digraph_ok=True):
+def _add_common(p: argparse.ArgumentParser, digraph_ok=True):
+    """Mode, output and family options; ``digraph_ok`` adds --digraph and --n for one digraph."""
     p.add_argument("--mode", choices=("exact", "float"), default="exact",
                    help="arithmetic mode for weights")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
     if digraph_ok:
         p.add_argument("--digraph", help="digraph JSON file ('-' for stdin)")
-    if family_ok:
-        p.add_argument("--family", choices=BUILTIN_FAMILIES, help="built-in family name")
-        p.add_argument("--params", help="family parameters as a JSON object")
+    p.add_argument("--family", choices=BUILTIN_FAMILIES, help="built-in family name")
+    p.add_argument("--params", help="family parameters as a JSON object")
+    if digraph_ok:
         p.add_argument("--n", type=int, default=None, help="truncation order for --family")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with EXIT_ERROR; argparse's own 2 would read as EXIT_NUMERICAL."""
+    """Usage errors exit with EXIT_ERROR; argparse's own 2 would read as EXIT_NUMERICAL.
+
+    Option names must be spelled out: with abbreviations on, ``--n`` would
+    silently mean ``--n-max`` or ``--n-list`` where no ``--n`` exists.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -193,7 +193,7 @@ class GapTarget:
 # ---------------------------------------------------------------------------
 
 
-def build_example1(a=Fraction(1, 2), f=None, name: str = "example1") -> TruncationFamily:
+def build_example1(a=Fraction(1, 2), f=None) -> TruncationFamily:
     """Renewal-style weighting of the return path.
 
     Arc weights: (1,1) gets a*f_1, (m,m+1) gets R_m/R_{m-1} and (m,1) gets
@@ -212,10 +212,10 @@ def build_example1(a=Fraction(1, 2), f=None, name: str = "example1") -> Truncati
         # R_j = R_{j-1} - f_j with R_0 = 1
         fj = f_at(j)
         if not fj > 0:
-            raise FamilyDefinitionError(f"{name}: f_{j} = {fj} is not positive")
+            raise FamilyDefinitionError(f"example1: f_{j} = {fj} is not positive")
         r = (prev[-1] if prev else _one_like(fj)) - fj
         if not r > 0:
-            raise FamilyDefinitionError(f"{name}: partial sums of f reach 1 at index {j}")
+            raise FamilyDefinitionError(f"example1: partial sums of f reach 1 at index {j}")
         return r
 
     remainders = _Memo1(remainder)
@@ -240,7 +240,7 @@ def build_example1(a=Fraction(1, 2), f=None, name: str = "example1") -> Truncati
         return_vertex=0,
         pruitt_strict_vertex=0,
     )
-    return TruncationFamily(name, generator, facts, omega_window=lambda n: n)
+    return TruncationFamily("example1", generator, facts, omega_window=lambda n: n)
 
 
 def f_geometric(q=Fraction(1, 2)) -> Callable[[int], Fraction]:
@@ -274,9 +274,7 @@ def f_power(epsilon: float = 0.5) -> Callable[[int], float]:
 # ---------------------------------------------------------------------------
 
 
-def build_example2(
-    a, sorted_weights: bool = True, sum_sq=None, name: str = "example2"
-) -> TruncationFamily:
+def build_example2(a, sorted_weights: bool = True) -> TruncationFamily:
     """Symmetric star family: hub 0, spoke arcs (0,k) and (k,0) with weight a_k.
 
     All cycles are 2-cycles through the hub, so det(I - zA_n) = 1 - b_n^2 z^2
@@ -291,24 +289,23 @@ def build_example2(
     def a_k(k: int):
         v = a_at(k)
         if not v > 0:
-            raise FamilyDefinitionError(f"{name}: a_{k} = {v} is not positive")
+            raise FamilyDefinitionError(f"example2: a_{k} = {v} is not positive")
         return v
 
-    if sum_sq is None:
-        if finite:
-            sum_sq = sum((Fraction(a_k(k)) ** 2 for k in range(1, length + 1)), Fraction(0))
-        else:
-            n_probe = 100_000
-            lo, hi = a_k(n_probe // 2), a_k(n_probe)
-            decay = 2 * (math.log(float(lo)) - math.log(float(hi))) / math.log(2)
-            if decay <= 1 + 1e-9:
-                raise FamilyDefinitionError(
-                    f"{name}: squared weights decay like k^-{decay:.3f}; "
-                    "not summable (exponent of a_k is <= 1/2)"
-                )
-            partial = sum(float(a_k(k)) ** 2 for k in range(1, n_probe + 1))
-            c = float(hi) ** 2 * n_probe**decay
-            sum_sq = partial + c * (n_probe + 0.5) ** (1 - decay) / (decay - 1)
+    if finite:
+        sum_sq = sum((Fraction(a_k(k)) ** 2 for k in range(1, length + 1)), Fraction(0))
+    else:
+        n_probe = 100_000
+        lo, hi = a_k(n_probe // 2), a_k(n_probe)
+        decay = 2 * (math.log(float(lo)) - math.log(float(hi))) / math.log(2)
+        if decay <= 1 + 1e-9:
+            raise FamilyDefinitionError(
+                f"example2: squared weights decay like k^-{decay:.3f}; "
+                "not summable (exponent of a_k is <= 1/2)"
+            )
+        partial = sum(float(a_k(k)) ** 2 for k in range(1, n_probe + 1))
+        c = float(hi) ** 2 * n_probe**decay
+        sum_sq = partial + c * (n_probe + 0.5) ** (1 - decay) / (decay - 1)
 
     # a_1^2 + ... + a_k^2 as floats, summed left to right
     sums = _Memo1(lambda k, prev: (prev[-1] if prev else 0.0) + float(a_k(k)) ** 2)
@@ -337,8 +334,7 @@ def build_example2(
     )
     witness = (lambda n: tuple(range(n))) if sorted_weights else None
     return TruncationFamily(
-        name, generator, facts, omega_window=lambda n: n, witness_submatrix=witness,
-        extras={"sum_sq": sum_sq},
+        "example2", generator, facts, omega_window=lambda n: n, witness_submatrix=witness,
     )
 
 
@@ -417,9 +413,7 @@ def _connector_len(l1: int) -> int:
     return max(1, (l1 + 1) // 2)
 
 
-def build_prop1(
-    cycle_lengths, targets, declared_lambda=None, name: str = "prop1"
-) -> TruncationFamily:
+def build_prop1(cycle_lengths, targets, declared_lambda=None) -> TruncationFamily:
     """Beaded chain where bead k has gain exactly targets(k) ** (1/lengths(k)).
 
     The port arc of bead k carries the whole target weight c_k and the other
@@ -484,7 +478,7 @@ def build_prop1(
         pruitt_strict_vertex=0,
     )
     return TruncationFamily(
-        name, chain.generator, facts,
+        "prop1", chain.generator, facts,
         omega_window=window, witness_submatrix=_MemoN(witness),
         extras={"bead_gain": bead_gain, "chain": chain},
     )
@@ -553,11 +547,11 @@ def build_corollary1(g: GapTarget, cycle_lengths=None, name: str = "corollary1")
     return TruncationFamily(
         name, chain.generator, facts,
         omega_window=window, witness_submatrix=witness,
-        extras={"gap_minorant": h, "chain": chain, "bead_weight": bead_weight, "kstar": kstar},
+        extras={"chain": chain},
     )
 
 
-def build_theorem2_fast(g: GapTarget, cycle_lengths=None, name: str = "theorem2-fast") -> TruncationFamily:
+def build_theorem2_fast(g: GapTarget, cycle_lengths=None) -> TruncationFamily:
     """Transient matrix M = c S with ladder gaps below g(n) for every n >= 1.
 
     S is the gap-target weighting (intrinsic radius 1), and c in (0,1) is
@@ -565,7 +559,7 @@ def build_theorem2_fast(g: GapTarget, cycle_lengths=None, name: str = "theorem2-
     already within target.  The all-ones vector certifies transience of M at
     radius c (every out-weight of M is strictly below c).
     """
-    base = build_corollary1(g, cycle_lengths, name=name + "-host")
+    base = build_corollary1(g, cycle_lengths, name="theorem2-fast-host")
     l_min = base.facts.l_min
     m = min(g(n) for n in range(1, l_min + 1))
     scale = min(Fraction(m) if isinstance(m, (int, Fraction)) else m, 1) / 2
@@ -584,7 +578,7 @@ def build_theorem2_fast(g: GapTarget, cycle_lengths=None, name: str = "theorem2-
         pruitt_strict_vertex=0,
     )
     return TruncationFamily(
-        name, generator, facts,
+        "theorem2-fast", generator, facts,
         omega_window=base.omega_window, witness_submatrix=base.witness_submatrix,
         extras={"scale": scale, "host": base},
     )
@@ -723,7 +717,7 @@ class _LongCycleSchedule:
         )
 
 
-def build_prop2(eps: EpsilonSchedule, name: str = "prop2") -> TruncationFamily:
+def build_prop2(eps: EpsilonSchedule) -> TruncationFamily:
     """Strictly substochastic weighting (within its cycle system) whose cycle
     gains approach 1 along cycles of unbounded length.
 
@@ -760,10 +754,10 @@ def build_prop2(eps: EpsilonSchedule, name: str = "prop2") -> TruncationFamily:
         pruitt_strict_vertex=0,
     )
     gamma_facts = replace(facts, weighting_class=Tag.STRICTLY_SUBSTOCHASTIC)
-    gamma = TruncationFamily(name + "-cycles", gamma_generator, gamma_facts,
+    gamma = TruncationFamily("prop2-cycles", gamma_generator, gamma_facts,
                              omega_window=lambda n: n)
     return TruncationFamily(
-        name, generator, facts, omega_window=lambda n: n,
+        "prop2", generator, facts, omega_window=lambda n: n,
         extras={"schedule": sched, "certify": sched.certify, "cycle_system": gamma},
     )
 

@@ -560,12 +560,12 @@ class LengthExtremes:
     l_max_exact: bool
 
 
-def cycle_length_extremes(d: WeightedDigraph, budget: int = 2_000_000) -> LengthExtremes:
+def cycle_length_extremes(d: WeightedDigraph) -> LengthExtremes:
     """Shortest and longest simple-cycle lengths.
 
     The shortest is exact (BFS).  The longest runs an exhaustive path search
-    with pruning; if the step budget is exhausted the returned value is only
-    a lower bound and ``l_max_exact`` is False.
+    with pruning; if it exhausts its budget of 2,000,000 steps the returned
+    value is only a lower bound and ``l_max_exact`` is False.
     """
     succ = _succ_sets(d)
     shortest = _shortest_cycle(succ, set(range(d.order)))
@@ -585,7 +585,7 @@ def cycle_length_extremes(d: WeightedDigraph, budget: int = 2_000_000) -> Length
         iters = [iter(sorted(succ[start] & comp))]
         while iters:
             steps += 1
-            if steps > budget:
+            if steps > 2_000_000:
                 exact = False
                 return
             w = next(iters[-1], None)

@@ -113,21 +113,20 @@ def random_strong_digraph(
     rng: random.Random,
     order: int,
     weighting: str = "truthly",
-    max_denominator: int = 12,
     arc_prob: float | None = None,
-    max_tries: int = 2000,
 ) -> WeightedDigraph:
     """Erdos-Renyi arc set conditioned on strong connectivity, rational weights.
 
-    Rows are rescaled to exact random out-weight targets according to
-    ``weighting``: "truthly" (<=1, somewhere <1), "strictly" (<1 everywhere),
-    "stochastic" (=1), or "substochastic" (<=1).
+    Up to 2000 arc sets are drawn.  Rows are rescaled to exact random
+    out-weight targets with denominator 12 according to ``weighting``:
+    "truthly" (<=1, somewhere <1), "strictly" (<1 everywhere), "stochastic"
+    (=1), or "substochastic" (<=1).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     p = arc_prob if arc_prob is not None else (0.55 if order <= 4 else 0.35)
     arcs: set[tuple[int, int]] = set()
-    for _ in range(max_tries):
+    for _ in range(2000):
         arcs = {
             (u, v)
             for u in range(order)
@@ -144,7 +143,7 @@ def random_strong_digraph(
     else:
         raise RuntimeError("failed to sample a strong digraph")
 
-    den = max_denominator
+    den = 12
     targets = []
     for v in range(order):
         if weighting == "stochastic":
@@ -339,12 +338,12 @@ class ConjectureRecord:
     counterexamples: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def scan_argmax_conjecture(d: WeightedDigraph, extra_size: int = 1) -> ConjectureRecord:
+def scan_argmax_conjecture(d: WeightedDigraph) -> ConjectureRecord:
     """Does every cycle transversal contain a vertex of maximal G(v,v)?
 
-    Checks all minimum-size transversals and all transversals up to
-    ``extra_size`` vertices larger.  A transversal avoiding the argmax set
-    entirely is a counterexample, reported verbatim.
+    Checks all minimum-size transversals and all transversals one vertex
+    larger.  A transversal avoiding the argmax set entirely is a
+    counterexample, reported verbatim.
     """
     from itertools import combinations
 
@@ -354,7 +353,7 @@ def scan_argmax_conjecture(d: WeightedDigraph, extra_size: int = 1) -> Conjectur
 
     fvs = min_cycle_transversal(d)
     record = ConjectureRecord(fingerprint(d), argmax, 0)
-    for size in range(fvs.size, min(d.order, fvs.size + extra_size) + 1):
+    for size in range(fvs.size, min(d.order, fvs.size + 1) + 1):
         for subset in combinations(range(d.order), size):
             if not is_cycle_transversal(d, subset):
                 continue
@@ -429,7 +428,6 @@ def run_suite(
     seed: int = 0,
     order_max: int = 8,
     mode: str = "exact",
-    weighting: str = "truthly",
     sigma_k: int | None = None,
 ) -> InequalityReport:
     if suite not in SUITES:
@@ -437,7 +435,7 @@ def run_suite(
     if suite == "zeta" and mode != "exact":
         raise ValueError("the zeta suite is exact-only")
     merged = InequalityReport(suite)
-    for i, d in instance_stream(seed, count, order_max, weighting, mode):
+    for i, d in instance_stream(seed, count, order_max, mode=mode):
         rng = random.Random(f"{seed}:{i}:aux")
         merged.absorb(_suite_single(suite, d, rng, sigma_k))
     return merged

@@ -24,7 +24,7 @@ from .cycles import enumerate_cycles, peel_transversal
 from .digraph import WeightedDigraph, strongly_connected_components
 from .errors import BudgetExceededError, SpectralRadiusError
 from .families import TruncationFamily, truncate
-from .rational import det_exact, interpolate_exact, inverse_exact, poly_eval, solve_exact
+from .rational import det_exact, interpolate_exact, inverse_exact, poly_eval
 
 _SPARSE_THRESHOLD = 256
 
@@ -171,7 +171,7 @@ def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float,
         if done:
             return lo, hi
     raise RuntimeError(
-        f"power iteration did not reach tolerance {tol} in {max_iter} steps "
+        f"power iteration did not reach tolerance {tol} in {budget} steps "
         f"(bracket [{lo}, {hi}])"
     )
 
@@ -556,16 +556,10 @@ def det_i_minus(d: WeightedDigraph):
 
 
 def resolvent_diag(d: WeightedDigraph, v: int):
-    """(I - A)^{-1}(v, v) by linear solve; ``contractive_radius`` guards rho(A) < 1."""
+    """(I - A)^{-1}(v, v), read from the memoised ``resolvent_diagonal`` and its guard."""
     if not 0 <= v < d.order:
         raise ValueError(f"vertex {v} out of range")
-    contractive_radius(d)
-    m = _i_minus_a(d)
-    if d.is_exact:
-        return solve_exact(m, [int(i == v) for i in range(d.order)])[v]
-    rhs = np.zeros(d.order)
-    rhs[v] = 1.0
-    return float(np.linalg.solve(m, rhs)[v])
+    return resolvent_diagonal(d)[v]
 
 
 def resolvent_diagonal(d: WeightedDigraph) -> list:
@@ -595,8 +589,8 @@ class SpectralReport:
     det_at_one: object
 
 
-def spectral_report(d: WeightedDigraph, method: str = "elimination") -> SpectralReport:
-    coeffs = charpoly(d, method)
+def spectral_report(d: WeightedDigraph) -> SpectralReport:
+    coeffs = charpoly(d)
     degree = len(coeffs) - 1 if any(c != 0 for c in coeffs[1:]) else 0
     return SpectralReport(
         perron_root=perron_root(d),
@@ -631,8 +625,6 @@ def perron_ladder(
     n_values: Sequence[int],
     mode: str = "leading",
     window: int | None = None,
-    tol: float = 1e-12,
-    subset_budget: int = 200_000,
 ) -> TruncationSpectrum:
     """Perron roots lambda_n along truncations of a family.
 
@@ -640,7 +632,7 @@ def perron_ladder(
       * ``leading``: Perron root of the order-n leading truncation.
       * ``sup_exact``: certified supremum over all order-n induced
         subdigraphs of the truncation at ``window`` (finite stand-in for the
-        infinite supremum; n <= 15).
+        infinite supremum; n <= 15, at most 200,000 subsets).
       * ``witness``: Perron root of the family's declared order-n witness
         submatrix, a certified lower bound on the supremum.
     """
@@ -650,27 +642,27 @@ def perron_ladder(
     ns = sorted(set(n_values))
     for n in ns:
         if mode == "leading":
-            value = perron_root(truncate(family, n), tol)
+            value = perron_root(truncate(family, n))
             label = "leading"
         elif mode == "sup_exact":
             if n > 15:
                 raise BudgetExceededError("sup_exact mode limited to n <= 15")
             big = window if window is not None else max(ns) + 5
             host = truncate(family, max(big, n))
-            if math.comb(host.order, n) > subset_budget:
+            if math.comb(host.order, n) > 200_000:
                 raise BudgetExceededError(
                     f"sup_exact would enumerate {math.comb(host.order, n)} subsets"
                 )
             value = 0.0
             for subset in combinations(range(host.order), n):
-                value = max(value, perron_root(host.induced(subset), tol))
+                value = max(value, perron_root(host.induced(subset)))
             label = f"sup-over-subsets-of-{host.order}"
         elif mode == "witness":
             if family.witness_submatrix is None:
                 raise ValueError(f"family {family.name} declares no witness submatrix")
             verts = list(family.witness_submatrix(n))
             host = truncate(family, max(verts) + 1)
-            value = perron_root(host.induced(verts), tol)
+            value = perron_root(host.induced(verts))
             label = "witness-lower-bound"
         else:
             raise ValueError(f"unknown ladder mode {mode!r}")

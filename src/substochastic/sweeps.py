@@ -34,7 +34,6 @@ class SweepSpec:
     params: Mapping = field(default_factory=dict)
     n_grid: tuple[int, ...] = ()
     mode: str = "float"
-    fvs_budget: int = 20_000
     compute_fvs: bool = True
 
     def __post_init__(self):
@@ -72,7 +71,7 @@ def run_sweep(spec: SweepSpec, progress=None) -> list[dict]:
             limit = fam.facts.spectral_limit
             row["gap_to_limit"] = (float(limit) - lam) if limit is not None else ""
             if spec.compute_fvs:
-                row["fvs_size"] = min_cycle_transversal(d, budget=spec.fvs_budget).size
+                row["fvs_size"] = min_cycle_transversal(d, budget=20_000).size
             else:
                 row["fvs_size"] = ""
         except Exception as exc:  # keep sweeping, record the cell error

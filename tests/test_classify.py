@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from substochastic import (
     truncate,
     verify_pruitt,
 )
+from substochastic import classify
 from substochastic.constructions import (
     a_power,
     build_example1,
@@ -32,6 +34,7 @@ from substochastic.constructions import (
     build_prop1,
     f_geometric,
     f_power,
+    family_from_config,
 )
 
 from conftest import loop, seeded_digraph, two_cycle
@@ -236,6 +239,22 @@ class TestClassifyRecurrence:
         fam = build_example1(F(1, 2), f_power(0.5))
         with pytest.raises(ValueError, match="out of range"):
             classify_recurrence(fam, n_max=20, p_max=100, vertex=-1)
+
+    @pytest.mark.parametrize("p_max", [0, -5])
+    def test_p_max_below_one_rejected(self, p_max):
+        # 0 indexed past a one-term series and -5 reached numpy's negative shape
+        fam = build_example1(F(1, 2), f_geometric())
+        with pytest.raises(ValueError, match="p_max must be >= 1"):
+            classify_recurrence(fam, n_max=30, p_max=p_max)
+
+    def test_one_truncation_and_one_green_sum_run(self):
+        fam = family_from_config("corollary1")
+        with mock.patch.object(classify, "truncate", wraps=classify.truncate) as cuts, \
+             mock.patch.object(classify, "green_partial_sums",
+                               wraps=classify.green_partial_sums) as runs:
+            verdict = classify_recurrence(fam, n_max=40)
+        assert verdict.verdict == "transient"
+        assert (cuts.call_count, runs.call_count) == (1, 1)
 
     def test_unknown_without_certificate(self):
         # bounded sums but no declared presentation class: stays unknown

@@ -315,6 +315,12 @@ class TestBoundaryErrors:
         self.assert_one_line_error(proc)
         assert "vertex -1 out of range" in proc.stderr
 
+    @pytest.mark.parametrize("p_max", ["0", "-5"])
+    def test_p_max_below_one(self, p_max):
+        proc = run_cli(["classify", "--family", "example1", "--n-max", "30", "--p-max", p_max])
+        self.assert_one_line_error(proc)
+        assert "p_max must be >= 1" in proc.stderr
+
     def test_sampler_giving_up(self, monkeypatch, capsys):
         import substochastic.inequalities as ineq
 
@@ -351,9 +357,12 @@ class TestBoundaryErrors:
             ["spectral", "perron", "--seed", "1"],
             ["classify", "--family", "example2", "--format", "csv"],
             ["sweep", "--family", "example2", "--seed", "1"],
+            ["classify", "--family", "example2", "--n", "5"],
+            ["spectral", "ladder", "--family", "example2", "--n-list", "2,3", "--n", "5"],
+            ["cycles", "fvs", "--family", "corollary1", "--n", "20", "--budg", "10"],
         ],
         ids=["missing-argument", "unknown-option", "perron-seed", "classify-format",
-             "sweep-seed"],
+             "sweep-seed", "classify-n", "ladder-n", "option-prefix"],
     )
     def test_usage_errors_exit_one(self, args):
         proc = run_cli(args)

@@ -39,7 +39,7 @@ from substochastic.constructions import (
 from substochastic.cycles import peel_transversal
 from substochastic.digraph import strongly_connected_components
 from substochastic.families import TruncationFamily, family_to_float
-from substochastic.inequalities import instance_stream
+from substochastic.inequalities import instance_stream, random_strong_digraph
 from substochastic.rational import poly_eval
 from substochastic.spectral import (
     _ROUTE_MAX_W,
@@ -313,6 +313,13 @@ class TestTransversalRoute:
         assert calls == [(order, order)]
         assert_contains_numpy_radius(d, lo, hi)
         assert hi - lo <= 1e-12 * hi
+
+    def test_failure_reports_the_steps_actually_run(self):
+        # a component below _SPARSE_THRESHOLD stops its dense loop at 5000
+        # steps, not at max_iter's 500,000
+        d = random_strong_digraph(random.Random(5), 9)
+        with pytest.raises(RuntimeError, match=r"did not reach tolerance -1\.0 in 5000 steps"):
+            collatz_wielandt_brackets(d, tol=-1.0)
 
 
 class TestExactBrackets:
