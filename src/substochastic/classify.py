@@ -95,7 +95,8 @@ def pruitt_certificate(d: WeightedDigraph, lam) -> list | None:
         return ones
     if d.is_exact and isinstance(lam, (int, Fraction)):
         try:
-            xi = solve_exact(exact_shifted(d, c=lam), [1] * d.order)
+            rows, scales = exact_shifted(d, c=lam)
+            xi = solve_exact(rows, scales)
         except ZeroDivisionError:
             return None
     else:

@@ -274,6 +274,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # a subcommand's defaults override its parent's, so after parsing
+        # ``_parser`` is the innermost parser the command line reached
+        self.set_defaults(_parser=self)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -366,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extras = ap.parse_known_args(argv)
+    if extras:
+        # reported by the subcommand, so its usage line shows its own options
+        args._parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (RuntimeError, ValueError, OSError, TypeError) as exc:

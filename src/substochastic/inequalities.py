@@ -15,6 +15,7 @@ findings to report, not failures.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -307,18 +308,20 @@ def check_zeta_identity(d: WeightedDigraph, v: int, z_samples: Sequence) -> Ineq
         raise ValueError(f"vertex {v} out of range")
     for z in z_samples:
         z = Fraction(z)
-        m = exact_shifted(d, z)
-        det_full = det_exact(m)
+        # the integer rows r_i = s_i (I - zS)_i: the scales divide back out of
+        # each determinant, and (I - zS) x = e_v is rows x = s_v e_v
+        rows, scales = exact_shifted(d, z)
+        det_full = det_exact(rows) / math.prod(scales)
         if det_full == 0:
             rep.notes.append(f"{fp}: sample z={z} singular, skipped")
             continue
         minor = [
-            [m[i][j] for j in range(n) if j != v]
+            [rows[i][j] for j in range(n) if j != v]
             for i in range(n)
             if i != v
         ]
-        det_minor = det_exact(minor)
-        g_vv = solve_exact(m, [int(i == v) for i in range(n)])[v]
+        det_minor = det_exact(minor) / (math.prod(scales) // scales[v])
+        g_vv = solve_exact(rows, [scales[v] if i == v else 0 for i in range(n)])[v]
         lhs = g_vv * det_full
         rep.record(fp, f"zeta@z={z}", lhs, det_minor)
         rep.record(fp, f"zeta@z={z} (reverse)", det_minor, lhs)

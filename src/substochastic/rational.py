@@ -1,8 +1,11 @@
 """Exact rational helpers: weight parsing, rigorous log bounds, exact linear algebra.
 
 Everything here operates on ``fractions.Fraction`` (or ints) and never rounds.
-One fraction-free (Bareiss) elimination serves determinants, solves and inverses.
-The floating-point counterparts live in :mod:`substochastic.spectral`.
+One fraction-free (Bareiss) elimination serves determinants, solves and inverses,
+and solves back-substitute in integers too: a Fraction is built only for each
+output entry.  The exact matrices cI - zA reach it as integer rows with row
+scales (:func:`substochastic.spectral.exact_shifted`), never as Fraction
+matrices.  The floating-point counterparts live in :mod:`substochastic.spectral`.
 """
 
 from __future__ import annotations
@@ -121,7 +124,11 @@ def _eliminate(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
         top, pivot = m[k], m[k][k]
         for row in m[k + 1:]:
             f, row[k] = row[k], 0
-            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+            tail = row[k + 1:]
+            if f:
+                row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(tail, top[k + 1:])]
+            else:  # the row is only rescaled: one product fewer per entry
+                row[k + 1:] = [x * pivot // prev for x in tail]
         prev = pivot
     return sign, scale, m
 
@@ -136,19 +143,31 @@ def det_exact(rows: Sequence[Sequence[Rat]]) -> Fraction:
 
 
 def _solve_block(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
-    """rows^{-1} right: back substitution over Fraction on the Bareiss triangle."""
+    """rows^{-1} right: fraction-free back substitution on the Bareiss triangle.
+
+    With p the last pivot, p times the solution is integral (Cramer's rule), so
+    X_i = (p c_i - sum_{j>i} U_ij X_j) / U_ii divides exactly in integers
+    (Nakos, Turner and Williams, 1997).  Each entry becomes ``Fraction(X_i, p)``
+    only at output.
+    """
     done = _eliminate(rows, right)
     if done is None:
         raise ZeroDivisionError("singular matrix in exact elimination")
     n, m = len(rows), done[2]
-    x: list[list[Fraction]] = [[]] * n
-    for i, row in reversed(list(enumerate(m))):
-        acc = [Fraction(c) for c in row[n:]]
+    if not m:
+        return []
+    p = m[-1][n - 1]
+    x: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = [p * c for c in row[n:]]
         for j in range(i + 1, n):
-            if row[j]:
-                acc = [a - row[j] * b for a, b in zip(acc, x[j])]
-        x[i] = [a / row[i] for a in acc]
-    return x
+            u = row[j]
+            if u:
+                acc = [a - u * b for a, b in zip(acc, x[j])]
+        pivot = row[i]
+        x[i] = [a // pivot for a in acc]
+    return [[Fraction(a, p) for a in xi] for xi in x]
 
 
 def solve_exact(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> list[Fraction]:

@@ -427,23 +427,46 @@ def _integer_power_brackets(d, comp, width, max_iter):
 # ---------------------------------------------------------------------------
 
 
-def exact_shifted(d: WeightedDigraph, z=1, c=1) -> list[list[Fraction]]:
-    """Rows of cI - zA as Fractions; float weights enter as their exact binary rationals."""
-    c, z, n = Fraction(c), Fraction(z), d.order
-    m = [[c if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for (u, v), w in d.arcs.items():
-        m[u][v] -= z * Fraction(w)
-    return m
+def exact_shifted(d: WeightedDigraph, z=1, c=1) -> tuple[list[list[int]], list[int]]:
+    """cI - zA as integer rows with row scales: ``(rows, scales)``.
+
+    Row i is s_i (c e_i - z A_i), where s_i is the lcm L_i of row i's weight
+    denominators times the denominators of z and c, so det(cI - zA) is
+    det(rows) / prod(scales) and (cI - zA) x = b is rows x = scales * b.
+    Float weights enter as their exact binary rationals.  The integer rows
+    L_i A_i are memoised on ``d``, and no Fraction matrix is built: the
+    exact eliminations run on these integers directly.
+    """
+    zn, zd = Fraction(z).as_integer_ratio()
+    cn, cd = Fraction(c).as_integer_ratio()
+    n = d.order
+    rows, scales = [], []
+    for i, (lcm, arcs) in enumerate(_integer_weights(d)):
+        row = [0] * n
+        for j, a in arcs:
+            row[j] = -a * zn * cd
+        row[i] += lcm * zd * cn
+        rows.append(row)
+        scales.append(lcm * zd * cd)
+    return rows, scales
+
+
+def _integer_weights(d: WeightedDigraph) -> tuple:
+    """Per vertex i, ``(L_i, ((j, L_i w_ij), ...))``, L_i the lcm of its out-weight denominators."""
+    def compute():
+        out = []
+        for i in range(d.order):
+            arcs = [(j, *w.as_integer_ratio()) for j, w in d.adjacency[i].items()]
+            lcm = math.lcm(*(den for _j, _num, den in arcs))
+            out.append((lcm, tuple((j, num * (lcm // den)) for j, num, den in arcs)))
+        return tuple(out)
+
+    return d.memo("integer_weights", compute)
 
 
 def float_shifted(d: WeightedDigraph, c: float = 1.0) -> np.ndarray:
     """cI - A as a dense float array."""
     return c * np.eye(d.order) - d.to_numpy()
-
-
-def _i_minus_a(d: WeightedDigraph):
-    """I - A in the digraph's arithmetic."""
-    return exact_shifted(d) if d.is_exact else float_shifted(d)
 
 
 def radius_brackets(d: WeightedDigraph) -> tuple:
@@ -539,9 +562,15 @@ def charpoly(d: WeightedDigraph, method: str = "elimination", budget: int = 2_00
     return list(d.memo(("charpoly", method), lambda: tuple(_elimination_charpoly(d))))
 
 
+def _det_shifted(d: WeightedDigraph, z=1):
+    """det(I - zA) exactly: the integer rows' determinant with their scales divided out."""
+    rows, scales = exact_shifted(d, z)
+    return det_exact(rows) / math.prod(scales)
+
+
 def _elimination_charpoly(d: WeightedDigraph) -> list:
     points = list(range(d.order + 1))
-    values = [det_exact(exact_shifted(d, z)) for z in points]
+    values = [_det_shifted(d, z) for z in points]
     coeffs = interpolate_exact(points, values)
     return coeffs if d.is_exact else [float(c) for c in coeffs]
 
@@ -549,8 +578,9 @@ def _elimination_charpoly(d: WeightedDigraph) -> list:
 def det_i_minus(d: WeightedDigraph):
     """det(I - A), memoised on ``d``: fraction-free elimination when exact, pivoted LU otherwise."""
     def compute():
-        m = _i_minus_a(d)
-        return det_exact(m) if d.is_exact else float(np.linalg.det(m))
+        if not d.is_exact:
+            return float(np.linalg.det(float_shifted(d)))
+        return _det_shifted(d)
 
     return d.memo("det_i_minus", compute)
 
@@ -571,12 +601,13 @@ def resolvent_diagonal(d: WeightedDigraph) -> list:
     contractive_radius(d)
 
     def compute():
-        m = _i_minus_a(d)
-        if d.is_exact:
-            inv = inverse_exact(m)
-            return tuple(inv[i][i] for i in range(d.order))
-        inv = np.linalg.inv(m)
-        return tuple(float(inv[i, i]) for i in range(d.order))
+        if not d.is_exact:
+            inv = np.linalg.inv(float_shifted(d))
+            return tuple(float(inv[i, i]) for i in range(d.order))
+        # (S^{-1} R)^{-1} = R^{-1} S for the integer rows R and row scales S
+        rows, scales = exact_shifted(d)
+        inv = inverse_exact(rows)
+        return tuple(inv[i][i] * s for i, s in enumerate(scales))
 
     return list(d.memo("resolvent_diagonal", compute))
 

@@ -3,13 +3,14 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Five fast paths keep the code they replaced as an
+dense eigensolver.  Six fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
 without the transversal route), the minimum cycle transversal (the branch
 and bound pruned by the packing bound alone, without the Levy–Low
-reduction), unbounded cycle enumeration (Johnson's blocked search) and
-exact solves and inverses (Gauss–Jordan over Fraction).
+reduction), unbounded cycle enumeration (Johnson's blocked search), exact
+solves and inverses (Gauss–Jordan over Fraction) and the matrices cI - zA
+(built entry by entry over Fraction, not as integer rows).
 """
 
 import functools
@@ -202,6 +203,15 @@ def leibniz_det(rows) -> F:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def oracle_shifted(d: WeightedDigraph, z=1, c=1) -> list[list[F]]:
+    """cI - zA entry by entry over Fraction; float weights as their exact binary rationals."""
+    c, z, n = F(c), F(z), d.order
+    m = [[c if i == j else F(0) for j in range(n)] for i in range(n)]
+    for (u, v), w in d.arcs.items():
+        m[u][v] -= z * F(w)
+    return m
 
 
 def _gauss_jordan(rows, right):

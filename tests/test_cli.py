@@ -6,7 +6,7 @@ import sys
 import jsonschema
 import pytest
 
-from substochastic.cli import main
+from substochastic.cli import EXIT_ERROR, main
 
 RUN = [sys.executable, "-m", "substochastic.cli"]
 
@@ -368,6 +368,26 @@ class TestBoundaryErrors:
         proc = run_cli(args)
         assert proc.returncode == 1
         assert "usage:" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, prog",
+        [
+            (["classify", "--family", "example2", "--n", "5"], "substochastic classify"),
+            (["spectral", "ladder", "--family", "example2", "--n-list", "2,3", "--n", "5"],
+             "substochastic spectral ladder"),
+            (["cycles", "fvs", "--family", "corollary1", "--n", "20", "--budg", "10"],
+             "substochastic cycles fvs"),
+            (["verify", "zeta", "--count", "1", "--bogus"], "substochastic verify"),
+        ],
+        ids=["classify-n", "ladder-n", "option-prefix", "verify-bogus"],
+    )
+    def test_leftover_options_show_the_subcommand_usage(self, args, prog, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} ")
+        assert f"{prog}: error: unrecognized arguments: " in err
 
 
 def test_import_leaves_scipy_unloaded():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from substochastic.inequalities import instance_stream, random_strong_digraph
-from substochastic.rational import det_exact, inverse_exact, solve_exact
+from substochastic.rational import _eliminate, det_exact, inverse_exact, solve_exact
 from substochastic.spectral import exact_shifted
 
 from conftest import leibniz_det, oracle_inverse, oracle_solve
@@ -67,6 +67,28 @@ def test_pivoting_past_a_zero_leading_entry():
     assert inverse_exact(rows) == [[0, 1], [1, 0]]
 
 
+def test_order_zero_solve_and_inverse_are_empty():
+    assert solve_exact([], []) == []
+    assert inverse_exact([]) == []
+
+
+def test_back_substitution_scales_by_the_last_pivot():
+    """p x is integral for p the last pivot, not for the last augmented entry."""
+    cases = [
+        ([[2, 0], [0, 3]], [1, 1]),
+        ([[0, F(1, 2), 1], [3, 0, F(2, 3)], [1, 1, 0]], [F(1, 5), 0, 2]),
+    ]
+    for rows, rhs in cases:
+        n = len(rows)
+        _sign, _scale, m = _eliminate(rows, [[b] for b in rhs])
+        assert m[-1][-1] != m[-1][n - 1]
+        _sign, _scale, m = _eliminate(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+        assert m[-1][-1] != m[-1][n - 1]
+        assert outcome(solve_exact, rows, rhs) == outcome(oracle_solve, rows, rhs)
+        assert outcome(inverse_exact, rows) == outcome(oracle_inverse, rows)
+    assert solve_exact(*cases[0]) == [F(1, 2), F(1, 3)]
+
+
 def test_mismatched_right_hand_side_rejected():
     with pytest.raises(ValueError):
         solve_exact([[1, 0], [0, 1]], [1])
@@ -80,7 +102,8 @@ def det_matrices(draw):
     rows = [[draw(sparse) for _ in range(n)] for _ in range(n)]
     if n >= 2 and draw(st.booleans()):
         i, j = draw(st.permutations(range(n)))[:2]
-        rows[j] = [draw(entries) * x for x in rows[i]]
+        k = draw(entries)
+        rows[j] = [k * x for x in rows[i]]
     return rows
 
 
@@ -127,6 +150,32 @@ def test_solve_and_inverse_match_gauss_jordan(d):
     n = d.order
     rhs = [F(i % 3, i + 1) for i in range(n)]
     for z in SHIFTS:
-        m = exact_shifted(d, z)
-        assert outcome(solve_exact, m, rhs) == outcome(oracle_solve, m, rhs)
-        assert outcome(inverse_exact, m) == outcome(oracle_inverse, m)
+        rows, scales = exact_shifted(d, z)
+        # the integer rows the library solves, and I - zA itself over Fraction
+        for m in rows, [[F(x, s) for x in row] for row, s in zip(rows, scales)]:
+            assert outcome(solve_exact, m, rhs) == outcome(oracle_solve, m, rhs)
+            assert outcome(inverse_exact, m) == outcome(oracle_inverse, m)
+
+
+@st.composite
+def mixed_systems(draw):
+    """Order 1-8, int and Fraction entries mixed, zero leading entries, some singular."""
+    n = draw(st.integers(1, 8))
+    cell = st.one_of(st.just(0), st.integers(-5, 5), entries)
+    rows = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = 0  # the first step must swap rows or find no pivot
+    if n >= 2 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(cell)
+        rows[j] = [k * x for x in rows[i]]  # rows i and j dependent: singular
+    rhs = [draw(cell) for _ in range(n)]
+    return rows, rhs
+
+
+@given(mixed_systems())
+@settings(max_examples=250, deadline=None)
+def test_integer_back_substitution_matches_gauss_jordan(system):
+    rows, rhs = system
+    assert outcome(solve_exact, rows, rhs) == outcome(oracle_solve, rows, rhs)
+    assert outcome(inverse_exact, rows) == outcome(oracle_inverse, rows)

@@ -38,15 +38,22 @@ from substochastic.constructions import (
 )
 from substochastic.cycles import peel_transversal
 from substochastic.digraph import strongly_connected_components
+from substochastic.classify import pruitt_certificate, verify_pruitt
 from substochastic.families import TruncationFamily, family_to_float
-from substochastic.inequalities import instance_stream, random_strong_digraph
-from substochastic.rational import poly_eval
+from substochastic.inequalities import (
+    InequalityReport,
+    check_zeta_identity,
+    instance_stream,
+    random_strong_digraph,
+)
+from substochastic.rational import det_exact, poly_eval
 from substochastic.spectral import (
     _ROUTE_MAX_W,
     _ROUTE_PREFIX,
     _SPARSE_THRESHOLD,
     _transversal_route,
     edge_operator,
+    exact_shifted,
 )
 
 from conftest import (
@@ -56,7 +63,10 @@ from conftest import (
     leibniz_det,
     loop,
     oracle_collatz_wielandt_brackets,
+    oracle_inverse,
     oracle_perron_bounds,
+    oracle_shifted,
+    oracle_solve,
     seeded_digraph,
     triangle,
     two_cycle,
@@ -363,6 +373,140 @@ class TestExactBrackets:
     def test_small_root_bracket_meets_its_width(self):
         lo, hi = perron_bounds(self.small_root_digraph())
         assert hi - lo <= spectral.BRACKET_WIDTH
+
+
+def _loops_and_an_empty_row() -> list[WeightedDigraph]:
+    """Loops (one with the row's only arc), a sink vertex (an empty row), dyadic floats."""
+    return [
+        WeightedDigraph(3, {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 2): F(2, 5),
+                            (2, 0): F(3, 7), (2, 2): F(1, 9)}),
+        WeightedDigraph(4, {(0, 1): F(1, 2), (1, 0): F(2, 3), (1, 2): F(1, 4),
+                            (2, 3): F(1, 5), (2, 2): F(5, 6)}),
+        WeightedDigraph(3, {(0, 0): F(3, 4), (1, 2): F(1, 6), (2, 1): F(7, 8)}),
+        WeightedDigraph(3, {(0, 1): 0.5, (1, 2): 0.375, (2, 0): 0.25, (1, 1): 0.125,
+                            (2, 1): 0.1}),
+        WeightedDigraph(4, {(0, 1): 0.75, (1, 0): 0.5, (1, 2): 1e-3, (2, 2): 0.3}),
+    ]
+
+
+INTEGER_ROW_DIGRAPHS = _loops_and_an_empty_row() + [seeded_digraph(s) for s in range(10)]
+EXACT_ROW_DIGRAPHS = [d for d in INTEGER_ROW_DIGRAPHS if d.is_exact]
+SAMPLES = [0, 1, 2, F(1, 3), F(-5, 2)]
+
+
+def _lift(d: WeightedDigraph) -> WeightedDigraph:
+    """The same digraph with every weight as its exact rational."""
+    return WeightedDigraph(d.order, {a: F(w) for a, w in d.arcs.items()})
+
+
+def _zeta_records(monkeypatch, d, v, samples):
+    """(inequality, lhs, rhs, margin) of every comparison ``check_zeta_identity`` records."""
+    seen = []
+    record = InequalityReport.record
+
+    def spy(self, fp, inequality, lhs, rhs):
+        seen.append((inequality, lhs, rhs, rhs - lhs))
+        return record(self, fp, inequality, lhs, rhs)
+
+    with monkeypatch.context() as m:
+        m.setattr(InequalityReport, "record", spy)
+        rep = check_zeta_identity(d, v, samples)
+    return seen, rep
+
+
+def _fraction_zeta_records(d, v, samples):
+    """The zeta comparisons as computed on the Fraction matrices of I - zA."""
+    seen, notes = [], []
+    keep = [i for i in range(d.order) if i != v]
+    for z in map(F, samples):
+        m = oracle_shifted(d, z)
+        det_full = leibniz_det(m)
+        if det_full == 0:
+            notes.append(f"sample z={z} singular, skipped")
+            continue
+        det_minor = leibniz_det([[m[i][j] for j in keep] for i in keep])
+        lhs = oracle_solve(m, [int(i == v) for i in range(d.order)])[v] * det_full
+        seen.append((f"zeta@z={z}", lhs, det_minor, det_minor - lhs))
+        seen.append((f"zeta@z={z} (reverse)", det_minor, lhs, lhs - det_minor))
+    return seen, notes
+
+
+class TestIntegerRows:
+    """cI - zA as integer rows with row scales, and every exact caller of them."""
+
+    @pytest.mark.parametrize("d", INTEGER_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
+    def test_rows_over_scales_are_the_fraction_matrix(self, d):
+        for z in SAMPLES:
+            for c in (1, F(3, 2), 2):
+                rows, scales = exact_shifted(d, z, c)
+                assert all(type(x) is int for row in rows for x in row)
+                assert all(type(s) is int and s > 0 for s in scales)
+                assert [[F(x, s) for x in row] for row, s in zip(rows, scales)] == \
+                    oracle_shifted(d, z, c)
+
+    def test_empty_row_has_unit_scale(self):
+        rows, scales = exact_shifted(INTEGER_ROW_DIGRAPHS[1], 3)
+        assert rows[3] == [0, 0, 0, 1] and scales[3] == 1
+
+    @pytest.mark.parametrize("d", INTEGER_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
+    def test_elimination_matches_coates_and_leibniz(self, d):
+        lifted = _lift(d)
+        coeffs = charpoly(d, "elimination")
+        exact = charpoly(lifted, "elimination")
+        assert exact == coates_charpoly(lifted)
+        if d.is_exact:
+            assert coeffs == exact
+        else:  # float digraphs get the exact coefficients rounded once
+            assert coeffs == [float(c) for c in exact]
+        for z in SAMPLES:
+            assert poly_eval(exact, F(z)) == leibniz_det(oracle_shifted(d, z))
+
+    @pytest.mark.parametrize("d", EXACT_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
+    def test_det_i_minus_as_on_the_fraction_matrix(self, d):
+        det = det_i_minus(d)
+        assert repr(det) == repr(det_exact(oracle_shifted(d)))
+        assert det == leibniz_det(oracle_shifted(d))
+
+    @pytest.mark.parametrize("d", EXACT_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
+    def test_resolvent_diagonal_as_on_the_fraction_matrix(self, d):
+        inv = oracle_inverse(oracle_shifted(d))
+        assert repr(resolvent_diagonal(d)) == repr([inv[i][i] for i in range(d.order)])
+
+    @pytest.mark.parametrize("d", EXACT_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
+    def test_zeta_records_as_on_the_fraction_matrices(self, monkeypatch, d):
+        for v in range(d.order):
+            seen, rep = _zeta_records(monkeypatch, d, v, SAMPLES)
+            want, notes = _fraction_zeta_records(d, v, SAMPLES)
+            assert repr(seen) == repr(want)
+            assert rep.min_margin == min((r[3] for r in want), default=None)
+            assert [n.split(": ", 1)[1] for n in rep.notes] == notes
+
+    def test_zeta_on_a_loop_skips_its_singular_sample(self, monkeypatch):
+        seen, rep = _zeta_records(monkeypatch, loop(F(1, 2)), 0, [F(1, 3), F(2)])
+        assert repr(seen) == repr(_fraction_zeta_records(loop(F(1, 2)), 0, [F(1, 3), F(2)])[0])
+        assert len(seen) == 2 and len(rep.notes) == 1
+
+    @pytest.mark.parametrize("lam", [F(1, 2), F(9, 10), F(3, 2), 2])
+    @pytest.mark.parametrize("d", EXACT_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
+    def test_pruitt_vector_as_on_the_fraction_matrix(self, d, lam):
+        n = d.order
+        want = [F(1)] * n
+        if not verify_pruitt(d, want, lam)[0]:
+            try:
+                want = oracle_solve(oracle_shifted(d, c=lam), [1] * n)
+            except ZeroDivisionError:
+                want = None
+            if want is not None and not verify_pruitt(d, want, lam)[0]:
+                want = None
+        assert repr(pruitt_certificate(d, lam)) == repr(want)
+
+    def test_pruitt_cases_reach_the_solve(self):
+        solved = [
+            (d, lam) for d in EXACT_ROW_DIGRAPHS for lam in (F(9, 10), F(3, 2), 2)
+            if not verify_pruitt(d, [F(1)] * d.order, lam)[0]
+            and pruitt_certificate(d, lam) is not None
+        ]
+        assert len(solved) >= 5
 
 
 class TestCharpoly:
