@@ -21,8 +21,7 @@ import numpy as np
 from .digraph import Tag, WeightedDigraph
 from .errors import MetadataError
 from .families import FamilyFacts, TruncationFamily, truncate
-from .rational import solve_exact
-from .spectral import edge_operator, exact_shifted, float_shifted, perron_ladder
+from .spectral import edge_operator, float_shifted, perron_ladder, solve_shifted
 
 TRANSIENT = "transient"
 RECURRENT = "recurrent"
@@ -95,8 +94,7 @@ def pruitt_certificate(d: WeightedDigraph, lam) -> list | None:
         return ones
     if d.is_exact and isinstance(lam, (int, Fraction)):
         try:
-            rows, scales = exact_shifted(d, c=lam)
-            xi = solve_exact(rows, scales)
+            xi = solve_shifted(d, ones, c=lam)
         except ZeroDivisionError:
             return None
     else:

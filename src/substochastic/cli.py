@@ -230,7 +230,9 @@ def _cmd_fit(args) -> int:
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
-        if parts[0] == "n" or not parts[0].lstrip("-").replace(".", "").isdigit():
+        try:
+            float(parts[0])
+        except ValueError:
             header = [p.strip() for p in parts]
             if args.x_col in header:
                 x_col = header.index(args.x_col)
@@ -252,6 +254,18 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse ``type=`` for integers >= ``low``: a smaller value is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser, digraph_ok=True):
     """Mode, output and family options; ``digraph_ok`` adds --digraph and --n for one digraph."""
     p.add_argument("--mode", choices=("exact", "float"), default="exact",
@@ -262,7 +276,8 @@ def _add_common(p: argparse.ArgumentParser, digraph_ok=True):
     p.add_argument("--family", choices=BUILTIN_FAMILIES, help="built-in family name")
     p.add_argument("--params", help="family parameters as a JSON object")
     if digraph_ok:
-        p.add_argument("--n", type=int, default=None, help="truncation order for --family")
+        p.add_argument("--n", type=_int_at_least(1), default=None,
+                       help="truncation order for --family")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = cyc_sub.add_parser("enumerate")
     _add_common(p)
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-count", type=int, default=None)
+    p.add_argument("--max-count", type=_int_at_least(0), default=None)
     p = cyc_sub.add_parser("fvs")
     _add_common(p)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=_int_at_least(0), default=200_000)
     p = cyc_sub.add_parser("omega")
     _add_common(p)
     p.add_argument("--improper", action="store_true",
@@ -337,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a determinant-inequality suite")
     ver.add_argument("suite", choices=SUITES)
-    ver.add_argument("--count", type=int, default=100)
+    ver.add_argument("--count", type=_int_at_least(0), default=100)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--order-max", type=int, default=8)
+    ver.add_argument("--order-max", type=_int_at_least(2), default=8)
     ver.add_argument("--mode", choices=("exact", "float"), default="exact")
     ver.add_argument("--k", type=int, default=None, help="sigma_k degree (default: all)")
     ver.add_argument("--out", default=None)

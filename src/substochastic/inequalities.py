@@ -15,7 +15,6 @@ findings to report, not failures.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,14 +22,14 @@ from typing import Iterable, Sequence
 
 from .cycles import TransversalResult, is_cycle_transversal, min_cycle_transversal
 from .digraph import WeightedDigraph, strongly_connected_components
-from .rational import det_exact, solve_exact
 from .spectral import (
     charpoly,
     contractive_radius,
     det_i_minus,
-    exact_shifted,
+    det_shifted,
     radius_brackets,
     resolvent_diagonal,
+    solve_shifted,
 )
 
 
@@ -306,22 +305,16 @@ def check_zeta_identity(d: WeightedDigraph, v: int, z_samples: Sequence) -> Ineq
     n = d.order
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range")
+    minor = d.induced(u for u in range(n) if u != v)
+    e_v = [int(i == v) for i in range(n)]
     for z in z_samples:
         z = Fraction(z)
-        # the integer rows r_i = s_i (I - zS)_i: the scales divide back out of
-        # each determinant, and (I - zS) x = e_v is rows x = s_v e_v
-        rows, scales = exact_shifted(d, z)
-        det_full = det_exact(rows) / math.prod(scales)
+        det_full = det_shifted(d, z)
         if det_full == 0:
             rep.notes.append(f"{fp}: sample z={z} singular, skipped")
             continue
-        minor = [
-            [rows[i][j] for j in range(n) if j != v]
-            for i in range(n)
-            if i != v
-        ]
-        det_minor = det_exact(minor) / (math.prod(scales) // scales[v])
-        g_vv = solve_exact(rows, [scales[v] if i == v else 0 for i in range(n)])[v]
+        det_minor = det_shifted(minor, z)
+        g_vv = solve_shifted(d, e_v, z)[v]
         lhs = g_vv * det_full
         rep.record(fp, f"zeta@z={z}", lhs, det_minor)
         rep.record(fp, f"zeta@z={z} (reverse)", det_minor, lhs)

@@ -3,9 +3,9 @@
 Everything here operates on ``fractions.Fraction`` (or ints) and never rounds.
 One fraction-free (Bareiss) elimination serves determinants, solves and inverses,
 and solves back-substitute in integers too: a Fraction is built only for each
-output entry.  The exact matrices cI - zA reach it as integer rows with row
-scales (:func:`substochastic.spectral.exact_shifted`), never as Fraction
-matrices.  The floating-point counterparts live in :mod:`substochastic.spectral`.
+output entry, and so does interpolation at the nodes 0..n.  The matrices
+cI - zA reach it as integer rows from :mod:`substochastic.spectral`, the one
+reader of their row scales and home of the floating-point counterparts.
 """
 
 from __future__ import annotations
@@ -181,30 +181,28 @@ def inverse_exact(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
     return _solve_block(rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
-def interpolate_exact(points: Sequence[Rat], values: Sequence[Rat]) -> list[Fraction]:
-    """Coefficients (ascending) of the polynomial through the given points.
+def interpolate_exact(values: Sequence[Rat]) -> list[Fraction]:
+    """Coefficients (ascending) of the polynomial through (k, values[k]), k = 0..n.
 
-    Newton divided differences, everything exact.
+    In integers: forward differences of the numerators over one denominator D,
+    then Horner on the Newton form with weights n!/k! gives n! D p(z); each
+    coefficient becomes one Fraction, divided by n! D, at output.
     """
-    xs = [Fraction(x) for x in points]
-    coeffs_newton = [Fraction(v) for v in values]
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs_newton[i] = (coeffs_newton[i] - coeffs_newton[i - 1]) / (xs[i] - xs[i - j])
-    # expand Newton form to monomial coefficients
-    out = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        # out <- out * (x - xs[i]) + c_i
-        carry = [Fraction(0)] * n
-        for k in range(n - 1):
-            carry[k + 1] += out[k]
-            carry[k] -= xs[i] * out[k]
-        carry[0] += coeffs_newton[i]
-        out = carry
+    den = math.lcm(*(v.denominator for v in values))
+    ys = [v.numerator * (den // v.denominator) for v in values]
+    n = len(ys) - 1
+    for k in range(1, n + 1):  # ys[k] becomes Delta^k y_0
+        for i in range(n, k - 1, -1):
+            ys[i] -= ys[i - 1]
+    out: list[int] = []
+    weight = 1  # n!/k!
+    for k in range(n, -1, -1):  # out <- out * (z - k) + (n!/k!) Delta^k y_0
+        out = [a - k * b for a, b in zip([0, *out], [*out, 0])]
+        out[0] += weight * ys[k]
+        weight *= k or 1
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return out
+    return [Fraction(c, weight * den) for c in out]
 
 
 def poly_eval(coeffs: Sequence, z):

@@ -24,7 +24,7 @@ from .cycles import enumerate_cycles, peel_transversal
 from .digraph import WeightedDigraph, strongly_connected_components
 from .errors import BudgetExceededError, SpectralRadiusError
 from .families import TruncationFamily, truncate
-from .rational import det_exact, interpolate_exact, inverse_exact, poly_eval
+from .rational import det_exact, interpolate_exact, inverse_exact, poly_eval, solve_exact
 
 _SPARSE_THRESHOLD = 256
 
@@ -562,16 +562,20 @@ def charpoly(d: WeightedDigraph, method: str = "elimination", budget: int = 2_00
     return list(d.memo(("charpoly", method), lambda: tuple(_elimination_charpoly(d))))
 
 
-def _det_shifted(d: WeightedDigraph, z=1):
+def det_shifted(d: WeightedDigraph, z=1):
     """det(I - zA) exactly: the integer rows' determinant with their scales divided out."""
     rows, scales = exact_shifted(d, z)
     return det_exact(rows) / math.prod(scales)
 
 
+def solve_shifted(d: WeightedDigraph, b: Sequence, z=1, c=1) -> list[Fraction]:
+    """(cI - zA)^{-1} b exactly: the integer rows solved against ``scales * b``."""
+    rows, scales = exact_shifted(d, z, c)
+    return solve_exact(rows, [s * x for s, x in zip(scales, b, strict=True)])
+
+
 def _elimination_charpoly(d: WeightedDigraph) -> list:
-    points = list(range(d.order + 1))
-    values = [_det_shifted(d, z) for z in points]
-    coeffs = interpolate_exact(points, values)
+    coeffs = interpolate_exact([det_shifted(d, z) for z in range(d.order + 1)])
     return coeffs if d.is_exact else [float(c) for c in coeffs]
 
 
@@ -580,7 +584,7 @@ def det_i_minus(d: WeightedDigraph):
     def compute():
         if not d.is_exact:
             return float(np.linalg.det(float_shifted(d)))
-        return _det_shifted(d)
+        return det_shifted(d)
 
     return d.memo("det_i_minus", compute)
 

@@ -135,6 +135,8 @@ def fit_decay(
         pts = pts[window[0]: window[1]]
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit")
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise ValueError("points must be finite in the fitted window")
     if any(g <= 0 for _, g in pts):
         raise ValueError("gaps must be positive in the fitted window")
     x = np.log([float(n) for n, _ in pts])

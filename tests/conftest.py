@@ -3,14 +3,15 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Six fast paths keep the code they replaced as an
+dense eigensolver.  Seven fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
 without the transversal route), the minimum cycle transversal (the branch
 and bound pruned by the packing bound alone, without the Levy–Low
 reduction), unbounded cycle enumeration (Johnson's blocked search), exact
-solves and inverses (Gauss–Jordan over Fraction) and the matrices cI - zA
-(built entry by entry over Fraction, not as integer rows).
+solves and inverses (Gauss–Jordan over Fraction), the matrices cI - zA
+(built entry by entry over Fraction, not as integer rows) and polynomial
+interpolation (Newton divided differences over Fraction on any nodes).
 """
 
 import functools
@@ -242,6 +243,32 @@ def oracle_solve(rows, rhs) -> list[F]:
 def oracle_inverse(rows) -> list[list[F]]:
     n = len(rows)
     return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def oracle_interpolate(points, values) -> list[F]:
+    """Coefficients (ascending) of the polynomial through the given points.
+
+    Newton divided differences, everything exact.
+    """
+    xs = [Fraction(x) for x in points]
+    coeffs_newton = [Fraction(v) for v in values]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coeffs_newton[i] = (coeffs_newton[i] - coeffs_newton[i - 1]) / (xs[i] - xs[i - j])
+    # expand Newton form to monomial coefficients
+    out = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        # out <- out * (x - xs[i]) + c_i
+        carry = [Fraction(0)] * n
+        for k in range(n - 1):
+            carry[k + 1] += out[k]
+            carry[k] -= xs[i] * out[k]
+        carry[0] += coeffs_newton[i]
+        out = carry
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def eig_radius(d: WeightedDigraph) -> float:

@@ -252,6 +252,22 @@ class TestSweepAndFit:
         payload = json.loads(fit.stdout)
         assert -0.6 < payload["slope"] < -0.4
 
+    def test_fit_reads_every_float_row(self):
+        # "1e2" is a number, not a header: all four rows are fitted
+        fit = run_cli(["fit", "--input", "-"],
+                      stdin_text="n,gap\n10,0.1\n1e2,0.01\n1000,0.001\n10000,0.0001\n")
+        assert fit.returncode == 0
+        payload = json.loads(fit.stdout)
+        assert payload["points"] == 4 and payload["slope"] == pytest.approx(-1)
+
+    @pytest.mark.parametrize("rows", ["inf,0.5\n", "40,nan\n"], ids=["inf-n", "nan-gap"])
+    def test_fit_rejects_non_finite_points(self, rows):
+        text = "n,gap\n10,0.1\n20,0.05\n30,0.03\n" + rows
+        fit = run_cli(["fit", "--input", "-"], stdin_text=text)
+        assert fit.returncode == 1 and fit.stdout == ""
+        lines = fit.stderr.strip().splitlines()
+        assert lines == ["error: points must be finite in the fitted window"]
+
     def test_error_exit_code(self):
         proc = run_cli(["fit", "--input", "/nonexistent/file.csv"])
         assert proc.returncode == 1
@@ -360,9 +376,18 @@ class TestBoundaryErrors:
             ["classify", "--family", "example2", "--n", "5"],
             ["spectral", "ladder", "--family", "example2", "--n-list", "2,3", "--n", "5"],
             ["cycles", "fvs", "--family", "corollary1", "--n", "20", "--budg", "10"],
+            ["cycles", "fvs", "--family", "corollary1", "--n", "20", "--budget", "-1"],
+            ["cycles", "enumerate", "--family", "corollary1", "--n", "5", "--max-count", "-1"],
+            ["verify", "ksv", "--count", "-2"],
+            ["verify", "ksv", "--count", "1", "--order-max", "1"],
+            ["cycles", "omega", "--family", "corollary1", "--n", "-2"],
+            ["spectral", "charpoly", "--family", "corollary1", "--n", "0"],
+            ["verify", "ksv", "--count", "two"],
         ],
         ids=["missing-argument", "unknown-option", "perron-seed", "classify-format",
-             "sweep-seed", "classify-n", "ladder-n", "option-prefix"],
+             "sweep-seed", "classify-n", "ladder-n", "option-prefix", "negative-budget",
+             "negative-max-count", "negative-count", "order-max-below-two", "negative-n",
+             "zero-n", "count-not-int"],
     )
     def test_usage_errors_exit_one(self, args):
         proc = run_cli(args)

@@ -1,5 +1,6 @@
-"""Exact det, solve and inverse against Leibniz determinants, Cramer's rule and
-the Gauss–Jordan elimination they replaced."""
+"""Exact det, solve, inverse and interpolation against Leibniz determinants,
+Cramer's rule, and the Gauss–Jordan elimination and Newton divided differences
+they replaced."""
 
 import random
 from fractions import Fraction as F
@@ -9,10 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from substochastic.inequalities import instance_stream, random_strong_digraph
-from substochastic.rational import _eliminate, det_exact, inverse_exact, solve_exact
+from substochastic.rational import (
+    _eliminate,
+    det_exact,
+    interpolate_exact,
+    inverse_exact,
+    poly_eval,
+    solve_exact,
+)
 from substochastic.spectral import exact_shifted
 
-from conftest import leibniz_det, oracle_inverse, oracle_solve
+from conftest import leibniz_det, oracle_interpolate, oracle_inverse, oracle_solve
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -179,3 +187,49 @@ def test_integer_back_substitution_matches_gauss_jordan(system):
     rows, rhs = system
     assert outcome(solve_exact, rows, rhs) == outcome(oracle_solve, rows, rhs)
     assert outcome(inverse_exact, rows) == outcome(oracle_inverse, rows)
+
+
+@st.composite
+def node_values(draw):
+    """Values at 0..n, n < 14: arbitrary, all zero, ending in zeros, or of low degree.
+
+    Values of a polynomial of degree below n leave zero top coefficients, which
+    the interpolation must trim.
+    """
+    length = draw(st.integers(1, 14))
+    big = st.integers(-10**30, 10**30)
+    kind = draw(st.sampled_from(["any", "zero", "trailing", "low-degree"]))
+    if kind == "zero":
+        return [0] * length
+    if kind == "low-degree":
+        coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=length))
+        return [poly_eval(coeffs, k) for k in range(length)]
+    values = [draw(st.one_of(st.integers(-9, 9), big)) for _ in range(length)]
+    if kind == "trailing":
+        zeros = draw(st.integers(1, length))
+        values[-zeros:] = [0] * zeros
+    return values
+
+
+@given(node_values())
+@settings(max_examples=300, deadline=None)
+def test_interpolation_matches_divided_differences(values):
+    assert repr(interpolate_exact(values)) == \
+        repr(oracle_interpolate(range(len(values)), values))
+
+
+@given(node_values(), st.integers(1, 10**12))
+@settings(max_examples=100, deadline=None)
+def test_interpolation_of_rational_values(values, den):
+    values = [F(v, den) for v in values]
+    assert repr(interpolate_exact(values)) == \
+        repr(oracle_interpolate(range(len(values)), values))
+
+
+def test_interpolation_pins():
+    assert interpolate_exact([7]) == [7]
+    assert interpolate_exact([0, 0, 0]) == [0]
+    assert interpolate_exact([1, 2, 5, 10]) == [1, 0, 1]  # 1 + z^2, top term trimmed
+    assert interpolate_exact([0, 1, 0]) == [0, 2, -1]
+    assert interpolate_exact([F(1, 2), F(1, 3)]) == [F(1, 2), F(-1, 6)]
+    assert all(type(c) is F for c in interpolate_exact([3, -1, 4, -1, 5]))

@@ -481,6 +481,33 @@ class TestIntegerRows:
             assert rep.min_margin == min((r[3] for r in want), default=None)
             assert [n.split(": ", 1)[1] for n in rep.notes] == notes
 
+    @pytest.mark.parametrize("v", [0, 5], ids=["first", "last"])
+    def test_zeta_minor_has_its_own_row_scales(self, monkeypatch, v):
+        # only the arcs into v carry sevenths, so the induced minor's rows drop them
+        arcs = {(u, (u + 1) % 6): F(1, 3) for u in range(6)}
+        arcs.update({(u, v): F(1, 7) for u in (1, 2, 3, 4) if u != v})
+        arcs.update({(v, u): F(2, 11) for u in (2, 3)})
+        d = WeightedDigraph(6, arcs)
+        keep = [u for u in range(6) if u != v]
+        _rows, scales = exact_shifted(d)
+        _rows, minor_scales = exact_shifted(d.induced(keep))
+        assert minor_scales != [scales[u] for u in keep]
+        seen, rep = _zeta_records(monkeypatch, d, v, SAMPLES)
+        want, notes = _fraction_zeta_records(d, v, SAMPLES)
+        assert repr(seen) == repr(want) and len(seen) == 2 * len(SAMPLES)
+        assert rep.ok and not rep.notes and not notes
+
+    def test_one_interpolation_per_charpoly(self, monkeypatch):
+        calls = []
+        interpolate = spectral.interpolate_exact
+        monkeypatch.setattr(spectral, "interpolate_exact",
+                            lambda values: calls.append(len(values)) or interpolate(values))
+        for d in INTEGER_ROW_DIGRAPHS[:4]:
+            fresh = WeightedDigraph(d.order, d.arcs)
+            assert charpoly(fresh) == charpoly(fresh)
+            assert calls[-1] == d.order + 1
+        assert len(calls) == 4
+
     def test_zeta_on_a_loop_skips_its_singular_sample(self, monkeypatch):
         seen, rep = _zeta_records(monkeypatch, loop(F(1, 2)), 0, [F(1, 3), F(2)])
         assert repr(seen) == repr(_fraction_zeta_records(loop(F(1, 2)), 0, [F(1, 3), F(2)])[0])
