@@ -51,14 +51,14 @@ def _emit(text: str, out_path: str | None):
 
 
 def _load_digraph(args) -> WeightedDigraph:
-    if getattr(args, "digraph", None):
+    if args.digraph:
         if args.digraph == "-":
             text = sys.stdin.read()
         else:
             with open(args.digraph) as fh:
                 text = fh.read()
         return WeightedDigraph.from_json(text, mode=args.mode)
-    if getattr(args, "family", None):
+    if args.family:
         fam = _load_family(args)
         n = args.n
         if n is None:
@@ -68,7 +68,7 @@ def _load_digraph(args) -> WeightedDigraph:
 
 
 def _load_family(args):
-    params = json.loads(args.params) if getattr(args, "params", None) else {}
+    params = json.loads(args.params) if args.params else {}
     fam = family_from_config(args.family, params)
     if args.mode == "float":
         fam = family_to_float(fam)
@@ -88,78 +88,75 @@ def _gain_payload(g) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_cycles(args) -> int:
-    d = _load_omega_host(args) if args.cycles_op == "omega" else _load_digraph(args)
-    if args.cycles_op == "enumerate":
-        stream = enumerate_cycles(d, max_length=args.max_len, max_count=args.max_count)
-        cycles = [
-            {
-                "vertices": [v + 1 for v in c.vertices],
-                "length": c.length,
-                "weight": weight_to_str(c.weight),
-                "gain": _gain_payload(c.gain),
-            }
-            for c in stream
-        ]
-        _emit(json.dumps({"cycles": cycles, "truncated": stream.truncated}, indent=2),
-              args.out)
-        return EXIT_OK
-    if args.cycles_op == "fvs":
-        res = min_cycle_transversal(d, budget=args.budget)
-        _emit(json.dumps({
-            "vertices": sorted(v + 1 for v in res.vertices),
-            "size": res.size,
-            "optimality": res.optimality,
-        }, indent=2), args.out)
-        return EXIT_OK if res.optimality == "exact" else EXIT_NUMERICAL
-    if args.cycles_op == "omega":
-        family_mode = bool(getattr(args, "family", None)) and args.n is not None
-        g = sup_cycle_gain(
-            d, max_length=args.n, proper_only=not (args.improper or family_mode)
-        )
-        _emit(json.dumps({"omega": _gain_payload(g), "max_length": args.n}, indent=2),
-              args.out)
-        return EXIT_OK
-    raise SystemExit(f"unknown cycles op {args.cycles_op}")
+def _cmd_enumerate(args) -> int:
+    stream = enumerate_cycles(_load_digraph(args), max_length=args.max_len,
+                              max_count=args.max_count)
+    cycles = [
+        {
+            "vertices": [v + 1 for v in c.vertices],
+            "length": c.length,
+            "weight": weight_to_str(c.weight),
+            "gain": _gain_payload(c.gain),
+        }
+        for c in stream
+    ]
+    _emit(json.dumps({"cycles": cycles, "truncated": stream.truncated}, indent=2), args.out)
+    return EXIT_OK
 
 
-def _load_omega_host(args) -> WeightedDigraph:
-    """For families, include the window truncation containing all short cycles."""
-    if getattr(args, "family", None) and args.n is not None:
+def _cmd_fvs(args) -> int:
+    res = min_cycle_transversal(_load_digraph(args), budget=args.budget)
+    _emit(json.dumps({
+        "vertices": sorted(v + 1 for v in res.vertices),
+        "size": res.size,
+        "optimality": res.optimality,
+    }, indent=2), args.out)
+    return EXIT_OK if res.optimality == "exact" else EXIT_NUMERICAL
+
+
+def _cmd_omega(args) -> int:
+    family_mode = bool(args.family) and args.n is not None
+    if family_mode:
+        # every cycle of the infinite digraph of length <= n lies in the window truncation
         fam = _load_family(args)
         window = fam.omega_window(args.n) if fam.omega_window is not None else args.n
-        return truncate(fam, max(window, args.n))
-    return _load_digraph(args)
+        d = truncate(fam, max(window, args.n))
+    else:
+        d = _load_digraph(args)
+    g = sup_cycle_gain(d, max_length=args.n, proper_only=not (args.improper or family_mode))
+    _emit(json.dumps({"omega": _gain_payload(g), "max_length": args.n}, indent=2), args.out)
+    return EXIT_OK
 
 
-def _cmd_spectral(args) -> int:
-    if args.spectral_op == "perron":
-        d = _load_digraph(args)
-        _emit(json.dumps({"perron_root": perron_root(d, tol=args.tol)}, indent=2), args.out)
-        return EXIT_OK
-    if args.spectral_op == "charpoly":
-        d = _load_digraph(args)
-        coeffs = charpoly(d, method=args.method)
-        _emit(json.dumps({
-            "method": args.method,
-            "coefficients": [weight_to_str(c) for c in coeffs],
-            "nonzero_eig_count": len(coeffs) - 1,
-            "det_at_one": weight_to_str(sum(coeffs)),
-        }, indent=2), args.out)
-        return EXIT_OK
-    if args.spectral_op == "ladder":
-        fam = _load_family(args)
-        ns = [int(x) for x in args.n_list.split(",")]
-        spec = perron_ladder(fam, ns, mode=args.ladder_mode)
-        lines = ["n,lambda_n,gap_to_limit"]
-        for n in sorted(spec.values):
-            gap = ""
-            if spec.limit_method == "closed-form":
-                gap = repr(spec.limit_estimate - spec.values[n])
-            lines.append(f"{n},{spec.values[n]!r},{gap}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    raise SystemExit(f"unknown spectral op {args.spectral_op}")
+def _cmd_perron(args) -> int:
+    d = _load_digraph(args)
+    _emit(json.dumps({"perron_root": perron_root(d, tol=args.tol)}, indent=2), args.out)
+    return EXIT_OK
+
+
+def _cmd_charpoly(args) -> int:
+    coeffs = charpoly(_load_digraph(args), method=args.method)
+    _emit(json.dumps({
+        "method": args.method,
+        "coefficients": [weight_to_str(c) for c in coeffs],
+        "nonzero_eig_count": len(coeffs) - 1,
+        "det_at_one": weight_to_str(sum(coeffs)),
+    }, indent=2), args.out)
+    return EXIT_OK
+
+
+def _cmd_ladder(args) -> int:
+    fam = _load_family(args)
+    ns = [int(x) for x in args.n_list.split(",")]
+    spec = perron_ladder(fam, ns, mode=args.ladder_mode)
+    lines = ["n,lambda_n,gap_to_limit"]
+    for n in sorted(spec.values):
+        gap = ""
+        if spec.limit_method == "closed-form":
+            gap = repr(spec.limit_estimate - spec.values[n])
+        lines.append(f"{n},{spec.values[n]!r},{gap}")
+    _emit("\n".join(lines) + "\n", args.out)
+    return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
@@ -266,20 +263,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser, digraph_ok=True):
-    """Mode, output and family options; ``digraph_ok`` adds --digraph and --n for one digraph."""
-    p.add_argument("--mode", choices=("exact", "float"), default="exact",
-                   help="arithmetic mode for weights")
-    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    if digraph_ok:
-        p.add_argument("--digraph", help="digraph JSON file ('-' for stdin)")
-    p.add_argument("--family", choices=BUILTIN_FAMILIES, help="built-in family name")
-    p.add_argument("--params", help="family parameters as a JSON object")
-    if digraph_ok:
-        p.add_argument("--n", type=_int_at_least(1), default=None,
-                       help="truncation order for --family")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_ERROR; argparse's own 2 would read as EXIT_NUMERICAL.
 
@@ -289,8 +272,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        # a subcommand's defaults override its parent's, so after parsing
-        # ``_parser`` is the innermost parser the command line reached
+        # a subcommand's defaults override those of the command above it, so
+        # after parsing ``_parser`` is the innermost parser the command line reached
         self.set_defaults(_parser=self)
 
     def error(self, message):
@@ -299,6 +282,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each shared option is declared once, in a parent parser.  Commands that
+    # include a parent share its Action objects, so a command's own
+    # set_defaults would change them for every command: sweep declares its own
+    # --mode for its float default.
+    out, mode, family, params, digraph = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    out.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    mode.add_argument("--mode", choices=("exact", "float"), default="exact",
+                      help="arithmetic mode for weights")
+    family.add_argument("--family", choices=BUILTIN_FAMILIES, help="built-in family name")
+    params.add_argument("--params", help="family parameters as a JSON object")
+    digraph.add_argument("--digraph", help="digraph JSON file ('-' for stdin)")
+    digraph.add_argument("--n", type=_int_at_least(1), default=None,
+                         help="truncation order for --family")
+    one_family = [mode, out, family, params]
+    one_digraph = [mode, out, digraph, family, params]
+
+    def leaf(subparsers, name, func, parents, **kwargs):
+        p = subparsers.add_parser(name, parents=parents, **kwargs)
+        p.set_defaults(func=func)
+        return p
+
     ap = _Parser(
         prog="substochastic",
         description="Spectral analysis of substochastic weightings of strong digraphs",
@@ -307,77 +312,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     cyc = sub.add_parser("cycles", help="cycle enumeration, transversals, gain suprema")
     cyc_sub = cyc.add_subparsers(dest="cycles_op", required=True)
-    p = cyc_sub.add_parser("enumerate")
-    _add_common(p)
-    p.add_argument("--max-len", type=int, default=None)
+    p = leaf(cyc_sub, "enumerate", _cmd_enumerate, one_digraph)
+    p.add_argument("--max-len", type=_int_at_least(1), default=None)
     p.add_argument("--max-count", type=_int_at_least(0), default=None)
-    p = cyc_sub.add_parser("fvs")
-    _add_common(p)
+    p = leaf(cyc_sub, "fvs", _cmd_fvs, one_digraph)
     p.add_argument("--budget", type=_int_at_least(0), default=200_000)
-    p = cyc_sub.add_parser("omega")
-    _add_common(p)
+    p = leaf(cyc_sub, "omega", _cmd_omega, one_digraph)
     p.add_argument("--improper", action="store_true",
                    help="include the cycle equal to the whole digraph")
-    cyc.set_defaults(func=_cmd_cycles)
 
     spec = sub.add_parser("spectral", help="Perron roots, characteristic polynomials, ladders")
     spec_sub = spec.add_subparsers(dest="spectral_op", required=True)
-    p = spec_sub.add_parser("perron")
-    _add_common(p)
+    p = leaf(spec_sub, "perron", _cmd_perron, one_digraph)
     p.add_argument("--tol", type=float, default=1e-12)
-    p = spec_sub.add_parser("charpoly")
-    _add_common(p)
+    p = leaf(spec_sub, "charpoly", _cmd_charpoly, one_digraph)
     p.add_argument("--method", choices=("coates", "elimination"), default="elimination")
-    p = spec_sub.add_parser("ladder")
-    _add_common(p, digraph_ok=False)
+    p = leaf(spec_sub, "ladder", _cmd_ladder, one_family)
     p.add_argument("--n-list", required=True, help="comma-separated truncation orders")
     p.add_argument("--ladder-mode", choices=("leading", "sup_exact", "witness"),
                    default="leading")
-    spec.set_defaults(func=_cmd_spectral)
 
-    cls = sub.add_parser("classify", help="transience/recurrence verdict for a family")
-    _add_common(cls, digraph_ok=False)
-    cls.add_argument("--n-max", type=int, default=120)
-    cls.add_argument("--p-max", type=int, default=1000)
-    cls.add_argument("--vertex", type=int, default=None)
-    cls.set_defaults(func=_cmd_classify)
+    p = leaf(sub, "classify", _cmd_classify, one_family,
+             help="transience/recurrence verdict for a family")
+    p.add_argument("--n-max", type=_int_at_least(1), default=120)
+    p.add_argument("--p-max", type=int, default=1000)
+    p.add_argument("--vertex", type=int, default=None)
 
-    con = sub.add_parser("construct", help="build a named family and emit a truncation")
-    con.add_argument("family", choices=BUILTIN_FAMILIES)
-    con.add_argument("--params", help="JSON parameters")
-    con.add_argument("--emit-truncation", type=int, required=True)
-    con.add_argument("--mode", choices=("exact", "float"), default="exact")
-    con.add_argument("--out", default=None)
-    con.set_defaults(func=_cmd_construct)
+    p = leaf(sub, "construct", _cmd_construct, [mode, out, params],
+             help="build a named family and emit a truncation")
+    p.add_argument("family", choices=BUILTIN_FAMILIES)
+    p.add_argument("--emit-truncation", type=int, required=True)
 
-    ver = sub.add_parser("verify", help="run a determinant-inequality suite")
-    ver.add_argument("suite", choices=SUITES)
-    ver.add_argument("--count", type=_int_at_least(0), default=100)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--order-max", type=_int_at_least(2), default=8)
-    ver.add_argument("--mode", choices=("exact", "float"), default="exact")
-    ver.add_argument("--k", type=int, default=None, help="sigma_k degree (default: all)")
-    ver.add_argument("--out", default=None)
-    ver.set_defaults(func=_cmd_verify)
+    p = leaf(sub, "verify", _cmd_verify, [mode, out], help="run a determinant-inequality suite")
+    p.add_argument("suite", choices=SUITES)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--order-max", type=_int_at_least(2), default=8)
+    p.add_argument("--k", type=int, default=None, help="sigma_k degree (default: all)")
 
-    sw = sub.add_parser("sweep", help="per-n ladder/gain sweep over a family")
-    sw.add_argument("--family", choices=BUILTIN_FAMILIES, required=True)
-    sw.add_argument("--params", help="JSON parameters")
-    sw.add_argument("--n-grid", help="comma-separated strictly increasing orders")
-    sw.add_argument("--mode", choices=("exact", "float"), default="float")
-    sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    sw.add_argument("--no-fvs", action="store_true", help="skip the transversal column")
-    sw.add_argument("--out", default=None)
-    sw.set_defaults(func=_cmd_sweep)
+    p = leaf(sub, "sweep", _cmd_sweep, [out, params], help="per-n ladder/gain sweep over a family")
+    p.add_argument("--family", choices=BUILTIN_FAMILIES, required=True)
+    p.add_argument("--n-grid", help="comma-separated strictly increasing orders")
+    p.add_argument("--mode", choices=("exact", "float"), default="float")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--no-fvs", action="store_true", help="skip the transversal column")
 
-    fit = sub.add_parser("fit", help="fit a decay exponent to (n, gap) pairs")
-    fit.add_argument("--input", required=True, help="CSV of n,gap rows ('-' for stdin)")
-    fit.add_argument("--x-col", default="n", help="x column name when a header is present")
-    fit.add_argument("--y-col", default="gap_to_limit", help="y column name")
-    fit.add_argument("--window", help="index range lo:hi")
-    fit.add_argument("--log-correction", action="store_true")
-    fit.add_argument("--out", default=None)
-    fit.set_defaults(func=_cmd_fit)
+    p = leaf(sub, "fit", _cmd_fit, [out], help="fit a decay exponent to (n, gap) pairs")
+    p.add_argument("--input", required=True, help="CSV of n,gap rows ('-' for stdin)")
+    p.add_argument("--x-col", default="n", help="x column name when a header is present")
+    p.add_argument("--y-col", default="gap_to_limit", help="y column name")
+    p.add_argument("--window", help="index range lo:hi")
+    p.add_argument("--log-correction", action="store_true")
 
     return ap
 

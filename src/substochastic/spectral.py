@@ -643,7 +643,6 @@ def spectral_report(d: WeightedDigraph) -> SpectralReport:
 @dataclass
 class TruncationSpectrum:
     values: dict[int, float] = field(default_factory=dict)
-    methods: dict[int, str] = field(default_factory=dict)
     limit_estimate: float | None = None
     limit_method: str | None = None
 
@@ -678,7 +677,6 @@ def perron_ladder(
     for n in ns:
         if mode == "leading":
             value = perron_root(truncate(family, n))
-            label = "leading"
         elif mode == "sup_exact":
             if n > 15:
                 raise BudgetExceededError("sup_exact mode limited to n <= 15")
@@ -691,18 +689,15 @@ def perron_ladder(
             value = 0.0
             for subset in combinations(range(host.order), n):
                 value = max(value, perron_root(host.induced(subset)))
-            label = f"sup-over-subsets-of-{host.order}"
         elif mode == "witness":
             if family.witness_submatrix is None:
                 raise ValueError(f"family {family.name} declares no witness submatrix")
             verts = list(family.witness_submatrix(n))
             host = truncate(family, max(verts) + 1)
             value = perron_root(host.induced(verts))
-            label = "witness-lower-bound"
         else:
             raise ValueError(f"unknown ladder mode {mode!r}")
         spectrum.values[n] = value
-        spectrum.methods[n] = label
 
     computed_sup = max(spectrum.values.values(), default=0.0)
     declared = family.facts.spectral_limit

@@ -39,6 +39,8 @@ class SweepSpec:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
+        if any(n < 1 for n in self.n_grid):
+            raise ValueError("n_grid orders must be at least 1")
 
 
 def _family(spec: SweepSpec) -> TruncationFamily:

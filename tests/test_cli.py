@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -347,6 +348,27 @@ class TestBoundaryErrors:
         assert main(["verify", "ksv", "--count", "1"]) == 1
         assert capsys.readouterr().err == "error: failed to sample a strong digraph\n"
 
+    def test_verify_exits_one_on_a_violation(self, monkeypatch, capsys):
+        import substochastic.cli as cli
+        from substochastic import InequalityReport
+
+        def violated(*args, **kwargs):
+            report = InequalityReport("ksv")
+            report.record("abc", "lhs <= rhs", Fraction(3, 2), Fraction(1, 2))
+            return report
+
+        monkeypatch.setattr(cli, "run_suite", violated)
+        assert main(["verify", "ksv", "--count", "1"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False and payload["min_margin"] == "-1"
+        assert payload["violations"] == [{"fingerprint": "abc", "inequality": "lhs <= rhs",
+                                          "lhs": "3/2", "rhs": "1/2", "margin": "-1"}]
+
+    def test_sweep_grid_below_one(self):
+        proc = run_cli(["sweep", "--family", "example2", "--n-grid", "0,5", "--no-fvs"])
+        self.assert_one_line_error(proc)
+        assert "n_grid orders must be at least 1" in proc.stderr
+
     @pytest.mark.parametrize(
         "family,params,message",
         [
@@ -383,11 +405,13 @@ class TestBoundaryErrors:
             ["cycles", "omega", "--family", "corollary1", "--n", "-2"],
             ["spectral", "charpoly", "--family", "corollary1", "--n", "0"],
             ["verify", "ksv", "--count", "two"],
+            ["cycles", "enumerate", "--family", "corollary1", "--n", "5", "--max-len", "0"],
+            ["classify", "--family", "example2", "--n-max", "0", "--p-max", "50"],
         ],
         ids=["missing-argument", "unknown-option", "perron-seed", "classify-format",
              "sweep-seed", "classify-n", "ladder-n", "option-prefix", "negative-budget",
              "negative-max-count", "negative-count", "order-max-below-two", "negative-n",
-             "zero-n", "count-not-int"],
+             "zero-n", "count-not-int", "zero-max-len", "zero-n-max"],
     )
     def test_usage_errors_exit_one(self, args):
         proc = run_cli(args)

@@ -43,6 +43,19 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             spec(n_grid=(5, 5))
 
+    @pytest.mark.parametrize("n_grid", [(0, 5), (-3,)], ids=["zero", "negative"])
+    def test_grid_orders_below_one_rejected(self, n_grid):
+        with pytest.raises(ValueError, match="n_grid orders must be at least 1"):
+            spec(n_grid=n_grid)
+
+    def test_row_error_is_recorded_and_the_sweep_goes_on(self):
+        # the partial sums of f reach 1 at index 2: order 2 builds, order 3 does not
+        rows = run_sweep(spec(family="example1", params={"f": ["1/2", "1/2"]}, n_grid=(2, 3),
+                              compute_fvs=False), progress=io.StringIO())
+        assert isinstance(rows[0]["lambda_n"], float) and 0 < rows[0]["lambda_n"] < 1
+        assert sweep_csv(rows).splitlines()[-1] == (
+            "3,error:example1: partial sums of f reach 1 at index 2,,,,,,")
+
     def test_gap_column_uses_declared_limit(self):
         sink = io.StringIO()
         rows = run_sweep(spec(), progress=sink)
