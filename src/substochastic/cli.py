@@ -344,11 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-truncation", type=int, required=True)
 
     p = leaf(sub, "verify", _cmd_verify, [mode, out], help="run a determinant-inequality suite")
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--count", type=_int_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order-max", type=_int_at_least(2), default=8)
-    p.add_argument("--k", type=int, default=None, help="sigma_k degree (default: all)")
+    p.add_argument("--k", type=_int_at_least(1), default=None,
+                   help="sigma-k suite only: check sigma_min(K,|W|) (default: every k)")
 
     p = leaf(sub, "sweep", _cmd_sweep, [out, params], help="per-n ladder/gain sweep over a family")
     p.add_argument("--family", choices=BUILTIN_FAMILIES, required=True)

@@ -332,8 +332,10 @@ def collatz_wielandt_brackets(
     """Floating (lower, upper) brackets around the Perron root of ``d``.
 
     Reducible digraphs are condensed into strong components and bracketed
-    per component.
+    per component.  A NaN or infinite ``tol`` is rejected before any step.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol}")
     return _max_over_components(
         d, 0.0, lambda comp: _power_brackets(edge_operator(d, comp), tol, max_iter)
     )

@@ -68,6 +68,17 @@ class TestPruittCertificate:
         with pytest.raises(ValueError):
             pruitt_certificate(loop(), 0)
 
+    def test_float_weights_take_the_float_solve(self):
+        # the all-ones vector fails (row 0 sums to 2); (I - A) xi = 1 gives xi
+        d = two_cycle(2.0, 0.1)
+        xi = pruitt_certificate(d, 1.0)
+        assert xi == pytest.approx([3.75, 1.375], rel=1e-12)
+        assert verify_pruitt(d, xi, 1.0)[0]
+
+    def test_float_singular_shift_has_none(self):
+        # the cycle gain 2.0 * 0.5 is 1, so I - A is exactly singular
+        assert pruitt_certificate(two_cycle(2.0, 0.5), 1.0) is None
+
     @given(st.integers(0, 300))
     @settings(max_examples=40, deadline=None)
     def test_above_radius_certificate_exists_and_verifies_exactly(self, seed):
@@ -205,7 +216,28 @@ class TestGreenSumsOnTheArcArrays:
         assert peak < 8 * 10**6  # a dense matrix would take 800 MB
 
 
+class TestGrowthAssessment:
+    def test_geometric_tail_projection_is_bounded(self):
+        # the last decade still adds more than 1e-9 of the total, so only the
+        # projected geometric tail of the decade-over-decade ratio decides
+        sums = np.cumsum(0.85 ** np.arange(101))
+        assert sums[-1] - sums[-11] > 1e-9 * sums[-1]
+        assert classify._growth_assessment(sums) == "bounded"
+
+
 class TestClassifyRecurrence:
+    @pytest.mark.parametrize(
+        "f, verdict, confidence",
+        [(f_geometric(), "recurrent", "numerical"), (f_power(0.5), "unknown", None)],
+        ids=["geometric", "power"],
+    )
+    def test_undeclared_radius_is_estimated_from_the_ladder(self, f, verdict, confidence):
+        fam = build_example1(f=f)
+        assert fam.facts.spectral_limit is None
+        result = classify_recurrence(fam)
+        assert (result.verdict, result.confidence) == (verdict, confidence)
+        assert result.notes[0].startswith("radius estimated (extrapolated): ")
+
     def test_example2_certified_recurrent_by_structure(self):
         verdict = classify_recurrence(build_example2(a_power(-0.75)))
         assert verdict.verdict == "recurrent"

@@ -327,6 +327,18 @@ class TestBoundaryErrors:
         self.assert_one_line_error(proc)
         assert "did not reach tolerance" in proc.stderr
 
+    def test_non_finite_tolerance(self, star_json):
+        proc = run_cli(["spectral", "perron", "--digraph", star_json, "--tol", "nan"])
+        self.assert_one_line_error(proc)
+        assert "tolerance must be finite, got nan" in proc.stderr
+
+    def test_k_outside_the_sigma_k_suite(self, capsys):
+        # a --k the suite never reads used to exit 0 with the plain ksv report
+        assert main(["verify", "ksv", "--count", "3", "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sigma_k applies to the sigma-k suite only, not 'ksv'\n"
+
     def test_negative_vertex(self):
         proc = run_cli(["classify", "--family", "example2", "--vertex", "-1"])
         self.assert_one_line_error(proc)
@@ -407,11 +419,12 @@ class TestBoundaryErrors:
             ["verify", "ksv", "--count", "two"],
             ["cycles", "enumerate", "--family", "corollary1", "--n", "5", "--max-len", "0"],
             ["classify", "--family", "example2", "--n-max", "0", "--p-max", "50"],
+            ["verify", "sigma-k", "--count", "1", "--k", "0"],
         ],
         ids=["missing-argument", "unknown-option", "perron-seed", "classify-format",
              "sweep-seed", "classify-n", "ladder-n", "option-prefix", "negative-budget",
              "negative-max-count", "negative-count", "order-max-below-two", "negative-n",
-             "zero-n", "count-not-int", "zero-max-len", "zero-n-max"],
+             "zero-n", "count-not-int", "zero-max-len", "zero-n-max", "k-zero"],
     )
     def test_usage_errors_exit_one(self, args):
         proc = run_cli(args)

@@ -28,7 +28,7 @@ from substochastic import (
     truncate,
 )
 from substochastic.constructions import build_example1, f_geometric
-from substochastic.inequalities import instance_stream
+from substochastic.inequalities import SUITES, InequalityReport, instance_stream
 
 from conftest import acyclic3, brute_reachable, loop, seeded_digraph, two_cycle
 
@@ -200,6 +200,25 @@ class TestSigmaBound:
         rep = run_suite("sigma-k", count=50, seed=29, order_max=9)
         assert rep.ok
 
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_suite_with_k_checks_sigma_min_k_w(self, k):
+        rep = run_suite("sigma-k", count=20, seed=29, order_max=9, sigma_k=k)
+        expected = InequalityReport("sigma-k")
+        sizes = set()
+        for _i, d in instance_stream(29, 20, 9):
+            w = min_cycle_transversal(d)
+            sizes.add(w.size)
+            expected.absorb(check_sigma_bound(d, w, min(k, w.size)))
+        assert min(sizes) < 2 < max(sizes)  # min(k, |W|) clips on some instances only
+        assert rep.instances_tested == 20
+        assert (rep.violations, rep.min_margin, rep.notes) == (
+            expected.violations, expected.min_margin, expected.notes)
+
+    @pytest.mark.parametrize("suite", [s for s in SUITES if s != "sigma-k"])
+    def test_k_rejected_for_the_other_suites(self, suite):
+        with pytest.raises(ValueError, match="sigma-k suite only"):
+            run_suite(suite, count=1, sigma_k=2)
+
 
 class TestZetaIdentity:
     def test_acyclic_both_sides_one(self):
@@ -286,6 +305,20 @@ class TestConjectureScan:
         # counterexamples, if any, land in findings with full data
         for f in rep.findings:
             assert f["counterexamples"]
+
+
+class TestSuiteTable:
+    def test_each_suite_counts_one_instance_per_digraph(self):
+        for suite in SUITES:
+            assert run_suite(suite, count=3, seed=2, order_max=5).instances_tested == 3
+
+    def test_checks_are_looked_up_when_a_suite_runs(self, monkeypatch):
+        import substochastic.inequalities as ineq
+
+        seen = []
+        monkeypatch.setattr(ineq, "check_ksv", lambda d: seen.append(d) or InequalityReport("ksv"))
+        run_suite("ksv", count=2, seed=0)
+        assert len(seen) == 2
 
 
 class TestModeAgreement:

@@ -1,7 +1,8 @@
 """Exact det, solve, inverse and interpolation against Leibniz determinants,
 Cramer's rule, and the Gauss–Jordan elimination and Newton divided differences
-they replaced."""
+they replaced; rational ln bounds."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from substochastic.rational import (
     det_exact,
     interpolate_exact,
     inverse_exact,
+    ln_bounds,
     poly_eval,
     solve_exact,
 )
@@ -233,3 +235,18 @@ def test_interpolation_pins():
     assert interpolate_exact([0, 1, 0]) == [0, 2, -1]
     assert interpolate_exact([F(1, 2), F(1, 3)]) == [F(1, 2), F(-1, 6)]
     assert all(type(c) is F for c in interpolate_exact([3, -1, 4, -1, 5]))
+
+
+@pytest.mark.parametrize("q", [F(1, 3), F(2, 3), F(1, 1000)])
+def test_ln_bounds_below_one_mirror_the_reciprocal(q):
+    lo, hi = ln_bounds(q)
+    rlo, rhi = ln_bounds(1 / q)
+    assert (lo, hi) == (-rhi, -rlo)
+    assert lo <= hi < 0
+    assert float(lo) == pytest.approx(math.log(q), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0, -1, F(-1, 2)])
+def test_ln_bounds_rejects_a_non_positive_argument(q):
+    with pytest.raises(ValueError, match="positive argument"):
+        ln_bounds(q)

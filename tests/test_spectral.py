@@ -331,6 +331,16 @@ class TestTransversalRoute:
         with pytest.raises(RuntimeError, match=r"did not reach tolerance -1\.0 in 5000 steps"):
             collatz_wielandt_brackets(d, tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_rejected_before_any_step(self, monkeypatch, tol):
+        # no bracket width compares below NaN, so the loop would run its whole
+        # budget; an infinite tolerance would accept the first bracket
+        monkeypatch.setattr(spectral, "_power_brackets", lambda *a: pytest.fail("stepped"))
+        d = random_strong_digraph(random.Random(5), 9).to_float()
+        for run in (collatz_wielandt_brackets, perron_root):
+            with pytest.raises(ValueError, match="tolerance must be finite"):
+                run(d, tol=tol)
+
 
 class TestExactBrackets:
     def test_loop_collapses_exactly(self):
@@ -593,6 +603,17 @@ class TestCharpoly:
         coeffs = coates_charpoly(loop(0.7))
         assert coeffs[1] == pytest.approx(-0.7)
 
+    @pytest.mark.parametrize(
+        "order, method, error",
+        [(129, "elimination", BudgetExceededError), (3, "leibniz", ValueError)],
+        ids=["past-the-cap", "unknown-method"],
+    )
+    def test_rejected_before_any_elimination(self, monkeypatch, order, method, error):
+        monkeypatch.setattr(spectral, "_elimination_charpoly", lambda d: pytest.fail("eliminated"))
+        cycle = WeightedDigraph(order, {(v, (v + 1) % order): F(1, 2) for v in range(order)})
+        with pytest.raises(error):
+            charpoly(cycle, method=method)
+
 
 class TestDeterminant:
     def test_acyclic_is_one(self):
@@ -728,6 +749,13 @@ class TestLadder:
         )
         spec = perron_ladder(fam, [2, 3, 4], mode="leading")
         assert spec.limit_method in ("extrapolated", "supremum-of-computed")
+
+    def test_two_orders_without_a_closed_form_take_the_supremum(self):
+        fam = build_example1(f=f_geometric())
+        assert fam.facts.spectral_limit is None
+        spec = perron_ladder(fam, [5, 10], mode="leading")
+        assert spec.limit_method == "supremum-of-computed"
+        assert spec.limit_estimate == max(spec.values.values())
 
     def test_witness_mode_lower_bounds_leading(self):
         fam = build_example2(a_power(-0.75))
