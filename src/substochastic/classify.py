@@ -211,6 +211,7 @@ def classify_recurrence(
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
     facts = family.facts
+    cls = facts.weighting_class
     notes: list[str] = []
 
     try:
@@ -232,6 +233,8 @@ def classify_recurrence(
         lam = ladder.limit_estimate
         lam_exact = None
         notes.append(f"radius estimated ({ladder.limit_method}): {lam:.12g}")
+        if cls is not None and cls.implies(Tag.SUBSTOCHASTIC) and lam > 1:  # flag, not clamp
+            notes.append(f"radius estimate {lam:.12g} exceeds 1, the {cls.value} class bound")
     if lam <= 0:
         return RecurrenceVerdict(UNKNOWN, None, None, tuple(notes + ["radius estimate <= 0"]))
 
@@ -253,7 +256,6 @@ def classify_recurrence(
         )
 
     if verdict_raw == "bounded":
-        cls = facts.weighting_class
         ones_applicable = (
             cls is not None
             and cls.implies(Tag.TRUTHLY_SUBSTOCHASTIC)

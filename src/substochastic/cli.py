@@ -231,10 +231,12 @@ def _cmd_fit(args) -> int:
             float(parts[0])
         except ValueError:
             header = [p.strip() for p in parts]
-            if args.x_col in header:
-                x_col = header.index(args.x_col)
-            if args.y_col in header:
-                y_col = header.index(args.y_col)
+            for named in (args.x_col, args.y_col):
+                if named is not None and named not in header:
+                    raise ValueError(f"column {named!r} is not in the header ({', '.join(header)})")
+            x_name, y_name = args.x_col or "n", args.y_col or "gap_to_limit"
+            x_col = header.index(x_name) if x_name in header else x_col
+            y_col = header.index(y_name) if y_name in header else y_col
             continue
         pairs.append((float(parts[x_col]), float(parts[y_col])))
     window = None
@@ -360,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "fit", _cmd_fit, [out], help="fit a decay exponent to (n, gap) pairs")
     p.add_argument("--input", required=True, help="CSV of n,gap rows ('-' for stdin)")
-    p.add_argument("--x-col", default="n", help="x column name when a header is present")
-    p.add_argument("--y-col", default="gap_to_limit", help="y column name")
+    p.add_argument("--x-col", help="x column name in the header (default: n, else column 0)")
+    p.add_argument("--y-col", help="y column name (default: gap_to_limit, else column 1)")
     p.add_argument("--window", help="index range lo:hi")
     p.add_argument("--log-correction", action="store_true")
 

@@ -6,9 +6,9 @@ nonnegative B, so the method that chooses x only decides how narrow the
 bracket is.  Floating-point roots take x from a short power loop on A + I
 (the shift removes periodicity); a component that loop does not settle gets
 x from the first-return equation over a greedy cycle transversal, checked
-by one quotient evaluation, and otherwise goes back to the loop and its
-dense-eig fallback.  Exact rational brackets run the power iteration over
-integers from a float-seeded vector.
+by one quotient evaluation, and otherwise goes back to the loop, which
+raises when it runs out of steps.  Exact rational brackets run the power
+iteration over integers from a float-seeded vector.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float,
     ``_SPARSE_THRESHOLD`` vertices.  A component not converged after
     ``_ROUTE_PREFIX`` steps (or ``max_iter``, if fewer) tries the transversal
     route, which accepts its vector only through one Collatz-Wielandt check.
-    Otherwise the loop resumes, from the route's vector when it has one.
-    When the loop stalls too (tiny spectral gap) the dominant eigenvector
-    from a dense solve seeds a few more quotient evaluations.  Every
+    Otherwise the loop resumes, from the route's vector when it has one,
+    for the rest of its steps, and a component it does not settle either
+    raises RuntimeError with the steps run and the last bracket.  Every
     returned bracket is a Collatz-Wielandt bracket of a positive vector,
     which bounds rho(A) whatever chose the vector.
     """
@@ -160,14 +160,8 @@ def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float,
             # ulps wide would exclude them.
             pad = max(0.0, tol * rhi / 2 - (rhi - rlo)) / 2
             return rlo - pad, rhi + pad
-    lo, hi, x, done = _power_steps(step, x, budget - prefix, tol)
-    if done:
-        return lo, hi
-    if k <= 2048:
-        dense = op.toarray() + np.eye(k)
-        _rho, vec = _perron_eig(dense)
-        vec = np.maximum(vec, vec.max() * 1e-280)
-        lo, hi, _x, done = _power_steps(dense.__matmul__, vec, 50, tol)
+    if budget > prefix:  # with no steps left, keep the prefix's last bracket
+        lo, hi, _x, done = _power_steps(step, x, budget - prefix, tol)
         if done:
             return lo, hi
     raise RuntimeError(

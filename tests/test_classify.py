@@ -238,6 +238,22 @@ class TestClassifyRecurrence:
         assert (result.verdict, result.confidence) == (verdict, confidence)
         assert result.notes[0].startswith("radius estimated (extrapolated): ")
 
+    def test_estimate_above_the_declared_class_bound_is_flagged(self):
+        # Aitken on the ladder at orders 2, 3, 10 overshoots to 1.35587, above
+        # the bound 1 of the declared class; the note does not change the verdict
+        fam = build_example1(f=f_geometric())
+        assert fam.facts.weighting_class.implies(Tag.SUBSTOCHASTIC)
+        result = classify_recurrence(fam, n_max=10)
+        assert result.verdict == "unknown"
+        assert result.notes[:2] == (
+            "radius estimated (extrapolated): 1.35587145429",
+            "radius estimate 1.35587145429 exceeds 1, the truthly-substochastic class bound",
+        )
+
+    def test_estimate_within_the_class_bound_is_not_flagged(self):
+        result = classify_recurrence(build_example1(f=f_geometric()), n_max=20)
+        assert result.notes == ("radius estimated (extrapolated): 0.891399992937",)
+
     def test_example2_certified_recurrent_by_structure(self):
         verdict = classify_recurrence(build_example2(a_power(-0.75)))
         assert verdict.verdict == "recurrent"

@@ -261,6 +261,22 @@ class TestSweepAndFit:
         payload = json.loads(fit.stdout)
         assert payload["points"] == 4 and payload["slope"] == pytest.approx(-1)
 
+    @pytest.mark.parametrize("option", ["--x-col", "--y-col"])
+    def test_fit_rejects_a_column_the_header_lacks(self, option):
+        # a misspelt name used to leave column 0 or 1 in place and fit it
+        fit = run_cli(["fit", "--input", "-", option, "gap_to_limt"],
+                      stdin_text="n,lambda_n,gap_to_limit\n10,1.4,0.2\n100,1.1,0.06\n")
+        assert fit.returncode == 1 and fit.stdout == ""
+        assert fit.stderr.strip().splitlines() == [
+            "error: column 'gap_to_limt' is not in the header (n, lambda_n, gap_to_limit)"
+        ]
+
+    def test_fit_without_a_header_reads_columns_0_and_1(self):
+        fit = run_cli(["fit", "--input", "-", "--x-col", "size", "--y-col", "gap"],
+                      stdin_text="10,0.1\n100,0.01\n1000,0.001\n")
+        assert fit.returncode == 0
+        assert json.loads(fit.stdout)["slope"] == pytest.approx(-1)
+
     @pytest.mark.parametrize("rows", ["inf,0.5\n", "40,nan\n"], ids=["inf-n", "nan-gap"])
     def test_fit_rejects_non_finite_points(self, rows):
         text = "n,gap\n10,0.1\n20,0.05\n30,0.03\n" + rows

@@ -136,7 +136,7 @@ class TestEdgeOperator:
         assert np.allclose(op @ x, dense @ x, rtol=rtol, atol=0)
         assert np.allclose(op.rmatvec(x), dense.T @ x, rtol=rtol, atol=0)
 
-    @pytest.mark.parametrize("max_iter", [500_000, 1], ids=["power", "dense-eig-fallback"])
+    @pytest.mark.parametrize("max_iter", [500_000, 1], ids=["power", "one-step-then-route"])
     def test_brackets_contain_the_radius(self, big, max_iter):
         lo, hi = collatz_wielandt_brackets(big, tol=1e-12, max_iter=max_iter)
         rho = eig_radius(big)
@@ -309,8 +309,10 @@ class TestTransversalRoute:
         assert max(lo, olo) <= min(hi, ohi)
         assert hi - lo <= 1e-12 * hi
 
-    def test_dense_eig_fallback_without_a_small_transversal(self, monkeypatch):
-        # a complete digraph needs order - 1 vertices in any transversal
+    def test_no_small_transversal_leaves_the_loop_alone(self, monkeypatch):
+        # a complete digraph needs order - 1 vertices in any transversal, so
+        # the route gives up at once; with one power step the loop has no
+        # steps left to resume, and no dense eigensolver stands behind it
         rng = random.Random(7)
         order = _ROUTE_MAX_W + 8
         d = WeightedDigraph(order, {(u, v): rng.uniform(0.1, 1.0)
@@ -319,8 +321,10 @@ class TestTransversalRoute:
         calls = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
-        lo, hi = collatz_wielandt_brackets(d, tol=1e-12, max_iter=1)
-        assert calls == [(order, order)]
+        with pytest.raises(RuntimeError, match=r"did not reach tolerance 1e-12 in 1 steps"):
+            collatz_wielandt_brackets(d, tol=1e-12, max_iter=1)
+        assert (order, order) not in calls
+        lo, hi = collatz_wielandt_brackets(d, tol=1e-12)
         assert_contains_numpy_radius(d, lo, hi)
         assert hi - lo <= 1e-12 * hi
 
@@ -340,6 +344,83 @@ class TestTransversalRoute:
         for run in (collatz_wielandt_brackets, perron_root):
             with pytest.raises(ValueError, match="tolerance must be finite"):
                 run(d, tol=tol)
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="the route's vector is 1e-15 small on the lightest cycle, and "
+                              "the loop on A + I contracts by only 1 - 6.7e-4 a step")
+    def test_weakly_coupled_cycles_of_near_equal_weight(self):
+        # cycles 0-1, 2-3-4 and 5-...-9 of arc weights 0.5, 0.501 and 0.502,
+        # joined into one strong component by a ring of 1e-10 arcs
+        cycles = {(0, 1): 0.5, (1, 0): 0.5, (2, 3): 0.501, (3, 4): 0.501, (4, 2): 0.501,
+                  (5, 6): 0.502, (6, 7): 0.502, (7, 8): 0.502, (8, 9): 0.502, (9, 5): 0.502}
+        ring = {(0, 2): 1e-10, (2, 5): 1e-10, (5, 0): 1e-10}
+        d = WeightedDigraph(10, cycles | ring)
+        assert len(_strong_components(d)) == 1
+        assert perron_root(d) == pytest.approx(eig_radius(d), rel=1e-12)
+
+
+class TestRouteGuards:
+    """Each guard of the transversal route, driven where no real input reaches it.
+
+    The route runs on float example1 at n = 50, whose greedy transversal is
+    the hub alone, so F(mu) is 1 x 1 and increasing in mu: the sequence of F
+    values handed to ``_perron_eig`` shows where each Newton step went.
+    """
+
+    @staticmethod
+    def route(monkeypatch, fake_call: int, fake):
+        """The route with ``fake(rho, vec)`` answering the ``fake_call``-th ``_perron_eig`` call."""
+        d = _float_truncation("example1-power", 50)
+        real = spectral._perron_eig
+        seen = []
+
+        def eig(m):
+            seen.append(float(m[0, 0]))
+            rho, vec = real(m)
+            return fake(rho, vec) if len(seen) == fake_call + 1 else (rho, vec)
+
+        monkeypatch.setattr(spectral, "_perron_eig", eig)
+        return d, _transversal_route(edge_operator(d)), seen[::2]  # F, not F^T
+
+    @staticmethod
+    def assert_certified(d, route):
+        lo, hi, _x = route
+        assert hi - lo <= 1e-12 * hi
+        assert_contains_numpy_radius(d, lo, hi)
+
+    def test_non_finite_slope_bisects(self, monkeypatch):
+        # F at the second step reads as overflowed: that mu becomes the upper
+        # end and the third step takes the midpoint, not a Newton step
+        d, route, f = self.route(monkeypatch, 2, lambda rho, vec: (math.inf, vec))
+        assert f[0] < f[2] < f[1]
+        self.assert_certified(d, route)
+
+    def test_step_leaving_the_bracket_bisects(self, monkeypatch):
+        # a root 1e6 too large at the second step sends the Newton step far
+        # below the lower end; the midpoint takes its place
+        d, route, f = self.route(monkeypatch, 2, lambda rho, vec: (rho * 1e6, vec))
+        assert f[0] < f[2] < f[1]
+        self.assert_certified(d, route)
+
+    def test_no_vector_left_after_the_last_step(self, monkeypatch):
+        # the last allowed step bisects after a non-finite slope, so the
+        # loop ends without a Perron vector of F
+        monkeypatch.setattr(spectral, "_NEWTON_STEPS", 2)
+        _d, route, f = self.route(monkeypatch, 2, lambda rho, vec: (math.inf, vec))
+        assert len(f) == 2 and route is None
+
+    def test_vector_with_a_zero_entry_is_refused(self):
+        # the return 1 -> 2 -> 0 weighs mu^2 1e-400 and underflows, so F is
+        # triangular with Perron vector (1, 0): x is zero at vertex 1
+        d = WeightedDigraph(3, {(0, 0): 0.5, (1, 1): 0.25, (0, 1): 1.0,
+                                (1, 2): 1e-200, (2, 0): 1e-200})
+        assert len(_strong_components(d)) == 1
+        assert _transversal_route(edge_operator(d)) is None
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_perron_eig_of_a_non_finite_matrix(self, bad):
+        rho, vec = spectral._perron_eig(np.array([[0.5, bad], [1.0, 0.0]]))
+        assert rho == math.inf and vec.tolist() == [1.0, 1.0]
 
 
 class TestExactBrackets:
