@@ -15,8 +15,6 @@ from .classify import (
     classify_recurrence,
     cyr_criterion,
     green_partial_sums,
-    pruitt_certificate,
-    similarity_scale,
     verify_pruitt,
 )
 from .constructions import (
@@ -32,13 +30,11 @@ from .constructions import (
 )
 from .cycles import (
     Cycle,
-    CycleUnion,
     Gain,
     GAIN_ZERO,
     LengthExtremes,
     TransversalResult,
     cycle_length_extremes,
-    disjoint_cycle_packing,
     enumerate_cycles,
     is_cycle_transversal,
     min_cycle_transversal,
@@ -49,7 +45,6 @@ from .digraph import (
     WeightedDigraph,
     WeightingClass,
     classify_weighting,
-    is_strongly_connected,
     strongly_connected_components,
 )
 from .errors import (
@@ -80,7 +75,6 @@ from .inequalities import (
     scan_argmax_conjecture,
 )
 from .spectral import (
-    SpectralReport,
     TruncationSpectrum,
     charpoly,
     coates_charpoly,
@@ -90,9 +84,7 @@ from .spectral import (
     perron_ladder,
     perron_root,
     radius_brackets,
-    resolvent_diag,
     resolvent_diagonal,
-    spectral_report,
 )
 from .sweeps import DecayFit, SweepSpec, fit_decay, run_sweep, sweep_csv, sweep_json
 

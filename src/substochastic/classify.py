@@ -20,8 +20,8 @@ import numpy as np
 
 from .digraph import Tag, WeightedDigraph
 from .errors import MetadataError
-from .families import FamilyFacts, TruncationFamily, truncate
-from .spectral import edge_operator, float_shifted, perron_ladder, solve_shifted
+from .families import FamilyFacts, TruncationFamily, truncate, validate_metadata
+from .spectral import edge_operator, perron_ladder
 
 TRANSIENT = "transient"
 RECURRENT = "recurrent"
@@ -59,7 +59,7 @@ class RecurrenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Pruitt certificates and similarity scaling
+# Pruitt certificates
 # ---------------------------------------------------------------------------
 
 
@@ -76,49 +76,6 @@ def verify_pruitt(d: WeightedDigraph, xi: Sequence, lam) -> tuple[bool, int | No
         if row < bound and strict is None:
             strict = v
     return strict is not None, strict
-
-
-def pruitt_certificate(d: WeightedDigraph, lam) -> list | None:
-    """A positive xi with A xi <= lam xi, strict somewhere, or None.
-
-    Tries the all-ones vector first (exactly the substochastic row-sum test),
-    then the resolvent vector (lam I - A)^{-1} 1, which works whenever
-    lam exceeds the Perron root.  Absence on a finite truncation is not a
-    disproof for the family it came from.
-    """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    ones = [Fraction(1) if d.is_exact else 1.0] * d.order
-    ok, _strict = verify_pruitt(d, ones, lam)
-    if ok:
-        return ones
-    if d.is_exact and isinstance(lam, (int, Fraction)):
-        try:
-            xi = solve_shifted(d, ones, c=lam)
-        except ZeroDivisionError:
-            return None
-    else:
-        try:
-            xi = list(np.linalg.solve(float_shifted(d, float(lam)), np.ones(d.order)))
-        except np.linalg.LinAlgError:
-            return None
-    ok, _strict = verify_pruitt(d, xi, lam)
-    return list(xi) if ok else None
-
-
-def similarity_scale(d: WeightedDigraph, xi: Sequence, lam) -> WeightedDigraph:
-    """Conjugate by diag(xi) and scale by 1/lam: w'(u,v) = w(u,v) xi(v) / (lam xi(u)).
-
-    With a Pruitt certificate xi this lands in the truthly substochastic
-    class, and the Perron root divides by lam.
-    """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    if len(xi) != d.order or any(not x > 0 for x in xi):
-        raise ValueError("xi must be positive with one entry per vertex")
-    return WeightedDigraph(
-        d.order, {(u, v): w * xi[v] / (lam * xi[u]) for (u, v), w in d.arcs.items()}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +158,11 @@ def classify_recurrence(
     """Transient / Recurrent / Unknown with evidence.
 
     Order of attack: the structural criterion when both facts are declared
-    finite (certified recurrence); otherwise Green partial sums at the return
-    vertex on the order-n_max truncation, with a presentation-level all-ones
-    certificate required before declaring transience.  ``p_max`` must be
-    at least 1.
+    finite (certified recurrence once ``validate_metadata`` finds them true
+    on the truncation, unknown otherwise); otherwise Green partial sums at
+    the return vertex on the order-n_max truncation, with a
+    presentation-level all-ones certificate required before declaring
+    transience.  ``p_max`` must be at least 1.
     """
     if vertex is not None and vertex < 0:
         raise ValueError(f"vertex {vertex} out of range")
@@ -213,9 +171,15 @@ def classify_recurrence(
     facts = family.facts
     cls = facts.weighting_class
     notes: list[str] = []
+    v = vertex if vertex is not None else (facts.return_vertex or 0)
+    n = max(v + 1, 2, n_max)
 
     try:
         if cyr_criterion(facts):
+            report = validate_metadata(family, n)
+            if not report.ok:
+                notes.extend(f"declared facts fail: {x}" for x in report.violations)
+                return RecurrenceVerdict(UNKNOWN, None, None, tuple(notes))
             size = facts.sct_size if facts.sct_size is not None else len(facts.transversal)
             return RecurrenceVerdict(
                 RECURRENT, CyrStructural(size, facts.l_max), "certified"
@@ -238,8 +202,6 @@ def classify_recurrence(
     if lam <= 0:
         return RecurrenceVerdict(UNKNOWN, None, None, tuple(notes + ["radius estimate <= 0"]))
 
-    v = vertex if vertex is not None else (facts.return_vertex or 0)
-    n = max(v + 1, 2, n_max)
     d = truncate(family, n)
     sums = green_partial_sums(d.to_float(), v, lam, p_max)
     verdict_raw = _growth_assessment(sums)

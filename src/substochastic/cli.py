@@ -222,7 +222,7 @@ def _cmd_fit(args) -> int:
             text = fh.read()
     x_col, y_col = 0, 1
     pairs = []
-    for line in text.splitlines():
+    for row, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -238,6 +238,9 @@ def _cmd_fit(args) -> int:
             x_col = header.index(x_name) if x_name in header else x_col
             y_col = header.index(y_name) if y_name in header else y_col
             continue
+        if max(x_col, y_col) >= len(parts):
+            raise ValueError(f"row {row} has {len(parts)} column(s), "
+                             f"column {max(x_col, y_col) + 1} is needed: {line!r}")
         pairs.append((float(parts[x_col]), float(parts[y_col])))
     window = None
     if args.window:
@@ -263,6 +266,17 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse ``type=`` for floats > 0; NaN and infinity are left to the library."""
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -326,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec = sub.add_parser("spectral", help="Perron roots, characteristic polynomials, ladders")
     spec_sub = spec.add_subparsers(dest="spectral_op", required=True)
     p = leaf(spec_sub, "perron", _cmd_perron, one_digraph)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=1e-12)
     p = leaf(spec_sub, "charpoly", _cmd_charpoly, one_digraph)
     p.add_argument("--method", choices=("coates", "elimination"), default="elimination")
     p = leaf(spec_sub, "ladder", _cmd_ladder, one_family)
@@ -337,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "classify", _cmd_classify, one_family,
              help="transience/recurrence verdict for a family")
     p.add_argument("--n-max", type=_int_at_least(1), default=120)
-    p.add_argument("--p-max", type=int, default=1000)
-    p.add_argument("--vertex", type=int, default=None)
+    p.add_argument("--p-max", type=_int_at_least(1), default=1000)
+    p.add_argument("--vertex", type=_int_at_least(0), default=None)
 
     p = leaf(sub, "construct", _cmd_construct, [mode, out, params],
              help="build a named family and emit a truncation")
     p.add_argument("family", choices=BUILTIN_FAMILIES)
-    p.add_argument("--emit-truncation", type=int, required=True)
+    p.add_argument("--emit-truncation", type=_int_at_least(1), required=True)
 
     p = leaf(sub, "verify", _cmd_verify, [mode, out], help="run a determinant-inequality suite")
     p.add_argument("suite", choices=tuple(SUITES))

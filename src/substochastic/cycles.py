@@ -1,4 +1,4 @@
-"""Simple-cycle machinery: enumeration, gains, transversals, packings.
+"""Simple-cycle machinery: enumeration, gains, transversals, length extremes.
 
 Enumeration is one search, the length-bounded lock/relax search of Gupta &
 Suzumura (2021), run per strongly connected component from the minimal
@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from typing import Iterable, Iterator
 
 from .digraph import WeightedDigraph, strongly_connected_components
@@ -90,45 +90,6 @@ class Cycle:
     @property
     def gain(self) -> Gain:
         return Gain(self.weight, self.length)
-
-    @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    @staticmethod
-    def from_path(path: Iterable[int], weight) -> "Cycle":
-        vs = tuple(path)
-        k = vs.index(min(vs))
-        return Cycle(vs[k:] + vs[:k], weight)
-
-
-@dataclass(frozen=True)
-class CycleUnion:
-    """A set of pairwise vertex-disjoint cycles with the Coates sign data."""
-
-    cycles: tuple[Cycle, ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for c in self.cycles:
-            if seen & c.vertex_set:
-                raise ValueError("cycles in a union must be vertex-disjoint")
-            seen |= c.vertex_set
-
-    @property
-    def count(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def total_length(self) -> int:
-        return sum(c.length for c in self.cycles)
-
-    @property
-    def weight(self):
-        w = 1
-        for c in self.cycles:
-            w = w * c.weight
-        return w
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +254,7 @@ def sup_cycle_gain(
 
 
 # ---------------------------------------------------------------------------
-# Shortest cycles, packing, transversals, length extremes
+# Shortest cycles, transversals, length extremes
 # ---------------------------------------------------------------------------
 
 
@@ -395,30 +356,12 @@ def peel_transversal(succ, alive: Iterable[int], max_size: int) -> tuple[list[in
     return order, chosen
 
 
-def _cycle_weight(d: WeightedDigraph, cyc: list[int]):
-    w = 1
-    for i, u in enumerate(cyc):
-        w = w * d.arcs[(u, cyc[(i + 1) % len(cyc)])]
-    return w
-
-
 def _greedy_packing(succ: dict[int, set[int]], alive: set[int]) -> Iterator[list[int]]:
     """Greedy shortest-first vertex-disjoint cycles within ``alive``."""
     alive = set(alive)
     while (cyc := _shortest_cycle(succ, alive)) is not None:
         yield cyc
         alive.difference_update(cyc)
-
-
-def disjoint_cycle_packing(d: WeightedDigraph) -> list[Cycle]:
-    """Greedy shortest-first family of vertex-disjoint cycles.
-
-    Its size lower-bounds the minimum cycle transversal.
-    """
-    return [
-        Cycle.from_path(cyc, _cycle_weight(d, cyc))
-        for cyc in _greedy_packing(_succ_sets(d), set(range(d.order)))
-    ]
 
 
 def _reduce(succ: dict[int, set[int]], alive: set[int]) -> tuple[int, dict[int, set[int]]]:
@@ -599,7 +542,7 @@ def cycle_length_extremes(d: WeightedDigraph) -> LengthExtremes:
                 continue
             if w in used or w < start:
                 continue
-            if len(path) + len(comp - used) <= best:
+            if len(path) + len(comp) - len(used) <= best:
                 continue
             path.append(w)
             used.add(w)
@@ -608,8 +551,8 @@ def cycle_length_extremes(d: WeightedDigraph) -> LengthExtremes:
     for comp in sorted(comps, key=len, reverse=True):
         if len(comp) <= best or len(comp) < 2:
             continue
-        for start in sorted(comp):
-            if len(comp) - sorted(comp).index(start) <= best:
+        for i, start in enumerate(sorted(comp)):
+            if len(comp) - i <= best:
                 break
             dfs(comp, start)
             if not exact:

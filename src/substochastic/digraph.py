@@ -114,14 +114,6 @@ class WeightedDigraph:
     def out_weights(self) -> list:
         return [self.out_weight(v) for v in range(self.order)]
 
-    def rows_exact(self) -> list[list[Fraction]]:
-        if not self.is_exact:
-            raise TypeError("digraph carries float weights; exact rows unavailable")
-        rows = [[Fraction(0)] * self.order for _ in range(self.order)]
-        for (u, v), w in self.arcs.items():
-            rows[u][v] = Fraction(w)
-        return rows
-
     def to_numpy(self) -> np.ndarray:
         m = np.zeros((self.order, self.order))
         for (u, v), w in self.arcs.items():
@@ -237,13 +229,6 @@ def strongly_connected_components(
                         break
                 comps.append(comp)
     return comps
-
-
-def is_strongly_connected(d: WeightedDigraph) -> bool:
-    """True iff every ordered vertex pair is path-connected (order <= 1 is strong)."""
-    if d.order <= 1:
-        return True
-    return len(strongly_connected_components(d.adjacency, range(d.order))) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Everything here operates on ``fractions.Fraction`` (or ints) and never rounds.
 One fraction-free (Bareiss) elimination serves determinants, solves and inverses,
 and solves back-substitute in integers too: a Fraction is built only for each
 output entry, and so does interpolation at the nodes 0..n.  The matrices
-cI - zA reach it as integer rows from :mod:`substochastic.spectral`, the one
+I - zA reach it as integer rows from :mod:`substochastic.spectral`, the one
 reader of their row scales and home of the floating-point counterparts.
 """
 
@@ -203,10 +203,3 @@ def interpolate_exact(values: Sequence[Rat]) -> list[Fraction]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return [Fraction(c, weight * den) for c in out]
-
-
-def poly_eval(coeffs: Sequence, z):
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = acc * z + c
-    return acc

@@ -24,7 +24,7 @@ from .cycles import enumerate_cycles, peel_transversal
 from .digraph import WeightedDigraph, strongly_connected_components
 from .errors import BudgetExceededError, SpectralRadiusError
 from .families import TruncationFamily, truncate
-from .rational import det_exact, interpolate_exact, inverse_exact, poly_eval, solve_exact
+from .rational import det_exact, interpolate_exact, inverse_exact, solve_exact
 
 _SPARSE_THRESHOLD = 256
 
@@ -419,31 +419,30 @@ def _integer_power_brackets(d, comp, width, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# The matrices cI - zA
+# The matrices I - zA
 # ---------------------------------------------------------------------------
 
 
-def exact_shifted(d: WeightedDigraph, z=1, c=1) -> tuple[list[list[int]], list[int]]:
-    """cI - zA as integer rows with row scales: ``(rows, scales)``.
+def exact_shifted(d: WeightedDigraph, z=1) -> tuple[list[list[int]], list[int]]:
+    """I - zA as integer rows with row scales: ``(rows, scales)``.
 
-    Row i is s_i (c e_i - z A_i), where s_i is the lcm L_i of row i's weight
-    denominators times the denominators of z and c, so det(cI - zA) is
-    det(rows) / prod(scales) and (cI - zA) x = b is rows x = scales * b.
+    Row i is s_i (e_i - z A_i), where s_i is the lcm L_i of row i's weight
+    denominators times the denominator of z, so det(I - zA) is
+    det(rows) / prod(scales) and (I - zA) x = b is rows x = scales * b.
     Float weights enter as their exact binary rationals.  The integer rows
     L_i A_i are memoised on ``d``, and no Fraction matrix is built: the
     exact eliminations run on these integers directly.
     """
     zn, zd = Fraction(z).as_integer_ratio()
-    cn, cd = Fraction(c).as_integer_ratio()
     n = d.order
     rows, scales = [], []
     for i, (lcm, arcs) in enumerate(_integer_weights(d)):
         row = [0] * n
         for j, a in arcs:
-            row[j] = -a * zn * cd
-        row[i] += lcm * zd * cn
+            row[j] = -a * zn
+        row[i] += lcm * zd
         rows.append(row)
-        scales.append(lcm * zd * cd)
+        scales.append(lcm * zd)
     return rows, scales
 
 
@@ -460,9 +459,9 @@ def _integer_weights(d: WeightedDigraph) -> tuple:
     return d.memo("integer_weights", compute)
 
 
-def float_shifted(d: WeightedDigraph, c: float = 1.0) -> np.ndarray:
-    """cI - A as a dense float array."""
-    return c * np.eye(d.order) - d.to_numpy()
+def float_shifted(d: WeightedDigraph) -> np.ndarray:
+    """I - A as a dense float array."""
+    return np.eye(d.order) - d.to_numpy()
 
 
 def radius_brackets(d: WeightedDigraph) -> tuple:
@@ -564,9 +563,9 @@ def det_shifted(d: WeightedDigraph, z=1):
     return det_exact(rows) / math.prod(scales)
 
 
-def solve_shifted(d: WeightedDigraph, b: Sequence, z=1, c=1) -> list[Fraction]:
-    """(cI - zA)^{-1} b exactly: the integer rows solved against ``scales * b``."""
-    rows, scales = exact_shifted(d, z, c)
+def solve_shifted(d: WeightedDigraph, b: Sequence, z=1) -> list[Fraction]:
+    """(I - zA)^{-1} b exactly: the integer rows solved against ``scales * b``."""
+    rows, scales = exact_shifted(d, z)
     return solve_exact(rows, [s * x for s, x in zip(scales, b, strict=True)])
 
 
@@ -583,13 +582,6 @@ def det_i_minus(d: WeightedDigraph):
         return det_shifted(d)
 
     return d.memo("det_i_minus", compute)
-
-
-def resolvent_diag(d: WeightedDigraph, v: int):
-    """(I - A)^{-1}(v, v), read from the memoised ``resolvent_diagonal`` and its guard."""
-    if not 0 <= v < d.order:
-        raise ValueError(f"vertex {v} out of range")
-    return resolvent_diagonal(d)[v]
 
 
 def resolvent_diagonal(d: WeightedDigraph) -> list:
@@ -610,25 +602,6 @@ def resolvent_diagonal(d: WeightedDigraph) -> list:
         return tuple(inv[i][i] * s for i, s in enumerate(scales))
 
     return list(d.memo("resolvent_diagonal", compute))
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    perron_root: float
-    charpoly: tuple
-    nonzero_eig_count: int
-    det_at_one: object
-
-
-def spectral_report(d: WeightedDigraph) -> SpectralReport:
-    coeffs = charpoly(d)
-    degree = len(coeffs) - 1 if any(c != 0 for c in coeffs[1:]) else 0
-    return SpectralReport(
-        perron_root=perron_root(d),
-        charpoly=tuple(coeffs),
-        nonzero_eig_count=degree,
-        det_at_one=poly_eval(coeffs, Fraction(1) if d.is_exact else 1.0),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Seven fast paths keep the code they replaced as an
+dense eigensolver.  Eight fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
 without the transversal route), the minimum cycle transversal (the branch
 and bound pruned by the packing bound alone, without the Levy–Low
 reduction), unbounded cycle enumeration (Johnson's blocked search), exact
-solves and inverses (Gauss–Jordan over Fraction), the matrices cI - zA
-(built entry by entry over Fraction, not as integer rows) and polynomial
-interpolation (Newton divided differences over Fraction on any nodes).
+solves and inverses (Gauss–Jordan over Fraction), the matrices I - zA
+(built entry by entry over Fraction, not as integer rows), polynomial
+interpolation (Newton divided differences over Fraction on any nodes) and
+the check of a family's declared facts (every cycle of every truncation,
+not one peel and one length search on the last).
 """
 
 import functools
@@ -153,6 +155,26 @@ def _johnson_paths(adj, start):
                 blocked_deps[w].add(v)
 
 
+def oracle_validate_metadata(family, n_max: int) -> list[str]:
+    """Violations of a family's declared transversal and cycle lengths, cycle by cycle.
+
+    ``validate_metadata`` as it was before it checked only the last
+    truncation: every cycle of every truncation of order 1..n_max, here
+    from the naive search.
+    """
+    facts = family.facts
+    violations = []
+    for n in range(1, n_max + 1):
+        for cyc in sorted(brute_cycles(family.generator(n))):
+            if facts.transversal is not None and not set(cyc) & facts.transversal:
+                violations.append(f"n={n}: cycle {cyc} misses declared transversal")
+            if facts.l_max is not None and len(cyc) > facts.l_max:
+                violations.append(f"n={n}: cycle {cyc} is longer than declared l_max")
+            if facts.l_min is not None and len(cyc) < facts.l_min:
+                violations.append(f"n={n}: cycle {cyc} is shorter than declared l_min")
+    return violations
+
+
 def brute_is_acyclic(d: WeightedDigraph, removed=frozenset()) -> bool:
     """Kahn peeling; loops count as cycles."""
     keep = [v for v in range(d.order) if v not in removed]
@@ -206,13 +228,21 @@ def leibniz_det(rows) -> F:
     return total
 
 
-def oracle_shifted(d: WeightedDigraph, z=1, c=1) -> list[list[F]]:
-    """cI - zA entry by entry over Fraction; float weights as their exact binary rationals."""
-    c, z, n = F(c), F(z), d.order
-    m = [[c if i == j else F(0) for j in range(n)] for i in range(n)]
+def oracle_shifted(d: WeightedDigraph, z=1) -> list[list[F]]:
+    """I - zA entry by entry over Fraction; float weights as their exact binary rationals."""
+    z, n = F(z), d.order
+    m = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     for (u, v), w in d.arcs.items():
         m[u][v] -= z * F(w)
     return m
+
+
+def poly_eval(coeffs, z):
+    """Horner evaluation of the ascending coefficients at ``z``."""
+    acc = 0
+    for c in reversed(list(coeffs)):
+        acc = acc * z + c
+    return acc
 
 
 def _gauss_jordan(rows, right):

@@ -11,22 +11,20 @@ from substochastic import (
     CyrStructural,
     DivergingSeries,
     FamilyFacts,
+    LengthExtremes,
     MetadataError,
     PruittVector,
     Tag,
     TruncationFamily,
     WeightedDigraph,
     classify_recurrence,
-    classify_weighting,
     cyr_criterion,
     green_partial_sums,
     perron_root,
-    pruitt_certificate,
-    similarity_scale,
     truncate,
     verify_pruitt,
 )
-from substochastic import classify
+from substochastic import classify, families
 from substochastic.constructions import (
     a_power,
     build_example1,
@@ -36,6 +34,7 @@ from substochastic.constructions import (
     f_power,
     family_from_config,
 )
+from substochastic.spectral import solve_shifted
 
 from conftest import loop, seeded_digraph, two_cycle
 
@@ -49,88 +48,41 @@ def half_loop_family() -> TruncationFamily:
 
 
 class TestPruittCertificate:
+    """The all-ones vector and the resolvent vector (lam I - A)^{-1} 1, checked by ``verify_pruitt``.
+
+    ``solve_shifted(d, 1, 1/lam)`` is lam times the resolvent vector, and a
+    positive multiple certifies exactly when the vector does.
+    """
+
     def test_truthly_substochastic_all_ones(self):
         d = truncate(build_example1(f=f_geometric()), 6)
-        xi = pruitt_certificate(d, 1)
-        assert xi == [F(1)] * 6
-        ok, strict = verify_pruitt(d, xi, 1)
+        ok, strict = verify_pruitt(d, [F(1)] * 6, 1)
         assert ok and d.out_weight(strict) < 1
 
     def test_stochastic_irreducible_has_none_at_one(self):
         # xi = (x, y) needs y <= x and x <= y with one strict: infeasible
         d = two_cycle(F(1), F(1))
-        assert pruitt_certificate(d, 1) is None
+        assert verify_pruitt(d, [F(1)] * 2, 1) == (False, None)
+        with pytest.raises(ZeroDivisionError):  # I - A is singular
+            solve_shifted(d, [1, 1])
 
     def test_loop_at_its_own_radius_has_none(self):
-        assert pruitt_certificate(loop(F(7, 10)), F(7, 10)) is None
+        assert verify_pruitt(loop(F(7, 10)), [F(1)], F(7, 10)) == (False, None)
+        with pytest.raises(ZeroDivisionError):
+            solve_shifted(loop(F(7, 10)), [1], F(10, 7))
 
-    def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            pruitt_certificate(loop(), 0)
-
-    def test_float_weights_take_the_float_solve(self):
-        # the all-ones vector fails (row 0 sums to 2); (I - A) xi = 1 gives xi
-        d = two_cycle(2.0, 0.1)
-        xi = pruitt_certificate(d, 1.0)
-        assert xi == pytest.approx([3.75, 1.375], rel=1e-12)
-        assert verify_pruitt(d, xi, 1.0)[0]
-
-    def test_float_singular_shift_has_none(self):
-        # the cycle gain 2.0 * 0.5 is 1, so I - A is exactly singular
-        assert pruitt_certificate(two_cycle(2.0, 0.5), 1.0) is None
+    def test_nonpositive_vector_rejected(self):
+        assert verify_pruitt(loop(), [0], 1) == (False, None)
 
     @given(st.integers(0, 300))
     @settings(max_examples=40, deadline=None)
     def test_above_radius_certificate_exists_and_verifies_exactly(self, seed):
         d = seeded_digraph(seed, order_max=6, weighting="stochastic")
         lam = F(3, 2)  # strictly above any substochastic radius
-        xi = pruitt_certificate(d, lam)
-        assert xi is not None
+        xi = solve_shifted(d, [1] * d.order, 1 / lam)
         ok, strict = verify_pruitt(d, xi, lam)
         assert ok and strict is not None
         assert all(x > 0 for x in xi)
-
-
-class TestSimilarityScale:
-    def test_identity_scaling(self):
-        d = two_cycle(F(1, 2), F(1, 3))
-        assert similarity_scale(d, [F(1), F(1)], F(1)) == d
-
-    def test_loop_rescales_to_unit(self):
-        scaled = similarity_scale(loop(F(7, 10)), [F(1)], F(7, 10))
-        assert scaled.arcs[(0, 0)] == F(1)
-
-    def test_two_cycle_worked_example(self):
-        d = two_cycle(F(4), F(1))
-        scaled = similarity_scale(d, [F(1), F(2)], F(2))
-        assert scaled.arcs[(0, 1)] == F(4)
-        assert scaled.arcs[(1, 0)] == F(1, 4)
-        assert perron_root(scaled) == pytest.approx(perron_root(d) / 2, rel=1e-10)
-
-    def test_certificate_lands_truthly_substochastic(self):
-        d = two_cycle(F(1), F(1))
-        lam = F(3, 2)
-        xi = pruitt_certificate(d, lam)
-        scaled = similarity_scale(d, xi, lam)
-        assert classify_weighting(scaled).tag.implies(Tag.TRUTHLY_SUBSTOCHASTIC)
-
-    @given(st.integers(0, 200), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_radius_divides_by_lambda(self, seed, data):
-        d = seeded_digraph(seed, order_max=6)
-        xi = [
-            F(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
-            for _ in range(d.order)
-        ]
-        lam = F(data.draw(st.integers(1, 5)), 2)
-        scaled = similarity_scale(d, xi, lam)
-        assert perron_root(scaled) * float(lam) == pytest.approx(
-            perron_root(d), rel=1e-10, abs=1e-12
-        )
-
-    def test_rejects_nonpositive_vector(self):
-        with pytest.raises(ValueError):
-            similarity_scale(loop(), [0], 1)
 
 
 class TestCyrCriterion:
@@ -258,7 +210,30 @@ class TestClassifyRecurrence:
         verdict = classify_recurrence(build_example2(a_power(-0.75)))
         assert verdict.verdict == "recurrent"
         assert verdict.confidence == "certified"
-        assert isinstance(verdict.evidence, CyrStructural)
+        assert verdict.evidence == CyrStructural(1, 2)
+        assert verdict.notes == ()
+
+    @pytest.mark.parametrize(
+        "wrong, named",
+        [({"l_max": 1}, "declared l_max 1"),
+         ({"transversal": frozenset({1})}, "declared transversal [1]")],
+        ids=["l_max", "transversal"],
+    )
+    def test_declared_facts_failing_on_the_truncation_are_unknown(self, wrong, named):
+        fam = build_example2(a_power(-0.75)).with_facts(**wrong)
+        assert cyr_criterion(fam.facts)
+        verdict = classify_recurrence(fam, n_max=30)
+        assert (verdict.verdict, verdict.evidence, verdict.confidence) == ("unknown", None, None)
+        assert len(verdict.notes) == 1
+        assert verdict.notes[0].startswith("declared facts fail: n=30: ")
+        assert named in verdict.notes[0]
+
+    def test_unsettled_longest_cycle_is_no_violation(self, monkeypatch):
+        # a search out of steps reports a cycle it found, here within l_max = 2
+        monkeypatch.setattr(families, "cycle_length_extremes",
+                            lambda d: LengthExtremes(2, 2, l_max_exact=False))
+        verdict = classify_recurrence(build_example2(a_power(-0.75)))
+        assert (verdict.verdict, verdict.confidence) == ("recurrent", "certified")
 
     def test_half_loop_recurrent_by_divergence(self):
         verdict = classify_recurrence(half_loop_family(), n_max=12, p_max=1000)

@@ -285,6 +285,16 @@ class TestSweepAndFit:
         lines = fit.stderr.strip().splitlines()
         assert lines == ["error: points must be finite in the fitted window"]
 
+    def test_fit_reports_a_short_row(self, tmp_path):
+        # the row without a gap column used to end in an IndexError traceback
+        path = tmp_path / "short.csv"
+        path.write_text("n,gap\n1,0.5\n2\n")
+        fit = run_cli(["fit", "--input", str(path)])
+        assert fit.returncode == 1 and fit.stdout == ""
+        assert fit.stderr.strip().splitlines() == [
+            "error: row 3 has 1 column(s), column 2 is needed: '2'"
+        ]
+
     def test_error_exit_code(self):
         proc = run_cli(["fit", "--input", "/nonexistent/file.csv"])
         assert proc.returncode == 1
@@ -337,11 +347,14 @@ class TestBoundaryErrors:
         path.write_text(json.dumps(payload))
         self.assert_one_line_error(run_cli(["spectral", "perron", "--digraph", str(path)]))
 
-    def test_power_iteration_not_converging(self, star_json):
-        # no bracket width is ever below a negative tolerance
-        proc = run_cli(["spectral", "perron", "--digraph", star_json, "--tol", "-1"])
+    def test_power_iteration_not_converging(self, tmp_path):
+        # this bracket keeps a spread of a few ulps, far above a tolerance of 1e-18
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"order": 3, "arcs": [
+            [1, 2, "1/3"], [2, 3, "1/4"], [3, 1, "1/5"], [1, 3, "1/7"], [2, 1, "2/9"]]}))
+        proc = run_cli(["spectral", "perron", "--digraph", str(path), "--tol", "1e-18"])
         self.assert_one_line_error(proc)
-        assert "did not reach tolerance" in proc.stderr
+        assert "did not reach tolerance 1e-18 in 5000 steps" in proc.stderr
 
     def test_non_finite_tolerance(self, star_json):
         proc = run_cli(["spectral", "perron", "--digraph", star_json, "--tol", "nan"])
@@ -355,16 +368,31 @@ class TestBoundaryErrors:
         assert captured.out == ""
         assert captured.err == "error: sigma_k applies to the sigma-k suite only, not 'ksv'\n"
 
+    @staticmethod
+    def assert_usage_error(proc, message):
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage: ")
+        assert proc.stderr.endswith(f": error: argument {message}\n")
+
     def test_negative_vertex(self):
         proc = run_cli(["classify", "--family", "example2", "--vertex", "-1"])
-        self.assert_one_line_error(proc)
-        assert "vertex -1 out of range" in proc.stderr
+        self.assert_usage_error(proc, "--vertex: must be at least 0, got -1")
 
     @pytest.mark.parametrize("p_max", ["0", "-5"])
     def test_p_max_below_one(self, p_max):
         proc = run_cli(["classify", "--family", "example1", "--n-max", "30", "--p-max", p_max])
-        self.assert_one_line_error(proc)
-        assert "p_max must be >= 1" in proc.stderr
+        self.assert_usage_error(proc, f"--p-max: must be at least 1, got {p_max}")
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_tolerance_not_positive(self, star_json, tol):
+        # either used to run the whole power budget before failing
+        proc = run_cli(["spectral", "perron", "--digraph", star_json, "--tol", tol])
+        self.assert_usage_error(proc, f"--tol: must be positive, got {tol}")
+
+    def test_emit_truncation_below_one(self):
+        proc = run_cli(["construct", "example2", "--emit-truncation", "0"])
+        self.assert_usage_error(proc, "--emit-truncation: must be at least 1, got 0")
 
     def test_sampler_giving_up(self, monkeypatch, capsys):
         import substochastic.inequalities as ineq

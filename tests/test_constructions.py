@@ -147,7 +147,7 @@ class TestProp1:
         fam = build_prop1(lambda k: 2**k, lambda k: 1 - F(1, 2**k))
         chain = fam.extras["chain"]
         d = truncate(fam, chain.offset(4))
-        by_verts = {c.vertex_set: c for c in enumerate_cycles(d)}
+        by_verts = {frozenset(c.vertices): c for c in enumerate_cycles(d)}
         for k in (1, 2, 3):
             cyc = by_verts[frozenset(chain.bead_vertices(k))]
             assert cyc.gain == Gain(1 - F(1, 2**k), 2**k)

@@ -11,7 +11,6 @@ from substochastic import (
     GAIN_ZERO,
     WeightedDigraph,
     cycle_length_extremes,
-    disjoint_cycle_packing,
     enumerate_cycles,
     is_cycle_transversal,
     min_cycle_transversal,
@@ -26,6 +25,7 @@ from substochastic.constructions import (
     f_geometric,
     family_from_config,
 )
+from substochastic.cycles import _greedy_packing, _succ_sets
 from substochastic.inequalities import instance_stream, random_strong_digraph
 
 from conftest import (
@@ -236,28 +236,35 @@ class TestTransversal:
         assert not is_cycle_transversal(k3(), {0})
 
 
+def packing(d: WeightedDigraph) -> list[list[int]]:
+    """The greedy packing that bounds the branch and bound, on the whole of ``d``."""
+    return list(_greedy_packing(_succ_sets(d), set(range(d.order))))
+
+
 class TestPacking:
     def test_two_disjoint_loops(self):
         d = WeightedDigraph(2, {(0, 0): F(1, 2), (1, 1): F(1, 2)})
-        assert len(disjoint_cycle_packing(d)) == 2
+        assert len(packing(d)) == 2
 
     def test_example1_all_cycles_share_hub(self):
         fam = build_example1(f=f_geometric())
-        assert len(disjoint_cycle_packing(truncate(fam, 9))) == 1
+        assert len(packing(truncate(fam, 9))) == 1
 
     def test_k3_pairwise_intersecting(self):
-        assert len(disjoint_cycle_packing(k3())) == 1
+        assert len(packing(k3())) == 1
 
     @given(st.integers(0, 400))
     @settings(max_examples=60, deadline=None)
     def test_packing_bounds_transversal(self, seed):
+        # disjoint cycles, no more than the minimum transversal: a sound lower bound
         d = seeded_digraph(seed, order_max=7)
-        packing = disjoint_cycle_packing(d)
+        cycles = packing(d)
         seen = set()
-        for c in packing:
-            assert not (seen & c.vertex_set)
-            seen |= c.vertex_set
-        assert len(packing) <= min_cycle_transversal(d).size
+        for c in cycles:
+            assert all((u, c[(i + 1) % len(c)]) in d.arcs for i, u in enumerate(c))
+            assert not (seen & set(c)) and len(set(c)) == len(c)
+            seen |= set(c)
+        assert len(cycles) <= min_cycle_transversal(d).size
 
 
 class TestLengthExtremes:
@@ -292,18 +299,6 @@ class TestLengthExtremes:
             assert (ext.l_min, ext.l_max) == (lengths[0], lengths[-1])
         else:
             assert ext.l_min is None
-
-
-class TestCycleUnion:
-    def test_aggregates_and_rejects_overlap(self):
-        from substochastic import CycleUnion, Cycle
-
-        u = CycleUnion((Cycle((0,), F(1, 2)), Cycle((1, 2), F(1, 4))))
-        assert u.count == 2
-        assert u.total_length == 3
-        assert u.weight == F(1, 8)
-        with pytest.raises(ValueError):
-            CycleUnion((Cycle((0, 1), F(1, 2)), Cycle((1, 2), F(1, 2))))
 
 
 class TestGainBridging:

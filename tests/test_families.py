@@ -13,15 +13,20 @@ from substochastic import (
     truncate,
     validate_metadata,
 )
+from substochastic import families
 from substochastic.constructions import (
+    BUILTIN_FAMILIES,
     a_power,
     build_example1,
     build_example2,
     build_corollary1,
     build_prop1,
     f_geometric,
+    family_from_config,
     GapTarget,
 )
+
+from conftest import oracle_validate_metadata
 
 
 def test_example2_first_truncation_is_isolated_hub():
@@ -96,9 +101,10 @@ class TestValidateMetadata:
 
     def test_wrong_length_bound_caught_at_four(self):
         fam = build_example1(f=f_geometric()).with_facts(l_max=3)
-        report = validate_metadata(fam, 5)
+        assert validate_metadata(fam, 3).ok
+        report = validate_metadata(fam, 4)
         assert not report.ok
-        assert any("n=4" in v for v in report.violations)
+        assert report.violations == ["n=4: a cycle has length 4 > declared l_max 3"]
 
     def test_wrong_transversal_caught(self):
         fam = build_example1(f=f_geometric()).with_facts(transversal=frozenset({3}))
@@ -109,6 +115,35 @@ class TestValidateMetadata:
         fam = TruncationFamily("bare", lambda n: WeightedDigraph(n, {}))
         with pytest.raises(FamilyDefinitionError):
             validate_metadata(fam, 3)
+
+    def test_checks_one_truncation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(families, "truncate",
+                            lambda fam, n: calls.append(n) or truncate(fam, n))
+        assert validate_metadata(build_example2(a_power(-0.75)), 40).ok
+        assert calls == [40]
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    @pytest.mark.parametrize("wrong", [
+        {},
+        {"transversal": frozenset()},
+        {"transversal": frozenset({1})},
+        {"transversal": frozenset({0, 2})},
+        {"l_max": 1},
+        {"l_max": 2},
+        {"l_max": 4},
+        {"l_min": 2},
+        {"l_min": 3},
+    ], ids=repr)
+    def test_agrees_with_every_cycle_of_every_order(self, name, wrong):
+        fam = family_from_config(name).with_facts(**wrong)
+        facts = fam.facts
+        if facts.transversal is None and facts.l_max is None and facts.l_min is None:
+            with pytest.raises(FamilyDefinitionError):
+                validate_metadata(fam, 12)
+            return
+        for n in (1, 2, 3, 5, 8, 12):
+            assert validate_metadata(fam, n).ok == (not oracle_validate_metadata(fam, n)), n
 
 
 def test_facts_defaults_are_none():

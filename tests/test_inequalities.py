@@ -21,7 +21,6 @@ from substochastic import (
     min_cycle_transversal,
     perron_bounds,
     random_strong_digraph,
-    resolvent_diag,
     resolvent_diagonal,
     run_suite,
     scan_argmax_conjecture,
@@ -129,7 +128,7 @@ class TestTraceBounds:
     def test_loop_all_three_coincide(self):
         rep = check_trace_bounds(loop(F(7, 10)))
         assert rep.ok
-        assert resolvent_diag(loop(F(7, 10)), 0) == F(10, 3)
+        assert resolvent_diagonal(loop(F(7, 10)))[0] == F(10, 3)
 
     def test_random_suite_margins_reported(self):
         rep = run_suite("lemma-a1", count=60, seed=17, order_max=9)
@@ -169,7 +168,7 @@ class TestTransversalProduct:
         # removing the hub leaves an acyclic digraph, so 1/det == G(0,0)
         fam = build_example1(f=f_geometric())
         d = truncate(fam, 4)
-        assert 1 / det_i_minus(d) == resolvent_diag(d, 0)
+        assert 1 / det_i_minus(d) == resolvent_diagonal(d)[0]
         rep = check_transversal_product(d, frozenset({0}))
         assert rep.ok and rep.min_margin == 0
 

@@ -17,12 +17,11 @@ from substochastic.rational import (
     interpolate_exact,
     inverse_exact,
     ln_bounds,
-    poly_eval,
     solve_exact,
 )
 from substochastic.spectral import exact_shifted
 
-from conftest import leibniz_det, oracle_interpolate, oracle_inverse, oracle_solve
+from conftest import leibniz_det, oracle_interpolate, oracle_inverse, oracle_solve, poly_eval
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 

@@ -21,9 +21,7 @@ from substochastic import (
     perron_bounds,
     perron_ladder,
     perron_root,
-    resolvent_diag,
     resolvent_diagonal,
-    spectral_report,
     sup_cycle_gain,
     truncate,
 )
@@ -38,7 +36,7 @@ from substochastic.constructions import (
 )
 from substochastic.cycles import peel_transversal
 from substochastic.digraph import strongly_connected_components
-from substochastic.classify import pruitt_certificate, verify_pruitt
+from substochastic.classify import verify_pruitt
 from substochastic.families import TruncationFamily, family_to_float
 from substochastic.inequalities import (
     InequalityReport,
@@ -46,7 +44,7 @@ from substochastic.inequalities import (
     instance_stream,
     random_strong_digraph,
 )
-from substochastic.rational import det_exact, poly_eval
+from substochastic.rational import det_exact
 from substochastic.spectral import (
     _ROUTE_MAX_W,
     _ROUTE_PREFIX,
@@ -54,6 +52,7 @@ from substochastic.spectral import (
     _transversal_route,
     edge_operator,
     exact_shifted,
+    solve_shifted,
 )
 
 from conftest import (
@@ -67,6 +66,7 @@ from conftest import (
     oracle_perron_bounds,
     oracle_shifted,
     oracle_solve,
+    poly_eval,
     seeded_digraph,
     triangle,
     two_cycle,
@@ -523,17 +523,16 @@ def _fraction_zeta_records(d, v, samples):
 
 
 class TestIntegerRows:
-    """cI - zA as integer rows with row scales, and every exact caller of them."""
+    """I - zA as integer rows with row scales, and every exact caller of them."""
 
     @pytest.mark.parametrize("d", INTEGER_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
     def test_rows_over_scales_are_the_fraction_matrix(self, d):
         for z in SAMPLES:
-            for c in (1, F(3, 2), 2):
-                rows, scales = exact_shifted(d, z, c)
-                assert all(type(x) is int for row in rows for x in row)
-                assert all(type(s) is int and s > 0 for s in scales)
-                assert [[F(x, s) for x in row] for row, s in zip(rows, scales)] == \
-                    oracle_shifted(d, z, c)
+            rows, scales = exact_shifted(d, z)
+            assert all(type(x) is int for row in rows for x in row)
+            assert all(type(s) is int and s > 0 for s in scales)
+            assert [[F(x, s) for x in row] for row, s in zip(rows, scales)] == \
+                oracle_shifted(d, z)
 
     def test_empty_row_has_unit_scale(self):
         rows, scales = exact_shifted(INTEGER_ROW_DIGRAPHS[1], 3)
@@ -607,24 +606,35 @@ class TestIntegerRows:
     @pytest.mark.parametrize("lam", [F(1, 2), F(9, 10), F(3, 2), 2])
     @pytest.mark.parametrize("d", EXACT_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
     def test_pruitt_vector_as_on_the_fraction_matrix(self, d, lam):
-        n = d.order
-        want = [F(1)] * n
-        if not verify_pruitt(d, want, lam)[0]:
-            try:
-                want = oracle_solve(oracle_shifted(d, c=lam), [1] * n)
-            except ZeroDivisionError:
-                want = None
-            if want is not None and not verify_pruitt(d, want, lam)[0]:
-                want = None
-        assert repr(pruitt_certificate(d, lam)) == repr(want)
+        # lam times the resolvent vector (lam I - A)^{-1} 1, a Pruitt vector
+        # exactly when lam exceeds the root: then A xi = lam (xi - 1)
+        xi = _resolvent_vector(d, lam)
+        try:
+            want = oracle_solve(oracle_shifted(d, 1 / F(lam)), [1] * d.order)
+        except ZeroDivisionError:
+            want = None
+        assert repr(xi) == repr(want)
+        lo, hi = perron_bounds(d)
+        if lam > hi:
+            assert verify_pruitt(d, xi, lam) == (True, 0)
+        elif lam < lo and xi is not None:
+            assert not verify_pruitt(d, xi, lam)[0]
 
     def test_pruitt_cases_reach_the_solve(self):
         solved = [
             (d, lam) for d in EXACT_ROW_DIGRAPHS for lam in (F(9, 10), F(3, 2), 2)
             if not verify_pruitt(d, [F(1)] * d.order, lam)[0]
-            and pruitt_certificate(d, lam) is not None
+            and (xi := _resolvent_vector(d, lam)) is not None and verify_pruitt(d, xi, lam)[0]
         ]
         assert len(solved) >= 5
+
+
+def _resolvent_vector(d: WeightedDigraph, lam):
+    """(I - A/lam)^{-1} 1 from the integer rows, or None where I - A/lam is singular."""
+    try:
+        return solve_shifted(d, [1] * d.order, 1 / F(lam))
+    except ZeroDivisionError:
+        return None
 
 
 class TestCharpoly:
@@ -648,12 +658,7 @@ class TestCharpoly:
     @settings(max_examples=60, deadline=None)
     def test_coates_matches_leibniz_determinant(self, seed, z):
         d = seeded_digraph(seed, order_max=6)
-        rows = d.rows_exact()
-        m = [
-            [F(int(i == j)) - z * rows[i][j] for j in range(d.order)]
-            for i in range(d.order)
-        ]
-        assert poly_eval(coates_charpoly(d), z) == leibniz_det(m)
+        assert poly_eval(coates_charpoly(d), z) == leibniz_det(oracle_shifted(d, z))
 
     @given(st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
@@ -721,27 +726,26 @@ class TestDeterminant:
 
 class TestResolvent:
     def test_loop_geometric_series(self):
-        assert resolvent_diag(loop(F(7, 10)), 0) == F(10, 3)
+        assert resolvent_diagonal(loop(F(7, 10)))[0] == F(10, 3)
 
     def test_two_cycle_closed_form(self):
-        assert resolvent_diag(two_cycle(F(1, 2), F(1, 2)), 0) == F(4, 3)
+        assert resolvent_diagonal(two_cycle(F(1, 2), F(1, 2)))[0] == F(4, 3)
 
     def test_acyclic_no_return(self):
         for v in range(3):
-            assert resolvent_diag(acyclic3(), v) == F(1)
+            assert resolvent_diagonal(acyclic3())[v] == F(1)
 
     def test_radius_at_least_one_raises(self):
         with pytest.raises(SpectralRadiusError):
-            resolvent_diag(loop(F(1)), 0)
+            resolvent_diagonal(loop(F(1)))
 
     def test_radius_exactly_one_raises_before_the_singular_solve(self):
         # the cycle product 1/2 * 4 * 1/2 is 1, so rho = 1 and I - A is
         # singular; a float bracket 1e-10 wide straddles 1
         d = triangle(F(1, 2), F(4), F(1, 2))
-        with pytest.raises(SpectralRadiusError):
-            resolvent_diagonal(d)
-        with pytest.raises(SpectralRadiusError):
-            resolvent_diag(d, 0)
+        for _ in range(2):  # the guard's error is not memoised
+            with pytest.raises(SpectralRadiusError):
+                resolvent_diagonal(d)
 
     def test_exact_guard_reads_the_memoised_bracket(self):
         d = seeded_digraph(7)
@@ -752,7 +756,6 @@ class TestResolvent:
             perron_bounds(d)
             for _ in range(3):
                 resolvent_diagonal(d)
-                resolvent_diag(d, 0)
         assert (floats.call_count, exact.call_count) == (0, 1)
 
     def test_float_guard_finds_the_root_once(self):
@@ -762,7 +765,6 @@ class TestResolvent:
             first = resolvent_diagonal(d)
             for _ in range(3):
                 assert resolvent_diagonal(d) == first
-                resolvent_diag(d, 0)
         assert roots.call_count == 1
 
     @given(st.integers(0, 200))
@@ -770,7 +772,7 @@ class TestResolvent:
     def test_neumann_partial_sums_converge_to_it(self, seed):
         d = seeded_digraph(seed, order_max=6)
         lam = perron_root(d)
-        g = float(resolvent_diag(d, 0))
+        g = float(resolvent_diagonal(d)[0])
         # partial sums with the geometric tail bound
         a = d.to_numpy()
         x = [0.0] * d.order
@@ -784,15 +786,6 @@ class TestResolvent:
             total += vec[0]
         tail = lam ** (p_cap + 1) / max(1e-15, 1 - lam) * 10
         assert abs(g - total) <= tail + 1e-9
-
-
-class TestSpectralReport:
-    def test_report_fields(self):
-        rep = spectral_report(two_cycle(F(1, 2), F(1, 2)))
-        assert rep.charpoly == (F(1), 0, F(-1, 4))
-        assert rep.nonzero_eig_count == 2
-        assert rep.det_at_one == F(3, 4)
-        assert rep.perron_root == pytest.approx(0.5, rel=1e-10)
 
 
 class TestLadder:
