@@ -205,7 +205,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         family=args.family,
         params=json.loads(args.params) if args.params else {},
-        n_grid=tuple(int(x) for x in args.n_grid.split(",")) if args.n_grid else (),
+        n_grid=tuple(int(x) for x in args.n_grid.split(",")),
         mode=args.mode,
         compute_fvs=not args.no_fvs,
     )
@@ -221,7 +221,7 @@ def _cmd_fit(args) -> int:
         with open(args.input) as fh:
             text = fh.read()
     x_col, y_col = 0, 1
-    pairs = []
+    pairs, header = [], None
     for row, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -230,6 +230,8 @@ def _cmd_fit(args) -> int:
         try:
             float(parts[0])
         except ValueError:
+            if header is not None or pairs:  # only the first line may be a header
+                raise ValueError(f"row {row} is not numeric: {line!r}") from None
             header = [p.strip() for p in parts]
             for named in (args.x_col, args.y_col):
                 if named is not None and named not in header:
@@ -241,7 +243,10 @@ def _cmd_fit(args) -> int:
         if max(x_col, y_col) >= len(parts):
             raise ValueError(f"row {row} has {len(parts)} column(s), "
                              f"column {max(x_col, y_col) + 1} is needed: {line!r}")
-        pairs.append((float(parts[x_col]), float(parts[y_col])))
+        try:
+            pairs.append((float(parts[x_col]), float(parts[y_col])))
+        except ValueError:
+            raise ValueError(f"row {row} is not numeric: {line!r}") from None
     window = None
     if args.window:
         lo, hi = args.window.split(":")
@@ -369,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "sweep", _cmd_sweep, [out, params], help="per-n ladder/gain sweep over a family")
     p.add_argument("--family", choices=BUILTIN_FAMILIES, required=True)
-    p.add_argument("--n-grid", help="comma-separated strictly increasing orders")
+    p.add_argument("--n-grid", required=True, help="comma-separated strictly increasing orders")
     p.add_argument("--mode", choices=("exact", "float"), default="float")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--no-fvs", action="store_true", help="skip the transversal column")

@@ -825,11 +825,15 @@ def _gap_from_config(cfg, where: str) -> GapTarget:
 def family_from_config(name: str, params: Mapping | None = None) -> TruncationFamily:
     """Instantiate a built-in named family from a JSON-style parameter dict.
 
-    Malformed parameters raise ``ValueError`` naming the family and the key.
+    Malformed parameters and unknown keys raise ``ValueError`` naming the family and the key.
     """
-    if name not in BUILTIN_FAMILIES:
+    if name not in _FAMILY_KEYS:
         raise ValueError(f"unknown family {name!r}")
     params = _config({} if params is None else params, f"{name} params")
+    for key in params:
+        if key not in _FAMILY_KEYS[name]:
+            raise ValueError(f"{name} params.{key}: unknown key; {name} accepts "
+                             f"{', '.join(_FAMILY_KEYS[name])}")
 
     def param(key: str, default):
         return params.get(key, default), f"{name} params.{key}"
@@ -859,7 +863,10 @@ def family_from_config(name: str, params: Mapping | None = None) -> TruncationFa
             a = [_rat(v) for v in _required(acfg, "values", where)]
         else:
             raise ValueError(f"{where}: unknown a kind {acfg.get('kind')!r}")
-        return build_example2(a, sorted_weights=bool(params.get("sorted", True)))
+        sorted_weights, where = param("sorted", True)
+        if not isinstance(sorted_weights, bool):
+            raise ValueError(f"{where} must be true or false, got {sorted_weights!r}")
+        return build_example2(a, sorted_weights=sorted_weights)
     if name == "prop1":
         lengths = _sequence_from_config(*param("lengths", {"kind": "linear"}))
         targets = _sequence_from_config(*param("targets", {"kind": "one-minus-geometric"}))
@@ -868,8 +875,9 @@ def family_from_config(name: str, params: Mapping | None = None) -> TruncationFa
                            declared_lambda=_rat(declared) if declared is not None else None)
     if name == "prop2":
         ecfg, where = param("epsilon", {"kind": "geometric", "ratio": "1/4"})
-        ratio = _rat(_config(ecfg, where).get("ratio", "1/4"))
-        return build_prop2(EpsilonSchedule.geometric(ratio))
+        if _config(ecfg, where).get("kind") != "geometric":
+            raise ValueError(f"{where}: unknown epsilon kind {ecfg.get('kind')!r}")
+        return build_prop2(EpsilonSchedule.geometric(_rat(ecfg.get("ratio", "1/4"))))
     # corollary1 and theorem2-fast
     lengths, where = param("lengths", None)
     build = build_corollary1 if name == "corollary1" else build_theorem2_fast
@@ -879,4 +887,8 @@ def family_from_config(name: str, params: Mapping | None = None) -> TruncationFa
     )
 
 
-BUILTIN_FAMILIES = ("example1", "example2", "prop1", "prop2", "corollary1", "theorem2-fast")
+# the top-level parameter keys each built-in family accepts
+_FAMILY_KEYS = {"example1": ("a", "f"), "example2": ("a", "sorted"),
+                "prop1": ("lengths", "targets", "declared_lambda"), "prop2": ("epsilon",),
+                "corollary1": ("lengths", "g"), "theorem2-fast": ("lengths", "g")}
+BUILTIN_FAMILIES = tuple(_FAMILY_KEYS)

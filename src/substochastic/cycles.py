@@ -449,10 +449,7 @@ def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResul
 
     # greedy initial upper bound: hit shortest cycles at maximum-degree vertices
     greedy: set[int] = set()
-    while True:
-        cyc = _shortest_cycle(succ, all_vs - greedy)
-        if cyc is None:
-            break
+    while (cyc := _shortest_cycle(succ, all_vs - greedy)) is not None:
         greedy.add(max(cyc, key=lambda v: len(succ[v]) + sum(v in succ[u] for u in all_vs)))
 
     best = set(greedy)

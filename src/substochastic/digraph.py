@@ -42,17 +42,6 @@ class Tag(str, Enum):
         return other in implied.get(self, set())
 
 
-#: rank used by the monotonicity property: adding out-weight mass can only
-#: move a weighting toward a *less* strict class.
-STRICTNESS_RANK = {
-    Tag.NOT_SUBSTOCHASTIC: 0,
-    Tag.STOCHASTIC: 1,
-    Tag.SUBSTOCHASTIC: 1,
-    Tag.TRUTHLY_SUBSTOCHASTIC: 2,
-    Tag.STRICTLY_SUBSTOCHASTIC: 3,
-}
-
-
 @dataclass(frozen=True)
 class WeightingClass:
     tag: Tag
@@ -110,9 +99,6 @@ class WeightedDigraph:
 
     def out_weight(self, v: int):
         return sum(self.adjacency[v].values(), start=Fraction(0) if self.is_exact else 0.0)
-
-    def out_weights(self) -> list:
-        return [self.out_weight(v) for v in range(self.order)]
 
     def to_numpy(self) -> np.ndarray:
         m = np.zeros((self.order, self.order))
@@ -246,7 +232,7 @@ def classify_weighting(d: WeightedDigraph, tol=0) -> WeightingClass:
         return WeightingClass(Tag.STOCHASTIC, None)
     over: int | None = None
     under: list[int] = []
-    weights = d.out_weights()
+    weights = [d.out_weight(v) for v in range(d.order)]
     for v, ow in enumerate(weights):
         if ow > 1 + tol:
             if over is None or ow > weights[over]:

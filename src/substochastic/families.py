@@ -9,10 +9,12 @@ rely on after validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
-from .cycles import cycle_length_extremes, is_cycle_transversal
+from .cycles import _greedy_packing, cycle_length_extremes, is_cycle_transversal
 from .digraph import Tag, WeightedDigraph
 from .errors import FamilyDefinitionError
 
@@ -92,18 +94,21 @@ class MetadataReport:
 
 
 def validate_metadata(family: TruncationFamily, n_max: int) -> MetadataReport:
-    """Check the declared transversal and cycle lengths on the order-``n_max`` truncation.
+    """Check the declared transversal, sct_size and cycle lengths on the order-``n_max`` truncation.
 
     Truncations are induced and nested, so every cycle of a smaller one is a
     cycle of this one: a fact fails on some truncation up to ``n_max``
-    exactly when it fails here.  The transversal takes one Kahn peel and the
-    lengths one ``cycle_length_extremes`` search.  A longest-cycle search
-    that runs out of steps still reports a length it found, so ``l_max``
-    fails only on a cycle that exists.  Violations are collected in the
-    report rather than raised, so a wrong declaration can be inspected.
+    exactly when it fails here.  The transversal takes one Kahn peel, a
+    finite sct_size one greedy packing of disjoint cycles (a transversal hits
+    each), and the lengths one ``cycle_length_extremes`` search, which still
+    reports a length it found when it runs out of steps.  Violations are
+    collected in the report rather than raised, so a wrong declaration can
+    be inspected.
     """
     facts = family.facts
-    if facts.transversal is None and facts.l_max is None and facts.l_min is None:
+    sct = None if facts.sct_size == math.inf else facts.sct_size
+    if (facts.transversal is None and sct is None
+            and facts.l_max is None and facts.l_min is None):
         raise FamilyDefinitionError(f"{family.name}: no metadata declared to validate")
     report = MetadataReport(family.name, n_max)
     d = truncate(family, n_max)
@@ -111,6 +116,14 @@ def validate_metadata(family: TruncationFamily, n_max: int) -> MetadataReport:
         report.violations.append(
             f"n={n_max}: a cycle misses declared transversal {sorted(facts.transversal)}"
         )
+    if sct is not None:
+        packed = len(list(islice(_greedy_packing(d.adjacency, range(d.order)), sct + 1)))
+        if packed > sct:
+            report.violations.append(
+                f"n={n_max}: {packed} vertex-disjoint cycles exceed declared sct_size {sct}")
+        if facts.transversal is not None and len(facts.transversal) < sct:
+            report.violations.append(f"declared transversal {sorted(facts.transversal)} "
+                                     f"has fewer vertices than declared sct_size {sct}")
     if facts.l_max is None and facts.l_min is None:
         return report
     ext = cycle_length_extremes(d)

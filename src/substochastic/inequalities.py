@@ -150,9 +150,7 @@ def random_strong_digraph(
             t = Fraction(1)
         elif weighting == "strictly":
             t = Fraction(rng.randint(1, den - 1), den)
-        elif weighting == "truthly":
-            t = Fraction(rng.randint(1, den), den)
-        elif weighting == "substochastic":
+        elif weighting in ("truthly", "substochastic"):
             t = Fraction(rng.randint(1, den), den)
         else:
             raise ValueError(f"unknown weighting request {weighting!r}")

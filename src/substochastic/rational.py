@@ -1,11 +1,11 @@
 """Exact rational helpers: weight parsing, rigorous log bounds, exact linear algebra.
 
-Everything here operates on ``fractions.Fraction`` (or ints) and never rounds.
-One fraction-free (Bareiss) elimination serves determinants, solves and inverses,
-and solves back-substitute in integers too: a Fraction is built only for each
-output entry, and so does interpolation at the nodes 0..n.  The matrices
-I - zA reach it as integer rows from :mod:`substochastic.spectral`, the one
-reader of their row scales and home of the floating-point counterparts.
+Nothing here rounds.  The linear algebra is an integer kernel: one
+fraction-free (Bareiss) elimination serves determinants, solves and inverses,
+and interpolation at the nodes 0..n runs in integers too.  It takes integers
+only (a Fraction or float raises TypeError) and returns integers over one
+denominator.  :mod:`substochastic.spectral` clears the denominators of I - zA
+into its integer rows and builds the Fractions from the results.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-Rat = Fraction | int
 
 
 def is_exact_number(x) -> bool:
@@ -72,7 +70,7 @@ def _atanh_series_bounds(y: Fraction, terms: int) -> tuple[Fraction, Fraction]:
     return 2 * total, 2 * (total + tail)
 
 
-def ln_bounds(q: Rat, terms: int = 24) -> tuple[Fraction, Fraction]:
+def ln_bounds(q: Fraction | int, terms: int = 24) -> tuple[Fraction, Fraction]:
     """Exact rational (lower, upper) bounds on ln(q) for q > 0."""
     q = Fraction(q)
     if q <= 0:
@@ -93,27 +91,33 @@ LN2_LO, LN2_HI = _atanh_series_bounds(Fraction(1, 3), 40)
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (small orders; entries Fraction or int).
+# Exact linear algebra over the integers (small orders).
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
-    """Fraction-free (Bareiss) forward elimination of ``[rows | right]``.
+def _integers(values) -> list[int]:
+    """``values`` as a list, raising TypeError on a non-integer: ``//`` would floor it silently."""
+    values = list(values)
+    for x in values:
+        if not isinstance(x, int):
+            raise TypeError(f"the exact kernel takes integers, got {type(x).__name__} {x!r}")
+    return values
 
-    Rows are cleared of denominators, then the integer recurrence divides exactly.
-    Returns ``(sign, scale, m)``, ``m`` upper triangular in its first n columns with
-    ``det(rows) == sign * m[-1][-1] / scale``, or None when ``rows`` is singular.
+
+def _eliminate(rows: Sequence[Sequence[int]], right: Sequence[Sequence[int]]):
+    """Fraction-free (Bareiss) forward elimination of the integer matrix ``[rows | right]``.
+
+    Every division is exact.  Returns ``(sign, m)``, ``m`` upper triangular in
+    its first n columns with ``det(rows) == sign * m[-1][-1]``, or None when
+    ``rows`` is singular.
     """
     n = len(rows)
-    sign = prev = scale = 1
+    sign = prev = 1
     m: list[list[int]] = []
     for row, extra in zip(rows, right, strict=True):
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
-        full = [*row, *extra]
-        den = math.lcm(*(x.denominator for x in full))
-        scale *= den
-        m.append([x.numerator * (den // x.denominator) for x in full])
+        m.append(_integers([*row, *extra]))
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
@@ -130,32 +134,31 @@ def _eliminate(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
             else:  # the row is only rescaled: one product fewer per entry
                 row[k + 1:] = [x * pivot // prev for x in tail]
         prev = pivot
-    return sign, scale, m
+    return sign, m
 
 
-def det_exact(rows: Sequence[Sequence[Rat]]) -> Fraction:
-    """Determinant: the last Bareiss pivot with the row multipliers divided back out."""
+def det_exact(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix: the last Bareiss pivot, signed by the row swaps."""
     done = _eliminate(rows, [()] * len(rows))
     if done is None:
-        return Fraction(0)
-    sign, scale, m = done
-    return Fraction(sign * m[-1][-1], scale) if m else Fraction(1)
+        return 0
+    sign, m = done
+    return sign * m[-1][-1] if m else 1
 
 
-def _solve_block(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
-    """rows^{-1} right: fraction-free back substitution on the Bareiss triangle.
+def _solve_block(rows: Sequence[Sequence[int]], right: Sequence[Sequence[int]]):
+    """rows^{-1} right as ``(X, p)``: integer numerators over the last Bareiss pivot p.
 
-    With p the last pivot, p times the solution is integral (Cramer's rule), so
+    p times the solution is integral (Cramer's rule), so the back substitution
     X_i = (p c_i - sum_{j>i} U_ij X_j) / U_ii divides exactly in integers
-    (Nakos, Turner and Williams, 1997).  Each entry becomes ``Fraction(X_i, p)``
-    only at output.
+    (Nakos, Turner and Williams, 1997).
     """
     done = _eliminate(rows, right)
     if done is None:
         raise ZeroDivisionError("singular matrix in exact elimination")
-    n, m = len(rows), done[2]
+    n, m = len(rows), done[1]
     if not m:
-        return []
+        return [], 1
     p = m[-1][n - 1]
     x: list[list[int]] = [[]] * n
     for i in range(n - 1, -1, -1):
@@ -167,29 +170,28 @@ def _solve_block(rows: Sequence[Sequence[Rat]], right: Sequence[Sequence[Rat]]):
                 acc = [a - u * b for a, b in zip(acc, x[j])]
         pivot = row[i]
         x[i] = [a // pivot for a in acc]
-    return [[Fraction(a, p) for a in xi] for xi in x]
+    return x, p
 
 
-def solve_exact(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> list[Fraction]:
-    """Solve A x = b exactly."""
-    return [x for (x,) in _solve_block(rows, [[b] for b in rhs])]
+def solve_exact(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int]:
+    """Solve A x = b over the integers: ``(X, p)`` with x = X / p."""
+    x, p = _solve_block(rows, [[b] for b in rhs])
+    return [xi for (xi,) in x], p
 
 
-def inverse_exact(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
-    """Exact matrix inverse."""
+def inverse_exact(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Inverse of an integer matrix: ``(X, p)`` with A^{-1} = X / p."""
     n = len(rows)
     return _solve_block(rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
-def interpolate_exact(values: Sequence[Rat]) -> list[Fraction]:
-    """Coefficients (ascending) of the polynomial through (k, values[k]), k = 0..n.
+def interpolate_exact(values: Sequence[int]) -> tuple[list[int], int]:
+    """The polynomial p through (k, values[k]), k = 0..n, as ``(C, n!)``: p = C / n!.
 
-    In integers: forward differences of the numerators over one denominator D,
-    then Horner on the Newton form with weights n!/k! gives n! D p(z); each
-    coefficient becomes one Fraction, divided by n! D, at output.
+    C holds the ascending integer coefficients of n! p(z): forward differences
+    of the values, then Horner on the Newton form with the weights n!/k!.
     """
-    den = math.lcm(*(v.denominator for v in values))
-    ys = [v.numerator * (den // v.denominator) for v in values]
+    ys = _integers(values)
     n = len(ys) - 1
     for k in range(1, n + 1):  # ys[k] becomes Delta^k y_0
         for i in range(n, k - 1, -1):
@@ -202,4 +204,4 @@ def interpolate_exact(values: Sequence[Rat]) -> list[Fraction]:
         weight *= k or 1
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return [Fraction(c, weight * den) for c in out]
+    return out, weight

@@ -557,31 +557,33 @@ def charpoly(d: WeightedDigraph, method: str = "elimination", budget: int = 2_00
     return list(d.memo(("charpoly", method), lambda: tuple(_elimination_charpoly(d))))
 
 
-def det_shifted(d: WeightedDigraph, z=1):
-    """det(I - zA) exactly: the integer rows' determinant with their scales divided out."""
+def det_shifted(d: WeightedDigraph, z=1) -> Fraction:
+    """det(I - zA) exactly: one Fraction, the integer rows' determinant over prod(scales)."""
     rows, scales = exact_shifted(d, z)
-    return det_exact(rows) / math.prod(scales)
+    return Fraction(det_exact(rows), math.prod(scales))
 
 
-def solve_shifted(d: WeightedDigraph, b: Sequence, z=1) -> list[Fraction]:
-    """(I - zA)^{-1} b exactly: the integer rows solved against ``scales * b``."""
+def solve_shifted(d: WeightedDigraph, b: Sequence[int], z=1) -> list[Fraction]:
+    """(I - zA)^{-1} b exactly, b integral: the integer rows solved against ``scales * b``."""
     rows, scales = exact_shifted(d, z)
-    return solve_exact(rows, [s * x for s, x in zip(scales, b, strict=True)])
+    x, p = solve_exact(rows, [s * x for s, x in zip(scales, b, strict=True)])
+    return [Fraction(xi, p) for xi in x]
 
 
 def _elimination_charpoly(d: WeightedDigraph) -> list:
-    coeffs = interpolate_exact([det_shifted(d, z) for z in range(d.order + 1)])
+    # at integer z the row scales are the lcms L_i, so the integer determinants at
+    # z = 0..n share the denominator prod(L_i): one Fraction per coefficient
+    dets = [det_exact(exact_shifted(d, z)[0]) for z in range(d.order + 1)]
+    coeffs, den = interpolate_exact(dets)
+    den *= math.prod(lcm for lcm, _arcs in _integer_weights(d))
+    coeffs = [Fraction(c, den) for c in coeffs]
     return coeffs if d.is_exact else [float(c) for c in coeffs]
 
 
 def det_i_minus(d: WeightedDigraph):
     """det(I - A), memoised on ``d``: fraction-free elimination when exact, pivoted LU otherwise."""
-    def compute():
-        if not d.is_exact:
-            return float(np.linalg.det(float_shifted(d)))
-        return det_shifted(d)
-
-    return d.memo("det_i_minus", compute)
+    return d.memo("det_i_minus", lambda: det_shifted(d) if d.is_exact
+                  else float(np.linalg.det(float_shifted(d))))
 
 
 def resolvent_diagonal(d: WeightedDigraph) -> list:
@@ -596,10 +598,11 @@ def resolvent_diagonal(d: WeightedDigraph) -> list:
         if not d.is_exact:
             inv = np.linalg.inv(float_shifted(d))
             return tuple(float(inv[i, i]) for i in range(d.order))
-        # (S^{-1} R)^{-1} = R^{-1} S for the integer rows R and row scales S
+        # (S^{-1} R)^{-1} = R^{-1} S for the integer rows R and row scales S,
+        # and R^{-1} = X / p: only the n diagonal entries become Fractions
         rows, scales = exact_shifted(d)
-        inv = inverse_exact(rows)
-        return tuple(inv[i][i] * s for i, s in enumerate(scales))
+        x, p = inverse_exact(rows)
+        return tuple(Fraction(x[i][i] * s, p) for i, s in enumerate(scales))
 
     return list(d.memo("resolvent_diagonal", compute))
 
@@ -633,9 +636,9 @@ def perron_ladder(
 
     Modes:
       * ``leading``: Perron root of the order-n leading truncation.
-      * ``sup_exact``: certified supremum over all order-n induced
-        subdigraphs of the truncation at ``window`` (finite stand-in for the
-        infinite supremum; n <= 15, at most 200,000 subsets).
+      * ``sup_exact``: exhaustive supremum of the float Perron roots of all
+        order-n induced subdigraphs of the truncation at ``window`` (finite
+        stand-in for the infinite supremum; n <= 15, at most 200,000 subsets).
       * ``witness``: Perron root of the family's declared order-n witness
         submatrix, a certified lower bound on the supremum.
     """
@@ -670,18 +673,13 @@ def perron_ladder(
 
     computed_sup = max(spectrum.values.values(), default=0.0)
     declared = family.facts.spectral_limit
-    if declared is not None:
-        spectrum.limit_estimate = float(declared)
-        spectrum.limit_method = "closed-form"
-    elif len(ns) >= 3:
+    est = None
+    if declared is None and len(ns) >= 3:
         est = _aitken(*(spectrum.values[n] for n in ns[-3:]))
-        if est is not None and est >= computed_sup:
-            spectrum.limit_estimate = est
-            spectrum.limit_method = "extrapolated"
-        else:
-            spectrum.limit_estimate = computed_sup
-            spectrum.limit_method = "supremum-of-computed"
+    if declared is not None:
+        spectrum.limit_estimate, spectrum.limit_method = float(declared), "closed-form"
+    elif est is not None and est >= computed_sup:
+        spectrum.limit_estimate, spectrum.limit_method = est, "extrapolated"
     else:
-        spectrum.limit_estimate = computed_sup
-        spectrum.limit_method = "supremum-of-computed"
+        spectrum.limit_estimate, spectrum.limit_method = computed_sup, "supremum-of-computed"
     return spectrum

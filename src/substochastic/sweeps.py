@@ -11,8 +11,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .constructions import family_from_config
 from .cycles import min_cycle_transversal, sup_cycle_gain
-from .families import TruncationFamily, truncate
+from .families import family_to_float, truncate
 from .spectral import perron_root
 
 CSV_VERSION = "substochastic-sweep-v1"
@@ -43,17 +44,10 @@ class SweepSpec:
             raise ValueError("n_grid orders must be at least 1")
 
 
-def _family(spec: SweepSpec) -> TruncationFamily:
-    from .constructions import family_from_config
-    from .families import family_to_float
-
-    fam = family_from_config(spec.family, spec.params)
-    return family_to_float(fam) if spec.mode == "float" else fam
-
-
 def run_sweep(spec: SweepSpec, progress=None) -> list[dict]:
     """Per-n ladder rows; deterministic for a fixed spec, errors recorded inline."""
-    fam = _family(spec)
+    fam = family_from_config(spec.family, spec.params)
+    fam = family_to_float(fam) if spec.mode == "float" else fam
     progress = progress if progress is not None else sys.stderr
     rows = []
     for n in spec.n_grid:
@@ -72,10 +66,8 @@ def run_sweep(spec: SweepSpec, progress=None) -> list[dict]:
             row["n_one_minus_lambda"] = n * (1 - lam)
             limit = fam.facts.spectral_limit
             row["gap_to_limit"] = (float(limit) - lam) if limit is not None else ""
-            if spec.compute_fvs:
-                row["fvs_size"] = min_cycle_transversal(d, budget=20_000).size
-            else:
-                row["fvs_size"] = ""
+            row["fvs_size"] = (min_cycle_transversal(d, budget=20_000).size
+                               if spec.compute_fvs else "")
         except Exception as exc:  # keep sweeping, record the cell error
             row.setdefault("lambda_n", f"error:{exc}")
             for col in COLUMNS:
@@ -85,18 +77,13 @@ def run_sweep(spec: SweepSpec, progress=None) -> list[dict]:
     return rows
 
 
-def _format_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def sweep_csv(rows: Sequence[Mapping]) -> str:
     out = io.StringIO()
     out.write(f"# {CSV_VERSION} columns: {','.join(COLUMNS)}\n")
     out.write(",".join(COLUMNS) + "\n")
     for row in rows:
-        out.write(",".join(_format_cell(row.get(c, "")) for c in COLUMNS) + "\n")
+        cells = (row.get(c, "") for c in COLUMNS)
+        out.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in cells) + "\n")
     return out.getvalue()
 
 

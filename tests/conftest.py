@@ -156,16 +156,27 @@ def _johnson_paths(adj, start):
 
 
 def oracle_validate_metadata(family, n_max: int) -> list[str]:
-    """Violations of a family's declared transversal and cycle lengths, cycle by cycle.
+    """Violations of a family's declared transversal, its size and cycle lengths, cycle by cycle.
 
     ``validate_metadata`` as it was before it checked only the last
     truncation: every cycle of every truncation of order 1..n_max, here
-    from the naive search.
+    from the naive search.  A finite ``sct_size`` fails when it exceeds the
+    declared transversal, or when sct_size + 1 pairwise vertex-disjoint
+    cycles exist (searched exhaustively, where the library packs greedily).
     """
     facts = family.facts
     violations = []
+    sct = None if facts.sct_size == math.inf else facts.sct_size
+    if sct is not None and facts.transversal is not None and len(facts.transversal) < sct:
+        violations.append("declared transversal is smaller than declared sct_size")
     for n in range(1, n_max + 1):
-        for cyc in sorted(brute_cycles(family.generator(n))):
+        cycles = sorted(brute_cycles(family.generator(n)))
+        if sct is not None and any(
+            len(set().union(*packing)) == sum(map(len, packing))
+            for packing in itertools.combinations(cycles, sct + 1)
+        ):
+            violations.append(f"n={n}: more disjoint cycles than declared sct_size")
+        for cyc in cycles:
             if facts.transversal is not None and not set(cyc) & facts.transversal:
                 violations.append(f"n={n}: cycle {cyc} misses declared transversal")
             if facts.l_max is not None and len(cyc) > facts.l_max:
@@ -273,6 +284,24 @@ def oracle_solve(rows, rhs) -> list[F]:
 def oracle_inverse(rows) -> list[list[F]]:
     n = len(rows)
     return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def oracle_det(rows) -> F:
+    """Determinant over Fraction by Gaussian elimination: the signed product of the pivots."""
+    a = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for row in a[k + 1:]:
+            f = row[k] / a[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], a[k][k:])]
+    return det
 
 
 def oracle_interpolate(points, values) -> list[F]:

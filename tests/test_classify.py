@@ -19,6 +19,7 @@ from substochastic import (
     WeightedDigraph,
     classify_recurrence,
     cyr_criterion,
+    min_cycle_transversal,
     green_partial_sums,
     perron_root,
     truncate,
@@ -227,6 +228,26 @@ class TestClassifyRecurrence:
         assert len(verdict.notes) == 1
         assert verdict.notes[0].startswith("declared facts fail: n=30: ")
         assert named in verdict.notes[0]
+
+    def test_declared_sct_size_is_checked_on_the_truncation(self):
+        # disjoint 2-cycles (0, 1), (2, 3), ...: the order-40 truncation needs 20 vertices
+        pairs = TruncationFamily(
+            "pairs",
+            lambda n: WeightedDigraph(n, {(u, u ^ 1): F(1, 2) for u in range(n - n % 2)}),
+            FamilyFacts(sct_size=1, l_max=2),
+        )
+        assert min_cycle_transversal(truncate(pairs, 40)).size == 20
+        verdict = classify_recurrence(pairs, n_max=40)
+        assert (verdict.verdict, verdict.evidence, verdict.confidence) == ("unknown", None, None)
+        assert verdict.notes == (
+            "declared facts fail: n=40: 2 vertex-disjoint cycles exceed declared sct_size 1",)
+
+    def test_declared_transversal_smaller_than_sct_size_is_unknown(self):
+        fam = build_example2(a_power(-0.75)).with_facts(sct_size=2)
+        verdict = classify_recurrence(fam, n_max=30)
+        assert (verdict.verdict, verdict.evidence, verdict.confidence) == ("unknown", None, None)
+        assert verdict.notes == ("declared facts fail: declared transversal [0] "
+                                 "has fewer vertices than declared sct_size 2",)
 
     def test_unsettled_longest_cycle_is_no_violation(self, monkeypatch):
         # a search out of steps reports a cycle it found, here within l_max = 2

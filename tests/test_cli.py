@@ -295,6 +295,18 @@ class TestSweepAndFit:
             "error: row 3 has 1 column(s), column 2 is needed: '2'"
         ]
 
+    @pytest.mark.parametrize("text, row", [
+        ("n,gap\n1,0.5\nx,0.2\n2,0.25\n4,0.125\n", "row 3 is not numeric: 'x,0.2'"),
+        ("n,gap\n1,0.5\n2,x\n4,0.125\n", "row 3 is not numeric: '2,x'"),
+        ("# comment\nn,gap\nsize,gap\n1,0.5\n", "row 3 is not numeric: 'size,gap'"),
+        ("1,0.5\nn,gap\n2,0.25\n", "row 2 is not numeric: 'n,gap'"),
+    ], ids=["mid-file-row", "non-numeric-gap", "second-header", "header-after-data"])
+    def test_fit_rejects_a_non_numeric_row_after_the_first(self, text, row):
+        # such a row used to be taken for a header and dropped: 3 of 4 points fitted
+        fit = run_cli(["fit", "--input", "-"], stdin_text=text)
+        assert fit.returncode == 1 and fit.stdout == ""
+        assert fit.stderr.strip().splitlines() == [f"error: {row}"]
+
     def test_error_exit_code(self):
         proc = run_cli(["fit", "--input", "/nonexistent/file.csv"])
         assert proc.returncode == 1
@@ -434,9 +446,16 @@ class TestBoundaryErrors:
             ("theorem2-fast", '{"lengths": {"kind": "constant"}}',
              "theorem2-fast params.lengths"),
             ("example1", "[1]", "example1 params must be a JSON object"),
+            ("example1", '{"A": "1/3", "f": {"kind": "geometric", "ration": "1/3"}}',
+             "example1 params.A: unknown key; example1 accepts a, f"),
+            ("prop2", '{"epsilon": {"kind": "constant", "value": "1/8"}}',
+             "prop2 params.epsilon: unknown epsilon kind 'constant'"),
+            ("example2", '{"sorted": "false"}',
+             "example2 params.sorted must be true or false, got 'false'"),
         ],
         ids=["list-without-values", "gap-not-object", "f-not-object",
-             "constant-without-value", "params-not-object"],
+             "constant-without-value", "params-not-object", "unknown-key",
+             "epsilon-kind", "sorted-not-boolean"],
     )
     def test_malformed_family_params(self, family, params, message):
         proc = run_cli(["construct", family, "--params", params, "--emit-truncation", "3"])
@@ -464,11 +483,12 @@ class TestBoundaryErrors:
             ["cycles", "enumerate", "--family", "corollary1", "--n", "5", "--max-len", "0"],
             ["classify", "--family", "example2", "--n-max", "0", "--p-max", "50"],
             ["verify", "sigma-k", "--count", "1", "--k", "0"],
+            ["sweep", "--family", "example2"],
         ],
         ids=["missing-argument", "unknown-option", "perron-seed", "classify-format",
              "sweep-seed", "classify-n", "ladder-n", "option-prefix", "negative-budget",
              "negative-max-count", "negative-count", "order-max-below-two", "negative-n",
-             "zero-n", "count-not-int", "zero-max-len", "zero-n-max", "k-zero"],
+             "zero-n", "count-not-int", "zero-max-len", "zero-n-max", "k-zero", "sweep-no-grid"],
     )
     def test_usage_errors_exit_one(self, args):
         proc = run_cli(args)

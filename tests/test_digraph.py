@@ -10,10 +10,19 @@ from substochastic import (
     classify_weighting,
 )
 from substochastic.constructions import build_example1, f_geometric
-from substochastic.digraph import STRICTNESS_RANK, strongly_connected_components
+from substochastic.digraph import strongly_connected_components
 from substochastic.families import truncate
 
 from conftest import brute_reachable, loop, seeded_digraph, two_cycle
+
+# adding out-weight mass can only move a weighting toward a *less* strict class
+STRICTNESS_RANK = {
+    Tag.NOT_SUBSTOCHASTIC: 0,
+    Tag.STOCHASTIC: 1,
+    Tag.SUBSTOCHASTIC: 1,
+    Tag.TRUTHLY_SUBSTOCHASTIC: 2,
+    Tag.STRICTLY_SUBSTOCHASTIC: 3,
+}
 
 
 class TestClassifyWeighting:

@@ -134,11 +134,13 @@ class TestValidateMetadata:
         {"l_max": 4},
         {"l_min": 2},
         {"l_min": 3},
+        {"sct_size": 2},
     ], ids=repr)
     def test_agrees_with_every_cycle_of_every_order(self, name, wrong):
         fam = family_from_config(name).with_facts(**wrong)
         facts = fam.facts
-        if facts.transversal is None and facts.l_max is None and facts.l_min is None:
+        if (facts.transversal is None and facts.sct_size in (None, math.inf)
+                and facts.l_max is None and facts.l_min is None):
             with pytest.raises(FamilyDefinitionError):
                 validate_metadata(fam, 12)
             return

@@ -1,6 +1,6 @@
-"""Exact det, solve, inverse and interpolation against Leibniz determinants,
-Cramer's rule, and the Gauss–Jordan elimination and Newton divided differences
-they replaced; rational ln bounds."""
+"""The integer kernel's det, solve, inverse and interpolation against Leibniz
+determinants, Cramer's rule, and the Gauss–Jordan elimination and Newton
+divided differences they replaced, all over Fraction; rational ln bounds."""
 
 import math
 import random
@@ -19,11 +19,25 @@ from substochastic.rational import (
     ln_bounds,
     solve_exact,
 )
-from substochastic.spectral import exact_shifted
+from substochastic.spectral import exact_shifted, solve_shifted
 
 from conftest import leibniz_det, oracle_interpolate, oracle_inverse, oracle_solve, poly_eval
 
-entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+entries = st.integers(-12, 12)
+
+
+def as_fractions(result):
+    """A kernel's ``(X, p)`` as the Fractions X / p, entry by entry (X a vector or a matrix)."""
+    x, p = result
+    return [[F(a, p) for a in row] if isinstance(row, list) else F(row, p) for row in x]
+
+
+def solve(rows, rhs):
+    return as_fractions(solve_exact(rows, rhs))
+
+
+def inverse(rows):
+    return as_fractions(inverse_exact(rows))
 
 
 @st.composite
@@ -48,7 +62,7 @@ def test_solve_matches_cramer(system):
             solve_exact(rows, rhs)
         return
     want = [leibniz_det(with_column(rows, j, rhs)) / det for j in range(len(rows))]
-    assert solve_exact(rows, rhs) == want
+    assert solve(rows, rhs) == want
 
 
 @given(square_systems())
@@ -67,35 +81,37 @@ def test_inverse_matches_cramer(system):
          for j in range(n)]
         for i in range(n)
     ]
-    assert inverse_exact(rows) == want
+    assert inverse(rows) == want
 
 
 def test_pivoting_past_a_zero_leading_entry():
     rows = [[0, 1], [1, 0]]
-    assert solve_exact(rows, [F(2), F(3)]) == [3, 2]
-    assert inverse_exact(rows) == [[0, 1], [1, 0]]
+    assert solve_exact(rows, [2, 3]) == ([3, 2], 1)
+    assert inverse_exact(rows) == ([[0, 1], [1, 0]], 1)
 
 
 def test_order_zero_solve_and_inverse_are_empty():
-    assert solve_exact([], []) == []
-    assert inverse_exact([]) == []
+    assert solve_exact([], []) == ([], 1)
+    assert inverse_exact([]) == ([], 1)
 
 
 def test_back_substitution_scales_by_the_last_pivot():
     """p x is integral for p the last pivot, not for the last augmented entry."""
     cases = [
         ([[2, 0], [0, 3]], [1, 1]),
-        ([[0, F(1, 2), 1], [3, 0, F(2, 3)], [1, 1, 0]], [F(1, 5), 0, 2]),
+        ([[0, 1, 2], [9, 0, 2], [1, 1, 0]], [1, 0, 10]),
     ]
     for rows, rhs in cases:
         n = len(rows)
-        _sign, _scale, m = _eliminate(rows, [[b] for b in rhs])
+        _sign, m = _eliminate(rows, [[b] for b in rhs])
         assert m[-1][-1] != m[-1][n - 1]
-        _sign, _scale, m = _eliminate(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+        assert solve_exact(rows, rhs)[1] == m[-1][n - 1]
+        _sign, m = _eliminate(rows, [[int(i == j) for j in range(n)] for i in range(n)])
         assert m[-1][-1] != m[-1][n - 1]
-        assert outcome(solve_exact, rows, rhs) == outcome(oracle_solve, rows, rhs)
-        assert outcome(inverse_exact, rows) == outcome(oracle_inverse, rows)
-    assert solve_exact(*cases[0]) == [F(1, 2), F(1, 3)]
+        assert inverse_exact(rows)[1] == m[-1][n - 1]
+        assert outcome(solve, rows, rhs) == outcome(oracle_solve, rows, rhs)
+        assert outcome(inverse, rows) == outcome(oracle_inverse, rows)
+    assert solve_exact(*cases[0]) == ([3, 2], 6)
 
 
 def test_mismatched_right_hand_side_rejected():
@@ -107,7 +123,7 @@ def test_mismatched_right_hand_side_rejected():
 def det_matrices(draw):
     """Order 0-5, many zeros (so zero leading entries), some forced singular."""
     n = draw(st.integers(0, 5))
-    sparse = st.one_of(st.just(0), st.just(F(0)), entries)
+    sparse = st.one_of(st.just(0), entries)
     rows = [[draw(sparse) for _ in range(n)] for _ in range(n)]
     if n >= 2 and draw(st.booleans()):
         i, j = draw(st.permutations(range(n)))[:2]
@@ -120,12 +136,12 @@ def det_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_det_matches_leibniz(rows):
     det = det_exact(rows)
-    assert type(det) is F
+    assert type(det) is int
     assert det == leibniz_det(rows)
 
 
 def test_det_of_order_zero_is_one():
-    assert det_exact([]) == 1 and type(det_exact([])) is F
+    assert det_exact([]) == 1 and type(det_exact([])) is int
 
 
 def test_det_swaps_flip_the_sign():
@@ -157,20 +173,24 @@ LARGE = [random_strong_digraph(random.Random(order), order) for order in (24, 28
 @pytest.mark.parametrize("d", STREAM + LARGE, ids=lambda d: f"order{d.order}")
 def test_solve_and_inverse_match_gauss_jordan(d):
     n = d.order
-    rhs = [F(i % 3, i + 1) for i in range(n)]
+    rhs = [(i % 3) * (i + 1) - 2 for i in range(n)]
     for z in SHIFTS:
         rows, scales = exact_shifted(d, z)
-        # the integer rows the library solves, and I - zA itself over Fraction
-        for m in rows, [[F(x, s) for x in row] for row, s in zip(rows, scales)]:
-            assert outcome(solve_exact, m, rhs) == outcome(oracle_solve, m, rhs)
-            assert outcome(inverse_exact, m) == outcome(oracle_inverse, m)
+        assert outcome(solve, rows, rhs) == outcome(oracle_solve, rows, rhs)
+        assert outcome(inverse, rows) == outcome(oracle_inverse, rows)
+        # and I - zA itself over Fraction, whose inverse is rows^{-1} scales
+        shifted = [[F(x, s) for x in row] for row, s in zip(rows, scales)]
+        assert outcome(solve_shifted, d, rhs, z) == outcome(oracle_solve, shifted, rhs)
+        x, p = inverse_exact(rows)
+        assert [[F(a * s, p) for a, s in zip(row, scales)] for row in x] == \
+            oracle_inverse(shifted)
 
 
 @st.composite
 def mixed_systems(draw):
-    """Order 1-8, int and Fraction entries mixed, zero leading entries, some singular."""
+    """Order 1-8, small and large integers mixed, zero leading entries, some singular."""
     n = draw(st.integers(1, 8))
-    cell = st.one_of(st.just(0), st.integers(-5, 5), entries)
+    cell = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-10**9, 10**9))
     rows = [[draw(cell) for _ in range(n)] for _ in range(n)]
     if draw(st.booleans()):
         rows[0][0] = 0  # the first step must swap rows or find no pivot
@@ -186,8 +206,12 @@ def mixed_systems(draw):
 @settings(max_examples=250, deadline=None)
 def test_integer_back_substitution_matches_gauss_jordan(system):
     rows, rhs = system
-    assert outcome(solve_exact, rows, rhs) == outcome(oracle_solve, rows, rhs)
-    assert outcome(inverse_exact, rows) == outcome(oracle_inverse, rows)
+    assert outcome(solve, rows, rhs) == outcome(oracle_solve, rows, rhs)
+    assert outcome(inverse, rows) == outcome(oracle_inverse, rows)
+    if outcome(det_exact, rows) != "0":  # X is integral over the last pivot
+        x, p = solve_exact(rows, rhs)
+        inv, q = inverse_exact(rows)
+        assert all(type(a) is int for a in [p, q, *x, *(a for row in inv for a in row)])
 
 
 @st.composite
@@ -215,25 +239,43 @@ def node_values(draw):
 @given(node_values())
 @settings(max_examples=300, deadline=None)
 def test_interpolation_matches_divided_differences(values):
-    assert repr(interpolate_exact(values)) == \
+    coeffs, den = interpolate_exact(values)
+    assert den == math.factorial(len(values) - 1)
+    assert repr([F(c, den) for c in coeffs]) == \
         repr(oracle_interpolate(range(len(values)), values))
 
 
 @given(node_values(), st.integers(1, 10**12))
 @settings(max_examples=100, deadline=None)
 def test_interpolation_of_rational_values(values, den):
-    values = [F(v, den) for v in values]
-    assert repr(interpolate_exact(values)) == \
-        repr(oracle_interpolate(range(len(values)), values))
+    # integer values over one denominator, as the characteristic polynomial passes them
+    coeffs, fact = interpolate_exact(values)
+    assert repr([F(c, fact * den) for c in coeffs]) == \
+        repr(oracle_interpolate(range(len(values)), [F(v, den) for v in values]))
 
 
 def test_interpolation_pins():
-    assert interpolate_exact([7]) == [7]
-    assert interpolate_exact([0, 0, 0]) == [0]
-    assert interpolate_exact([1, 2, 5, 10]) == [1, 0, 1]  # 1 + z^2, top term trimmed
-    assert interpolate_exact([0, 1, 0]) == [0, 2, -1]
-    assert interpolate_exact([F(1, 2), F(1, 3)]) == [F(1, 2), F(-1, 6)]
-    assert all(type(c) is F for c in interpolate_exact([3, -1, 4, -1, 5]))
+    assert interpolate_exact([7]) == ([7], 1)
+    assert interpolate_exact([0, 0, 0]) == ([0], 2)
+    assert interpolate_exact([1, 2, 5, 10]) == ([6, 0, 6], 6)  # 1 + z^2, top term trimmed
+    assert interpolate_exact([0, 1, 0]) == ([0, 4, -2], 2)
+    assert interpolate_exact([3, 2]) == ([3, -1], 1)
+    assert all(type(c) is int for c in interpolate_exact([3, -1, 4, -1, 5])[0])
+
+
+@pytest.mark.parametrize("bad", [F(1, 2), F(3), 0.5, 2.0], ids=repr)
+def test_kernel_rejects_a_non_integer_entry(bad):
+    # ``//`` would floor a Fraction or float silently and give a wrong answer
+    calls = [
+        lambda: det_exact([[1, bad], [0, 1]]),
+        lambda: solve_exact([[1, 0], [0, bad]], [1, 1]),
+        lambda: solve_exact([[1, 0], [0, 1]], [bad, 1]),
+        lambda: inverse_exact([[bad]]),
+        lambda: interpolate_exact([1, bad, 3]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="the exact kernel takes integers"):
+            call()
 
 
 @pytest.mark.parametrize("q", [F(1, 3), F(2, 3), F(1, 1000)])

@@ -44,12 +44,12 @@ from substochastic.inequalities import (
     instance_stream,
     random_strong_digraph,
 )
-from substochastic.rational import det_exact
 from substochastic.spectral import (
     _ROUTE_MAX_W,
     _ROUTE_PREFIX,
     _SPARSE_THRESHOLD,
     _transversal_route,
+    det_shifted,
     edge_operator,
     exact_shifted,
     solve_shifted,
@@ -62,6 +62,7 @@ from conftest import (
     leibniz_det,
     loop,
     oracle_collatz_wielandt_brackets,
+    oracle_det,
     oracle_inverse,
     oracle_perron_bounds,
     oracle_shifted,
@@ -554,8 +555,10 @@ class TestIntegerRows:
     @pytest.mark.parametrize("d", EXACT_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
     def test_det_i_minus_as_on_the_fraction_matrix(self, d):
         det = det_i_minus(d)
-        assert repr(det) == repr(det_exact(oracle_shifted(d)))
+        assert repr(det) == repr(oracle_det(oracle_shifted(d)))
         assert det == leibniz_det(oracle_shifted(d))
+        for z in SAMPLES:
+            assert repr(det_shifted(d, z)) == repr(oracle_det(oracle_shifted(d, z)))
 
     @pytest.mark.parametrize("d", EXACT_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
     def test_resolvent_diagonal_as_on_the_fraction_matrix(self, d):
