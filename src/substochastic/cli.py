@@ -247,11 +247,7 @@ def _cmd_fit(args) -> int:
             pairs.append((float(parts[x_col]), float(parts[y_col])))
         except ValueError:
             raise ValueError(f"row {row} is not numeric: {line!r}") from None
-    window = None
-    if args.window:
-        lo, hi = args.window.split(":")
-        window = (int(lo), int(hi))
-    fit = fit_decay(pairs, window=window, log_correction=args.log_correction)
+    fit = fit_decay(pairs, window=args.window, log_correction=args.log_correction)
     _emit(json.dumps(dataclasses.asdict(fit), indent=2), args.out)
     return EXIT_OK
 
@@ -282,6 +278,15 @@ def _positive_float(text: str) -> float:
 
 
 _positive_float.__name__ = "float"
+
+
+def _index_range(text: str) -> tuple[int, int]:
+    """An argparse ``type=`` for an index range ``lo:hi``."""
+    try:
+        lo, hi = text.split(":")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be lo:hi with integer ends, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="CSV of n,gap rows ('-' for stdin)")
     p.add_argument("--x-col", help="x column name in the header (default: n, else column 0)")
     p.add_argument("--y-col", help="y column name (default: gap_to_limit, else column 1)")
-    p.add_argument("--window", help="index range lo:hi")
+    p.add_argument("--window", type=_index_range, help="index range lo:hi")
     p.add_argument("--log-correction", action="store_true")
 
     return ap
@@ -397,7 +402,8 @@ def main(argv=None) -> int:
         args._parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
-    except (RuntimeError, ValueError, OSError, TypeError) as exc:
+    # OverflowError: an exact weight too large for the float arithmetic of a root
+    except (RuntimeError, ValueError, OSError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -771,124 +771,119 @@ def _rat(x):
     return Fraction(str(x))
 
 
-def _config(cfg, where: str) -> Mapping:
-    """``cfg`` as a JSON object; ``where`` names it in the error message."""
+def _descriptor(table: Mapping, cfg, where: str, what: str, kind=None):
+    """Check the JSON descriptor ``cfg`` against ``table`` and build what it names.
+
+    ``table`` maps each kind to its keys with their defaults (``...`` marks a
+    required key) and to a builder, called as ``build(where, **values)``.  The
+    descriptor names its kind under "kind", else it is ``kind``; a bare list is
+    ``{"kind": "list", "values": [...]}`` where the table has that kind.  A
+    malformed descriptor raises ``ValueError`` naming ``where``, its dotted path.
+    """
+    if isinstance(cfg, (list, tuple)) and "list" in table:
+        cfg = {"kind": "list", "values": cfg}
     if not isinstance(cfg, Mapping):
         raise ValueError(f"{where} must be a JSON object, got {cfg!r}")
-    return cfg
+    given = dict(cfg)
+    kind = given.pop("kind", kind)
+    if not (isinstance(kind, str) and kind in table):
+        raise ValueError(f"{where}: unknown {what} kind {kind!r}")
+    keys, build = table[kind]
+    for key in given:
+        if key not in keys:
+            raise ValueError(f"{where}.{key}: unknown key; {kind} accepts "
+                             f"{', '.join(keys) or 'only kind'}")
+    for key, default in keys.items():
+        if default is ... and key not in given:
+            raise ValueError(f"{where} of kind {kind!r} needs key {key!r}")
+    return build(where, **{**keys, **given})
 
 
-def _required(cfg: Mapping, key: str, where: str):
-    if key not in cfg:
-        raise ValueError(f"{where} of kind {cfg.get('kind')!r} needs key {key!r}")
-    return cfg[key]
+def _sequence(cfg, where: str):
+    return _descriptor(_SEQUENCES, cfg, where, "sequence")
 
 
-def _sequence_from_config(cfg, where: str) -> object:
-    if isinstance(cfg, (list, tuple)):
-        return [_rat(v) for v in cfg]
-    kind = _config(cfg, where).get("kind")
-    if kind == "list":
-        return [_rat(v) for v in _required(cfg, "values", where)]
-    if kind == "int-list":
-        return [int(v) for v in _required(cfg, "values", where)]
-    if kind == "linear":
-        start = int(cfg.get("start", 1))
-        step = int(cfg.get("step", 1))
-        return lambda k: start + step * (k - 1)
-    if kind == "powers-of-two":
-        return lambda k: 2**k
-    if kind == "constant":
-        v = _rat(_required(cfg, "value", where))
-        return lambda k: v
-    if kind == "one-minus-inverse-length":
-        base = _sequence_from_config(_required(cfg, "lengths", where), f"{where}.lengths")
-        base_fn = as_sequence(base)
-        return lambda k: 1 - Fraction(1, base_fn(k))
-    if kind == "one-minus-geometric":
-        ratio = _rat(cfg.get("ratio", "1/2"))
-        return lambda k: 1 - ratio**k
-    raise ValueError(f"{where}: unknown sequence kind {kind!r}")
+def _one_minus_inverse(lengths: Callable[[int], int]) -> Callable[[int], Fraction]:
+    return lambda k: 1 - Fraction(1, lengths(k))
 
 
-def _gap_from_config(cfg, where: str) -> GapTarget:
-    kind = _config(cfg, where).get("kind", "exp2")
-    if kind == "exp2":
-        return GapTarget.exp2()
-    if kind == "power":
-        return GapTarget.power(int(cfg.get("exponent", 2)))
-    if kind == "constant":
-        return GapTarget.constant(_rat(_required(cfg, "value", where)))
-    raise ValueError(f"{where}: unknown gap-target kind {kind!r}")
+_LIST = {"list": ({"values": ...}, lambda at, values: [_rat(v) for v in values])}
+
+# one table per vocabulary, kind -> (keys with their defaults, builder); a
+# default argument binds a value, checked, when the descriptor is read
+_SEQUENCES = {
+    **_LIST,
+    "int-list": ({"values": ...}, lambda at, values: [int(v) for v in values]),
+    "linear": ({"start": 1, "step": 1},
+               lambda at, start, step: lambda k, s=int(start), d=int(step): s + d * (k - 1)),
+    "powers-of-two": ({}, lambda at: lambda k: 2**k),
+    "constant": ({"value": ...}, lambda at, value: lambda k, v=_rat(value): v),
+    "one-minus-inverse-length": ({"lengths": ...}, lambda at, lengths: _one_minus_inverse(
+        as_sequence(_sequence(lengths, f"{at}.lengths")))),
+    "one-minus-geometric": ({"ratio": "1/2"},
+                            lambda at, ratio: lambda k, r=_rat(ratio): 1 - r**k),
+}
+_GAPS = {
+    "exp2": ({}, lambda at: GapTarget.exp2()),
+    "power": ({"exponent": 2}, lambda at, exponent: GapTarget.power(int(exponent))),
+    "constant": ({"value": ...}, lambda at, value: GapTarget.constant(_rat(value))),
+}
+_LIFETIMES = {
+    **_LIST,
+    "geometric": ({"ratio": "1/2"}, lambda at, ratio: f_geometric(_rat(ratio))),
+    "power": ({"epsilon": 0.5}, lambda at, epsilon: f_power(float(epsilon))),
+}
+_STAR_WEIGHTS = {
+    **_LIST,
+    "power": ({"exponent": -0.75}, lambda at, exponent: a_power(float(exponent))),
+}
+_EPSILONS = {
+    "geometric": ({"ratio": "1/4"}, lambda at, ratio: EpsilonSchedule.geometric(_rat(ratio))),
+}
+
+
+def _star(at: str, a, sorted):
+    if not isinstance(sorted, bool):
+        raise ValueError(f"{at}.sorted must be true or false, got {sorted!r}")
+    return build_example2(_descriptor(_STAR_WEIGHTS, a, f"{at}.a", "a"), sorted_weights=sorted)
+
+
+def _gap_family(build):
+    def family(at: str, lengths, g):
+        return build(_descriptor(_GAPS, g, f"{at}.g", "gap-target", "exp2"),
+                     None if lengths is None else _sequence(lengths, f"{at}.lengths"))
+    return family
+
+
+# each built-in family is a kind whose keys are its top-level parameters
+_FAMILIES = {
+    "example1": ({"a": "1/2", "f": {"kind": "geometric"}}, lambda at, a, f: build_example1(
+        _rat(a), _descriptor(_LIFETIMES, f, f"{at}.f", "f"))),
+    "example2": ({"a": {"kind": "power"}, "sorted": True}, _star),
+    "prop1": (
+        {"lengths": {"kind": "linear"}, "targets": {"kind": "one-minus-geometric"},
+         "declared_lambda": None},
+        lambda at, lengths, targets, declared_lambda: build_prop1(
+            _sequence(lengths, f"{at}.lengths"), _sequence(targets, f"{at}.targets"),
+            None if declared_lambda is None else _rat(declared_lambda))),
+    "prop2": ({"epsilon": {"kind": "geometric"}}, lambda at, epsilon: build_prop2(
+        _descriptor(_EPSILONS, epsilon, f"{at}.epsilon", "epsilon"))),
+    "corollary1": ({"lengths": None, "g": {}}, _gap_family(build_corollary1)),
+    "theorem2-fast": ({"lengths": None, "g": {}}, _gap_family(build_theorem2_fast)),
+}
+BUILTIN_FAMILIES = tuple(_FAMILIES)
 
 
 def family_from_config(name: str, params: Mapping | None = None) -> TruncationFamily:
     """Instantiate a built-in named family from a JSON-style parameter dict.
 
-    Malformed parameters and unknown keys raise ``ValueError`` naming the family and the key.
+    The parameters are a descriptor of the family's kind: every key, at every
+    depth, must be one its kind accepts.  A malformed value, an unknown key or
+    an unknown kind raises ``ValueError`` naming the key's dotted path, such as
+    ``example1 params.f.ratio``.
     """
-    if name not in _FAMILY_KEYS:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}")
-    params = _config({} if params is None else params, f"{name} params")
-    for key in params:
-        if key not in _FAMILY_KEYS[name]:
-            raise ValueError(f"{name} params.{key}: unknown key; {name} accepts "
-                             f"{', '.join(_FAMILY_KEYS[name])}")
-
-    def param(key: str, default):
-        return params.get(key, default), f"{name} params.{key}"
-
-    if name == "example1":
-        a = _rat(params.get("a", "1/2"))
-        fcfg, where = param("f", {"kind": "geometric", "ratio": "1/2"})
-        if isinstance(fcfg, (list, tuple)):
-            f = [_rat(v) for v in fcfg]
-        elif _config(fcfg, where).get("kind") == "geometric":
-            f = f_geometric(_rat(fcfg.get("ratio", "1/2")))
-        elif fcfg.get("kind") == "power":
-            f = f_power(float(fcfg.get("epsilon", 0.5)))
-            a = float(a)
-        elif fcfg.get("kind") == "list":
-            f = [_rat(v) for v in _required(fcfg, "values", where)]
-        else:
-            raise ValueError(f"{where}: unknown f kind {fcfg.get('kind')!r}")
-        return build_example1(a=a, f=f)
-    if name == "example2":
-        acfg, where = param("a", {"kind": "power", "exponent": -0.75})
-        if isinstance(acfg, (list, tuple)):
-            a = [_rat(v) for v in acfg]
-        elif _config(acfg, where).get("kind") == "power":
-            a = a_power(float(acfg.get("exponent", -0.75)))
-        elif acfg.get("kind") == "list":
-            a = [_rat(v) for v in _required(acfg, "values", where)]
-        else:
-            raise ValueError(f"{where}: unknown a kind {acfg.get('kind')!r}")
-        sorted_weights, where = param("sorted", True)
-        if not isinstance(sorted_weights, bool):
-            raise ValueError(f"{where} must be true or false, got {sorted_weights!r}")
-        return build_example2(a, sorted_weights=sorted_weights)
-    if name == "prop1":
-        lengths = _sequence_from_config(*param("lengths", {"kind": "linear"}))
-        targets = _sequence_from_config(*param("targets", {"kind": "one-minus-geometric"}))
-        declared = params.get("declared_lambda")
-        return build_prop1(lengths, targets,
-                           declared_lambda=_rat(declared) if declared is not None else None)
-    if name == "prop2":
-        ecfg, where = param("epsilon", {"kind": "geometric", "ratio": "1/4"})
-        if _config(ecfg, where).get("kind") != "geometric":
-            raise ValueError(f"{where}: unknown epsilon kind {ecfg.get('kind')!r}")
-        return build_prop2(EpsilonSchedule.geometric(_rat(ecfg.get("ratio", "1/4"))))
-    # corollary1 and theorem2-fast
-    lengths, where = param("lengths", None)
-    build = build_corollary1 if name == "corollary1" else build_theorem2_fast
-    return build(
-        _gap_from_config(*param("g", {"kind": "exp2"})),
-        _sequence_from_config(lengths, where) if lengths is not None else None,
-    )
-
-
-# the top-level parameter keys each built-in family accepts
-_FAMILY_KEYS = {"example1": ("a", "f"), "example2": ("a", "sorted"),
-                "prop1": ("lengths", "targets", "declared_lambda"), "prop2": ("epsilon",),
-                "corollary1": ("lengths", "g"), "theorem2-fast": ("lengths", "g")}
-BUILTIN_FAMILIES = tuple(_FAMILY_KEYS)
+    # a table of this family alone: a "kind" key naming another family is an error
+    return _descriptor({name: _FAMILIES[name]}, {} if params is None else params,
+                       f"{name} params", "family", name)

@@ -22,13 +22,20 @@ def is_exact_number(x) -> bool:
 def parse_weight(text: str, mode: str = "exact"):
     """Parse a weight string, either a decimal like ``"0.25"`` or ``"3/4"``.
 
-    In ``exact`` mode the result is a Fraction; in ``float`` mode a float.
+    In ``exact`` mode the result is a Fraction; in ``float`` mode a float, and
+    a nonzero weight that overflows or rounds to zero raises ValueError.
     """
     value = Fraction(text.strip())
     if mode == "exact":
         return value
     if mode == "float":
-        return float(value)
+        try:
+            as_float = float(value)
+        except OverflowError:
+            as_float = None
+        if value and not as_float:
+            raise ValueError(f"weight {text.strip()} is outside the float range")
+        return as_float
     raise ValueError(f"unknown arithmetic mode {mode!r}")
 
 

@@ -38,6 +38,8 @@ class SweepSpec:
     compute_fvs: bool = True
 
     def __post_init__(self):
+        if not self.n_grid:
+            raise ValueError("n_grid must name at least one order")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if any(n < 1 for n in self.n_grid):

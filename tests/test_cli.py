@@ -359,6 +359,22 @@ class TestBoundaryErrors:
         path.write_text(json.dumps(payload))
         self.assert_one_line_error(run_cli(["spectral", "perron", "--digraph", str(path)]))
 
+    @pytest.mark.parametrize(
+        "weight,mode,message",
+        [
+            ("1e400", "float", "weight 1e400 is outside the float range"),
+            ("1e-400", "float", "weight 1e-400 is outside the float range"),
+            ("1e400", "exact", "too large for a float"),
+        ],
+        ids=["float-overflow", "float-underflow", "exact-overflow"],
+    )
+    def test_weight_outside_the_float_range(self, tmp_path, weight, mode, message):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"order": 2, "arcs": [[1, 2, weight], [2, 1, "1/2"]]}))
+        proc = run_cli(["spectral", "perron", "--digraph", str(path), "--mode", mode])
+        self.assert_one_line_error(proc)
+        assert message in proc.stderr
+
     def test_power_iteration_not_converging(self, tmp_path):
         # this bracket keeps a spread of a few ulps, far above a tolerance of 1e-18
         path = tmp_path / "triangle.json"
@@ -452,10 +468,16 @@ class TestBoundaryErrors:
              "prop2 params.epsilon: unknown epsilon kind 'constant'"),
             ("example2", '{"sorted": "false"}',
              "example2 params.sorted must be true or false, got 'false'"),
+            ("example1", '{"f": {"kind": "geometric", "ration": "1/3"}}',
+             "example1 params.f.ration: unknown key; geometric accepts ratio"),
+            ("prop1", '{"targets": {"kind": "one-minus-inverse-length", '
+                      '"lengths": {"kind": "linear", "strat": 2}}}',
+             "prop1 params.targets.lengths.strat: unknown key; linear accepts start, step"),
         ],
         ids=["list-without-values", "gap-not-object", "f-not-object",
              "constant-without-value", "params-not-object", "unknown-key",
-             "epsilon-kind", "sorted-not-boolean"],
+             "epsilon-kind", "sorted-not-boolean", "nested-unknown-key",
+             "two-level-unknown-key"],
     )
     def test_malformed_family_params(self, family, params, message):
         proc = run_cli(["construct", family, "--params", params, "--emit-truncation", "3"])
@@ -484,11 +506,14 @@ class TestBoundaryErrors:
             ["classify", "--family", "example2", "--n-max", "0", "--p-max", "50"],
             ["verify", "sigma-k", "--count", "1", "--k", "0"],
             ["sweep", "--family", "example2"],
+            ["fit", "--input", "-", "--window", "1"],
+            ["fit", "--input", "-", "--window", "a:b"],
         ],
         ids=["missing-argument", "unknown-option", "perron-seed", "classify-format",
              "sweep-seed", "classify-n", "ladder-n", "option-prefix", "negative-budget",
              "negative-max-count", "negative-count", "order-max-below-two", "negative-n",
-             "zero-n", "count-not-int", "zero-max-len", "zero-n-max", "k-zero", "sweep-no-grid"],
+             "zero-n", "count-not-int", "zero-max-len", "zero-n-max", "k-zero", "sweep-no-grid",
+             "window-not-range", "window-not-int"],
     )
     def test_usage_errors_exit_one(self, args):
         proc = run_cli(args)

@@ -21,6 +21,7 @@ from substochastic import (
     truncate,
     verify_pruitt,
 )
+from substochastic import constructions
 from substochastic.constructions import (
     BUILTIN_FAMILIES,
     _Memo1,
@@ -375,6 +376,27 @@ class TestTheorem2Fast:
         assert all(d.out_weight(v) < c for v in range(30))
 
 
+def _unknown_key_cases():
+    """A key "bogus" in every kind of every descriptor table, at a path that reads the table."""
+    for name in BUILTIN_FAMILIES:
+        yield pytest.param(name, {"bogus": 1}, f"{name} params.bogus: unknown key; {name} accepts ",
+                           id=name)
+    sites = [
+        (constructions._SEQUENCES, "prop1", "lengths", lambda d: {"lengths": d}),
+        (constructions._SEQUENCES, "prop1", "targets.lengths",
+         lambda d: {"targets": {"kind": "one-minus-inverse-length", "lengths": d}}),
+        (constructions._GAPS, "theorem2-fast", "g", lambda d: {"g": d}),
+        (constructions._LIFETIMES, "example1", "f", lambda d: {"f": d}),
+        (constructions._STAR_WEIGHTS, "example2", "a", lambda d: {"a": d}),
+        (constructions._EPSILONS, "prop2", "epsilon", lambda d: {"epsilon": d}),
+    ]
+    for table, name, path, wrap in sites:
+        for kind in table:
+            yield pytest.param(name, wrap({"kind": kind, "bogus": 1}),
+                               f"{name} params.{path}.bogus: unknown key; {kind} accepts ",
+                               id=f"{name}.{path}.{kind}")
+
+
 class TestFamilyRegistry:
     @pytest.mark.parametrize(
         "name,params",
@@ -396,6 +418,12 @@ class TestFamilyRegistry:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             family_from_config("nope", {})
+
+    @pytest.mark.parametrize("name,params,message", _unknown_key_cases())
+    def test_every_kind_rejects_an_unknown_key_by_its_path(self, name, params, message):
+        with pytest.raises(ValueError) as exc:
+            family_from_config(name, params)
+        assert str(exc.value).startswith(message)
 
 
 # ---------------------------------------------------------------------------

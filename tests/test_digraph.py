@@ -128,6 +128,12 @@ class TestJsonInterchange:
         assert isinstance(d.arcs[(0, 0)], float)
         assert not d.is_exact
 
+    @pytest.mark.parametrize("weight", ["1e400", "-1e400", "1e-400"])
+    def test_float_mode_rejects_a_weight_outside_the_float_range(self, weight):
+        obj = {"order": 1, "arcs": [[1, 1, weight]]}
+        with pytest.raises(ValueError, match=f"weight {weight} is outside the float range"):
+            WeightedDigraph.from_json_dict(obj, mode="float")
+
     def test_duplicate_arcs_rejected(self):
         with pytest.raises(ValueError):
             WeightedDigraph.from_json_dict(

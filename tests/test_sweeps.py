@@ -33,11 +33,9 @@ class TestRunSweep:
         assert lines[1] == "n,lambda_n,omega_n,one_minus_omega,one_minus_lambda,n_one_minus_lambda,gap_to_limit,fvs_size"
         assert len(lines) == 2 + 3
 
-    def test_empty_grid_gives_empty_table(self):
-        sink = io.StringIO()
-        rows = run_sweep(spec(n_grid=()), progress=sink)
-        assert rows == []
-        assert len(sweep_csv(rows).splitlines()) == 2
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="n_grid must name at least one order"):
+            SweepSpec("example2")
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
