@@ -32,9 +32,7 @@ from .cycles import (
     Cycle,
     Gain,
     GAIN_ZERO,
-    LengthExtremes,
     TransversalResult,
-    cycle_length_extremes,
     enumerate_cycles,
     is_cycle_transversal,
     min_cycle_transversal,

@@ -402,7 +402,7 @@ def main(argv=None) -> int:
         args._parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
-    # OverflowError: an exact weight too large for the float arithmetic of a root
+    # OverflowError: an exact value too large for float arithmetic, such as a cycle gain
     except (RuntimeError, ValueError, OSError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -803,6 +803,21 @@ def _sequence(cfg, where: str):
     return _descriptor(_SEQUENCES, cfg, where, "sequence")
 
 
+def _lengths(cfg, where: str):
+    """A sequence of cycle lengths: its ``list`` (a bare list too) and ``constant`` hold integers."""
+    return _descriptor(_LENGTHS, cfg, where, "sequence")
+
+
+def _int_list(at: str, values) -> list[int]:
+    out = []
+    for value in values:
+        x = _rat(value)
+        if x.denominator != 1:
+            raise ValueError(f"{at}: {value!r} is not an integer")
+        out.append(int(x))
+    return out
+
+
 def _one_minus_inverse(lengths: Callable[[int], int]) -> Callable[[int], Fraction]:
     return lambda k: 1 - Fraction(1, lengths(k))
 
@@ -813,16 +828,18 @@ _LIST = {"list": ({"values": ...}, lambda at, values: [_rat(v) for v in values])
 # default argument binds a value, checked, when the descriptor is read
 _SEQUENCES = {
     **_LIST,
-    "int-list": ({"values": ...}, lambda at, values: [int(v) for v in values]),
+    "int-list": ({"values": ...}, _int_list),
     "linear": ({"start": 1, "step": 1},
                lambda at, start, step: lambda k, s=int(start), d=int(step): s + d * (k - 1)),
     "powers-of-two": ({}, lambda at: lambda k: 2**k),
     "constant": ({"value": ...}, lambda at, value: lambda k, v=_rat(value): v),
     "one-minus-inverse-length": ({"lengths": ...}, lambda at, lengths: _one_minus_inverse(
-        as_sequence(_sequence(lengths, f"{at}.lengths")))),
+        as_sequence(_lengths(lengths, f"{at}.lengths")))),
     "one-minus-geometric": ({"ratio": "1/2"},
                             lambda at, ratio: lambda k, r=_rat(ratio): 1 - r**k),
 }
+_LENGTHS = {**_SEQUENCES, "list": _SEQUENCES["int-list"], "constant": (
+    {"value": ...}, lambda at, value: lambda k, v=_int_list(at, [value])[0]: v)}
 _GAPS = {
     "exp2": ({}, lambda at: GapTarget.exp2()),
     "power": ({"exponent": 2}, lambda at, exponent: GapTarget.power(int(exponent))),
@@ -851,7 +868,7 @@ def _star(at: str, a, sorted):
 def _gap_family(build):
     def family(at: str, lengths, g):
         return build(_descriptor(_GAPS, g, f"{at}.g", "gap-target", "exp2"),
-                     None if lengths is None else _sequence(lengths, f"{at}.lengths"))
+                     None if lengths is None else _lengths(lengths, f"{at}.lengths"))
     return family
 
 
@@ -864,7 +881,7 @@ _FAMILIES = {
         {"lengths": {"kind": "linear"}, "targets": {"kind": "one-minus-geometric"},
          "declared_lambda": None},
         lambda at, lengths, targets, declared_lambda: build_prop1(
-            _sequence(lengths, f"{at}.lengths"), _sequence(targets, f"{at}.targets"),
+            _lengths(lengths, f"{at}.lengths"), _sequence(targets, f"{at}.targets"),
             None if declared_lambda is None else _rat(declared_lambda))),
     "prop2": ({"epsilon": {"kind": "geometric"}}, lambda at, epsilon: build_prop2(
         _descriptor(_EPSILONS, epsilon, f"{at}.epsilon", "epsilon"))),

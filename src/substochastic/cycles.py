@@ -1,4 +1,4 @@
-"""Simple-cycle machinery: enumeration, gains, transversals, length extremes.
+"""Simple-cycle machinery: enumeration, gains, transversals.
 
 Enumeration is one search, the length-bounded lock/relax search of Gupta &
 Suzumura (2021), run per strongly connected component from the minimal
@@ -254,7 +254,7 @@ def sup_cycle_gain(
 
 
 # ---------------------------------------------------------------------------
-# Shortest cycles, transversals, length extremes
+# Shortest cycles and transversals
 # ---------------------------------------------------------------------------
 
 
@@ -491,69 +491,3 @@ def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResul
 def is_cycle_transversal(d: WeightedDigraph, vertices: Iterable[int]) -> bool:
     """True iff removing ``vertices`` leaves ``d`` acyclic (one Kahn peel)."""
     return peel_transversal(d.adjacency, set(range(d.order)) - set(vertices), 0) is not None
-
-
-@dataclass(frozen=True)
-class LengthExtremes:
-    l_min: int | None
-    l_max: int | None
-    l_max_exact: bool
-
-
-def cycle_length_extremes(d: WeightedDigraph) -> LengthExtremes:
-    """Shortest and longest simple-cycle lengths.
-
-    The shortest is exact (BFS).  The longest runs an exhaustive path search
-    with pruning; if it exhausts its budget of 2,000,000 steps the returned
-    value is only a lower bound and ``l_max_exact`` is False.
-    """
-    succ = _succ_sets(d)
-    shortest = _shortest_cycle(succ, set(range(d.order)))
-    if shortest is None:
-        return LengthExtremes(None, None, True)
-    l_min = len(shortest)
-
-    comps = [set(c) for c in strongly_connected_components(succ, range(d.order))]
-    best = 1 if any(v in succ[v] for v in range(d.order)) else 0
-    steps = 0
-    exact = True
-
-    def dfs(comp: set[int], start: int):
-        nonlocal best, steps, exact
-        path = [start]
-        used = {start}
-        iters = [iter(sorted(succ[start] & comp))]
-        while iters:
-            steps += 1
-            if steps > 2_000_000:
-                exact = False
-                return
-            w = next(iters[-1], None)
-            if w is None:
-                iters.pop()
-                used.discard(path.pop())
-                continue
-            if w == start:
-                if len(path) > best:
-                    best = len(path)
-                continue
-            if w in used or w < start:
-                continue
-            if len(path) + len(comp) - len(used) <= best:
-                continue
-            path.append(w)
-            used.add(w)
-            iters.append(iter(sorted(succ[w] & comp)))
-
-    for comp in sorted(comps, key=len, reverse=True):
-        if len(comp) <= best or len(comp) < 2:
-            continue
-        for i, start in enumerate(sorted(comp)):
-            if len(comp) - i <= best:
-                break
-            dfs(comp, start)
-            if not exact:
-                break
-        if not exact:
-            break
-    return LengthExtremes(l_min, max(best, l_min), exact)

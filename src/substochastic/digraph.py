@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -102,8 +103,8 @@ class WeightedDigraph:
 
     def to_numpy(self) -> np.ndarray:
         m = np.zeros((self.order, self.order))
-        for (u, v), w in self.arcs.items():
-            m[u, v] = float(w)
+        for arc, w in self.arcs.items():
+            m[arc] = float_weight(arc, w)
         return m
 
     def induced(self, vertices: Iterable[int]) -> "WeightedDigraph":
@@ -121,7 +122,7 @@ class WeightedDigraph:
         return WeightedDigraph(self.order, {a: fn(w) for a, w in self.arcs.items()})
 
     def to_float(self) -> "WeightedDigraph":
-        return self.map_weights(float)
+        return WeightedDigraph(self.order, {a: float_weight(a, w) for a, w in self.arcs.items()})
 
     # -- JSON interchange (1-based vertex ids) ------------------------------
 
@@ -157,6 +158,22 @@ class WeightedDigraph:
         return WeightedDigraph.from_json_dict(json.loads(text), mode)
 
 
+def float_weight(arc: Arc, w) -> float:
+    """The weight ``w`` of ``arc`` as a float.
+
+    An exact weight that overflows a float or rounds to 0 raises ValueError
+    naming the 1-based arc and the weight in scientific notation.
+    """
+    try:
+        x = float(w)
+    except OverflowError:
+        x = 0.0
+    if x:  # weights are positive: 0.0 is an underflow
+        return x
+    sci = f"{(Decimal(w.numerator) / w.denominator).normalize():e}".replace("e+", "e")
+    raise ValueError(f"arc {arc[0] + 1}->{arc[1] + 1} has weight {sci}, outside the float range")
+
+
 def _json_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {x!r}")
@@ -169,10 +186,9 @@ def _json_int(x, what: str) -> int:
 
 
 def strongly_connected_components(
-    succ: Mapping[int, Iterable[int]], vertices: Iterable[int] | None = None
+    succ: Mapping[int, Iterable[int]], vertices: Iterable[int]
 ) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    verts = list(vertices) if vertices is not None else list(succ)
+    """Tarjan's algorithm over ``vertices``, iterative; components in reverse topological order."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -180,7 +196,7 @@ def strongly_connected_components(
     comps: list[list[int]] = []
     counter = 0
 
-    for root in verts:
+    for root in vertices:
         if root in index:
             continue
         work: list[tuple[int, Iterator[int]]] = [(root, iter(succ.get(root, ())))]

@@ -14,9 +14,13 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Mapping, Sequence
 
-from .cycles import _greedy_packing, cycle_length_extremes, is_cycle_transversal
+from .cycles import _greedy_packing, enumerate_cycles, is_cycle_transversal
 from .digraph import Tag, WeightedDigraph
 from .errors import FamilyDefinitionError
+
+# Cycles ``validate_metadata`` lists while looking for one longer than a
+# finite declared l_max; a truncation with more leaves l_max unsettled.
+L_MAX_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,12 @@ def validate_metadata(family: TruncationFamily, n_max: int) -> MetadataReport:
     cycle of this one: a fact fails on some truncation up to ``n_max``
     exactly when it fails here.  The transversal takes one Kahn peel, a
     finite sct_size one greedy packing of disjoint cycles (a transversal hits
-    each), and the lengths one ``cycle_length_extremes`` search, which still
-    reports a length it found when it runs out of steps.  Violations are
-    collected in the report rather than raised, so a wrong declaration can
-    be inspected.
+    each), and the lengths the lock search ``enumerate_cycles``: bounded at
+    length l_min - 1 for a shorter cycle, and for a finite l_max run until a
+    longer cycle turns up or ``L_MAX_BUDGET`` cycles are listed.  A search
+    that runs out of budget has not settled l_max, and that fails too.
+    Violations are collected in the report rather than raised, so a wrong
+    declaration can be inspected.
     """
     facts = family.facts
     sct = None if facts.sct_size == math.inf else facts.sct_size
@@ -124,17 +130,18 @@ def validate_metadata(family: TruncationFamily, n_max: int) -> MetadataReport:
         if facts.transversal is not None and len(facts.transversal) < sct:
             report.violations.append(f"declared transversal {sorted(facts.transversal)} "
                                      f"has fewer vertices than declared sct_size {sct}")
-    if facts.l_max is None and facts.l_min is None:
-        return report
-    ext = cycle_length_extremes(d)
-    if ext.l_min is None:  # acyclic
-        return report
-    if facts.l_max is not None and ext.l_max > facts.l_max:
-        report.violations.append(
-            f"n={n_max}: a cycle has length {ext.l_max} > declared l_max {facts.l_max}"
-        )
-    if facts.l_min is not None and ext.l_min < facts.l_min:
-        report.violations.append(
-            f"n={n_max}: a cycle has length {ext.l_min} < declared l_min {facts.l_min}"
-        )
+    if facts.l_max is not None and facts.l_max != math.inf:
+        cycles = enumerate_cycles(d, max_count=L_MAX_BUDGET)
+        longer = next((c for c in cycles if c.length > facts.l_max), None)
+        if longer is not None:
+            report.violations.append(
+                f"n={n_max}: a cycle has length {longer.length} > declared l_max {facts.l_max}")
+        elif cycles.truncated:
+            report.violations.append(
+                f"n={n_max}: declared l_max {facts.l_max} unsettled after {L_MAX_BUDGET} cycles")
+    if facts.l_min is not None:
+        shorter = next(enumerate_cycles(d, max_length=facts.l_min - 1), None)
+        if shorter is not None:
+            report.violations.append(
+                f"n={n_max}: a cycle has length {shorter.length} < declared l_min {facts.l_min}")
     return report

@@ -307,13 +307,13 @@ def check_zeta_identity(d: WeightedDigraph, v: int, z_samples: Sequence) -> Ineq
     e_v = [int(i == v) for i in range(n)]
     for z in z_samples:
         z = Fraction(z)
-        det_full = det_shifted(d, z)
-        if det_full == 0:
+        try:  # one elimination gives G(v, v) and det(I - zS)
+            g, det_full = solve_shifted(d, e_v, z)
+        except ZeroDivisionError:
             rep.notes.append(f"{fp}: sample z={z} singular, skipped")
             continue
+        lhs = g[v] * det_full
         det_minor = det_shifted(minor, z)
-        g_vv = solve_shifted(d, e_v, z)[v]
-        lhs = g_vv * det_full
         rep.record(fp, f"zeta@z={z}", lhs, det_minor)
         rep.record(fp, f"zeta@z={z} (reverse)", det_minor, lhs)
     return rep

@@ -77,20 +77,20 @@ def _atanh_series_bounds(y: Fraction, terms: int) -> tuple[Fraction, Fraction]:
     return 2 * total, 2 * (total + tail)
 
 
-def ln_bounds(q: Fraction | int, terms: int = 24) -> tuple[Fraction, Fraction]:
-    """Exact rational (lower, upper) bounds on ln(q) for q > 0."""
+def ln_bounds(q: Fraction | int) -> tuple[Fraction, Fraction]:
+    """Exact rational (lower, upper) bounds on ln(q) for q > 0, from 24 series terms."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError("ln_bounds requires a positive argument")
     if q < 1:
-        lo, hi = ln_bounds(1 / q, terms)
+        lo, hi = ln_bounds(1 / q)
         return -hi, -lo
     m = 0
     while q >= 2:
         q /= 2
         m += 1
     y = (q - 1) / (q + 1)
-    lo, hi = _atanh_series_bounds(y, terms)
+    lo, hi = _atanh_series_bounds(y, 24)
     return lo + m * LN2_LO, hi + m * LN2_HI
 
 
@@ -154,40 +154,41 @@ def det_exact(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _solve_block(rows: Sequence[Sequence[int]], right: Sequence[Sequence[int]]):
-    """rows^{-1} right as ``(X, p)``: integer numerators over the last Bareiss pivot p.
+    """rows^{-1} right as ``(X, det)``: integer numerators over det(rows).
 
-    p times the solution is integral (Cramer's rule), so the back substitution
-    X_i = (p c_i - sum_{j>i} U_ij X_j) / U_ii divides exactly in integers
+    det(rows) is the last Bareiss pivot signed by the row swaps, and det
+    times the solution is integral (Cramer's rule), so the back substitution
+    X_i = (det c_i - sum_{j>i} U_ij X_j) / U_ii divides exactly in integers
     (Nakos, Turner and Williams, 1997).
     """
     done = _eliminate(rows, right)
     if done is None:
         raise ZeroDivisionError("singular matrix in exact elimination")
-    n, m = len(rows), done[1]
+    (sign, m), n = done, len(rows)
     if not m:
         return [], 1
-    p = m[-1][n - 1]
+    det = sign * m[-1][n - 1]
     x: list[list[int]] = [[]] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
-        acc = [p * c for c in row[n:]]
+        acc = [det * c for c in row[n:]]
         for j in range(i + 1, n):
             u = row[j]
             if u:
                 acc = [a - u * b for a, b in zip(acc, x[j])]
         pivot = row[i]
         x[i] = [a // pivot for a in acc]
-    return x, p
+    return x, det
 
 
 def solve_exact(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int]:
-    """Solve A x = b over the integers: ``(X, p)`` with x = X / p."""
-    x, p = _solve_block(rows, [[b] for b in rhs])
-    return [xi for (xi,) in x], p
+    """Solve A x = b over the integers: ``(X, det A)`` with x = X / det A."""
+    x, det = _solve_block(rows, [[b] for b in rhs])
+    return [xi for (xi,) in x], det
 
 
 def inverse_exact(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Inverse of an integer matrix: ``(X, p)`` with A^{-1} = X / p."""
+    """Inverse of an integer matrix: ``(X, det A)`` with A^{-1} = X / det A."""
     n = len(rows)
     return _solve_block(rows, [[int(i == j) for j in range(n)] for i in range(n)])
 

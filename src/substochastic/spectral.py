@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .cycles import enumerate_cycles, peel_transversal
-from .digraph import WeightedDigraph, strongly_connected_components
+from .digraph import WeightedDigraph, float_weight, strongly_connected_components
 from .errors import BudgetExceededError, SpectralRadiusError
 from .families import TruncationFamily, truncate
 from .rational import det_exact, interpolate_exact, inverse_exact, solve_exact
@@ -99,7 +99,7 @@ def edge_operator(d: WeightedDigraph, vertices=None) -> EdgeOperator:
         if u in idx and v in idx:
             rows.append(idx[u])
             cols.append(idx[v])
-            vals.append(float(w))
+            vals.append(float_weight((u, v), w))
     return EdgeOperator(len(idx), rows, cols, vals)
 
 
@@ -408,7 +408,7 @@ def _integer_power_brackets(d, comp, width, max_iter):
             # keeps it accurate when the weights are tiny
             try:
                 _rho, vec = _perron_eig(edge_operator(d, comp).toarray())
-            except (OverflowError, np.linalg.LinAlgError):  # weights beyond float range
+            except ValueError:  # a weight beyond the float range, or LinAlgError
                 pass
         if vec is not None and np.isfinite(vec).all() and vec.max() > 0:
             x = [max(1, int(c)) for c in (vec / vec.max() * 2.0**62).tolist()]
@@ -563,11 +563,15 @@ def det_shifted(d: WeightedDigraph, z=1) -> Fraction:
     return Fraction(det_exact(rows), math.prod(scales))
 
 
-def solve_shifted(d: WeightedDigraph, b: Sequence[int], z=1) -> list[Fraction]:
-    """(I - zA)^{-1} b exactly, b integral: the integer rows solved against ``scales * b``."""
+def solve_shifted(d: WeightedDigraph, b: Sequence[int], z=1) -> tuple[list[Fraction], Fraction]:
+    """(I - zA)^{-1} b and det(I - zA) exactly, b integral, from one elimination.
+
+    The integer rows are solved against ``scales * b``; a singular I - zA
+    raises ZeroDivisionError.
+    """
     rows, scales = exact_shifted(d, z)
-    x, p = solve_exact(rows, [s * x for s, x in zip(scales, b, strict=True)])
-    return [Fraction(xi, p) for xi in x]
+    x, det = solve_exact(rows, [s * x for s, x in zip(scales, b, strict=True)])
+    return [Fraction(xi, det) for xi in x], Fraction(det, math.prod(scales))
 
 
 def _elimination_charpoly(d: WeightedDigraph) -> list:
@@ -599,10 +603,10 @@ def resolvent_diagonal(d: WeightedDigraph) -> list:
             inv = np.linalg.inv(float_shifted(d))
             return tuple(float(inv[i, i]) for i in range(d.order))
         # (S^{-1} R)^{-1} = R^{-1} S for the integer rows R and row scales S,
-        # and R^{-1} = X / p: only the n diagonal entries become Fractions
+        # and R^{-1} = X / det R: only the n diagonal entries become Fractions
         rows, scales = exact_shifted(d)
-        x, p = inverse_exact(rows)
-        return tuple(Fraction(x[i][i] * s, p) for i, s in enumerate(scales))
+        x, det = inverse_exact(rows)
+        return tuple(Fraction(x[i][i] * s, det) for i, s in enumerate(scales))
 
     return list(d.memo("resolvent_diagonal", compute))
 

@@ -11,7 +11,6 @@ from substochastic import (
     CyrStructural,
     DivergingSeries,
     FamilyFacts,
-    LengthExtremes,
     MetadataError,
     PruittVector,
     Tag,
@@ -80,7 +79,7 @@ class TestPruittCertificate:
     def test_above_radius_certificate_exists_and_verifies_exactly(self, seed):
         d = seeded_digraph(seed, order_max=6, weighting="stochastic")
         lam = F(3, 2)  # strictly above any substochastic radius
-        xi = solve_shifted(d, [1] * d.order, 1 / lam)
+        xi, _det = solve_shifted(d, [1] * d.order, 1 / lam)
         ok, strict = verify_pruitt(d, xi, lam)
         assert ok and strict is not None
         assert all(x > 0 for x in xi)
@@ -249,12 +248,13 @@ class TestClassifyRecurrence:
         assert verdict.notes == ("declared facts fail: declared transversal [0] "
                                  "has fewer vertices than declared sct_size 2",)
 
-    def test_unsettled_longest_cycle_is_no_violation(self, monkeypatch):
-        # a search out of steps reports a cycle it found, here within l_max = 2
-        monkeypatch.setattr(families, "cycle_length_extremes",
-                            lambda d: LengthExtremes(2, 2, l_max_exact=False))
-        verdict = classify_recurrence(build_example2(a_power(-0.75)))
-        assert (verdict.verdict, verdict.confidence) == ("recurrent", "certified")
+    def test_unsettled_longest_cycle_is_unknown(self, monkeypatch):
+        # the search runs out of cycles before it settles l_max = 2: no certificate
+        monkeypatch.setattr(families, "L_MAX_BUDGET", 5)
+        verdict = classify_recurrence(build_example2(a_power(-0.75)), n_max=30)
+        assert (verdict.verdict, verdict.evidence, verdict.confidence) == ("unknown", None, None)
+        assert verdict.notes == (
+            "declared facts fail: n=30: declared l_max 2 unsettled after 5 cycles",)
 
     def test_half_loop_recurrent_by_divergence(self):
         verdict = classify_recurrence(half_loop_family(), n_max=12, p_max=1000)

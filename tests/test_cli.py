@@ -364,9 +364,10 @@ class TestBoundaryErrors:
         [
             ("1e400", "float", "weight 1e400 is outside the float range"),
             ("1e-400", "float", "weight 1e-400 is outside the float range"),
-            ("1e400", "exact", "too large for a float"),
+            ("1e400", "exact", "arc 1->2 has weight 1e400, outside the float range"),
+            ("1e-400", "exact", "arc 1->2 has weight 1e-400, outside the float range"),
         ],
-        ids=["float-overflow", "float-underflow", "exact-overflow"],
+        ids=["float-overflow", "float-underflow", "exact-overflow", "exact-underflow"],
     )
     def test_weight_outside_the_float_range(self, tmp_path, weight, mode, message):
         path = tmp_path / "wide.json"

@@ -522,6 +522,35 @@ def test_prop2_certificates_and_cycle_system_pinned():
     assert _sha1(lines) == PIN_DIGESTS["prop2/cycle_system"]
 
 
+@pytest.mark.parametrize("name", ["prop1", "corollary1", "theorem2-fast"])
+@pytest.mark.parametrize("lengths, values", [
+    ([2, 3], [2, 3]),
+    ({"kind": "list", "values": ["2", 3]}, [2, 3]),
+    ({"kind": "constant", "value": "3"}, [3]),
+], ids=["bare-list", "list-kind", "constant"])
+def test_lengths_build_integer_lengths(name, lengths, values):
+    as_int_list = family_from_config(name, {"lengths": {"kind": "int-list", "values": values}})
+    fam = family_from_config(name, {"lengths": lengths})
+    assert truncate(fam, 20).to_json() == truncate(as_int_list, 20).to_json()
+
+
+@pytest.mark.parametrize("name, params, where", [
+    ("prop1", {"lengths": [2, "5/2"]}, "prop1 params.lengths: '5/2'"),
+    ("corollary1", {"lengths": {"kind": "list", "values": [1, 1.5]}},
+     "corollary1 params.lengths: 1.5"),
+    ("theorem2-fast", {"lengths": {"kind": "int-list", "values": [2, 2.5]}},
+     "theorem2-fast params.lengths: 2.5"),
+    ("prop1", {"targets": {"kind": "one-minus-inverse-length", "lengths": [2, "7/2"]}},
+     "prop1 params.targets.lengths: '7/2'"),
+    ("corollary1", {"lengths": {"kind": "constant", "value": "5/2"}},
+     "corollary1 params.lengths: '5/2'"),
+], ids=["prop1-bare", "corollary1-list", "theorem2-fast-int-list", "nested", "constant"])
+def test_a_non_integral_length_is_rejected_by_its_path(name, params, where):
+    with pytest.raises(ValueError) as info:
+        family_from_config(name, params)
+    assert str(info.value) == f"{where} is not an integer"
+
+
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_non_monotone_minorant_pinned(kind):
     hi, lo = (F(3, 4), F(1, 2)) if kind == "exact" else (0.75, 0.5)

@@ -10,7 +10,6 @@ from substochastic import (
     Gain,
     GAIN_ZERO,
     WeightedDigraph,
-    cycle_length_extremes,
     enumerate_cycles,
     is_cycle_transversal,
     min_cycle_transversal,
@@ -19,9 +18,7 @@ from substochastic import (
 )
 from substochastic.constructions import (
     BUILTIN_FAMILIES,
-    a_power,
     build_example1,
-    build_example2,
     f_geometric,
     family_from_config,
 )
@@ -265,40 +262,6 @@ class TestPacking:
             assert not (seen & set(c)) and len(set(c)) == len(c)
             seen |= set(c)
         assert len(cycles) <= min_cycle_transversal(d).size
-
-
-class TestLengthExtremes:
-    def test_example2_all_cycles_length_two(self):
-        fam = build_example2(a_power(-0.75))
-        for n in (2, 5, 9):
-            ext = cycle_length_extremes(truncate(fam, n))
-            assert (ext.l_min, ext.l_max) == (2, 2)
-
-    def test_triangle(self):
-        ext = cycle_length_extremes(triangle())
-        assert (ext.l_min, ext.l_max) == (3, 3)
-
-    def test_example1_truncation_four(self):
-        fam = build_example1(f=f_geometric())
-        ext = cycle_length_extremes(truncate(fam, 4))
-        assert (ext.l_min, ext.l_max) == (1, 4)
-
-    def test_acyclic_has_none(self):
-        d = WeightedDigraph(2, {(0, 1): F(1, 2)})
-        ext = cycle_length_extremes(d)
-        assert ext.l_min is None and ext.l_max is None
-
-    @given(st.integers(0, 300))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_brute_force(self, seed):
-        d = seeded_digraph(seed, order_max=6)
-        lengths = sorted(len(c) for c in brute_cycles(d))
-        ext = cycle_length_extremes(d)
-        assert ext.l_max_exact
-        if lengths:
-            assert (ext.l_min, ext.l_max) == (lengths[0], lengths[-1])
-        else:
-            assert ext.l_min is None
 
 
 class TestGainBridging:

@@ -135,6 +135,8 @@ class TestValidateMetadata:
         {"l_min": 2},
         {"l_min": 3},
         {"sct_size": 2},
+        {"l_max": 3},
+        {"l_min": 2, "l_max": 5},
     ], ids=repr)
     def test_agrees_with_every_cycle_of_every_order(self, name, wrong):
         fam = family_from_config(name).with_facts(**wrong)

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,11 @@ from substochastic import (
     scan_argmax_conjecture,
     truncate,
 )
+from substochastic import spectral
 from substochastic.constructions import build_example1, f_geometric
 from substochastic.inequalities import SUITES, InequalityReport, instance_stream
 
-from conftest import acyclic3, brute_reachable, loop, seeded_digraph, two_cycle
+from conftest import acyclic3, brute_cycles, brute_reachable, loop, seeded_digraph, two_cycle
 
 import random
 
@@ -233,6 +235,16 @@ class TestZetaIdentity:
         assert rep.ok  # z = 2 makes I - zS singular for weight 1/2
         assert any("singular" in n for n in rep.notes)
 
+    def test_one_full_elimination_per_sample(self):
+        # the solve gives det(I - zS) too; only the minor takes its own determinant
+        d = seeded_digraph(4, order_max=6)
+        with mock.patch.object(spectral, "solve_exact", wraps=spectral.solve_exact) as solves, \
+             mock.patch.object(spectral, "det_exact", wraps=spectral.det_exact) as dets:
+            rep = check_zeta_identity(d, 0, [F(1, 3), F(1, 2)])
+        assert rep.ok and not rep.notes
+        assert solves.call_count == 2 and dets.call_count == 2
+        assert all(len(call.args[0]) == d.order - 1 for call in dets.call_args_list)
+
     @given(st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_random_exact_equality(self, seed):
@@ -270,13 +282,12 @@ class TestChainConsistency:
     @given(st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
     def test_full_chain_with_known_transversal(self, seed):
-        from substochastic import cycle_length_extremes
-
         d = seeded_digraph(seed, order_max=6)
         w = min_cycle_transversal(d)
-        ext = cycle_length_extremes(d)
-        if ext.l_max is None:
+        cycles = brute_cycles(d)
+        if not cycles:
             return
+        l_max = max(map(len, cycles))
         diag = resolvent_diagonal(d)
         det = det_i_minus(d)
         prod = F(1)
@@ -284,7 +295,7 @@ class TestChainConsistency:
             prod *= diag[x]
         _, hi = perron_bounds(d)
         assert 1 / prod <= det
-        assert det <= w.size * ext.l_max * (1 - hi) + F(1, 10**12)
+        assert det <= w.size * l_max * (1 - hi) + F(1, 10**12)
 
 
 class TestConjectureScan:

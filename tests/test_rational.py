@@ -63,6 +63,7 @@ def test_solve_matches_cramer(system):
         return
     want = [leibniz_det(with_column(rows, j, rhs)) / det for j in range(len(rows))]
     assert solve(rows, rhs) == want
+    assert solve_exact(rows, rhs)[1] == det
 
 
 @given(square_systems())
@@ -82,12 +83,13 @@ def test_inverse_matches_cramer(system):
         for i in range(n)
     ]
     assert inverse(rows) == want
+    assert inverse_exact(rows)[1] == det
 
 
 def test_pivoting_past_a_zero_leading_entry():
-    rows = [[0, 1], [1, 0]]
-    assert solve_exact(rows, [2, 3]) == ([3, 2], 1)
-    assert inverse_exact(rows) == ([[0, 1], [1, 0]], 1)
+    rows = [[0, 1], [1, 0]]  # one row swap: the determinant is -1
+    assert solve_exact(rows, [2, 3]) == ([-3, -2], -1)
+    assert inverse_exact(rows) == ([[0, -1], [-1, 0]], -1)
 
 
 def test_order_zero_solve_and_inverse_are_empty():
@@ -95,20 +97,20 @@ def test_order_zero_solve_and_inverse_are_empty():
     assert inverse_exact([]) == ([], 1)
 
 
-def test_back_substitution_scales_by_the_last_pivot():
-    """p x is integral for p the last pivot, not for the last augmented entry."""
+def test_back_substitution_scales_by_the_determinant():
+    """det x is integral for det the signed last pivot, not for the last augmented entry."""
     cases = [
         ([[2, 0], [0, 3]], [1, 1]),
         ([[0, 1, 2], [9, 0, 2], [1, 1, 0]], [1, 0, 10]),
     ]
     for rows, rhs in cases:
         n = len(rows)
-        _sign, m = _eliminate(rows, [[b] for b in rhs])
+        sign, m = _eliminate(rows, [[b] for b in rhs])
         assert m[-1][-1] != m[-1][n - 1]
-        assert solve_exact(rows, rhs)[1] == m[-1][n - 1]
-        _sign, m = _eliminate(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+        assert solve_exact(rows, rhs)[1] == sign * m[-1][n - 1] == det_exact(rows)
+        sign, m = _eliminate(rows, [[int(i == j) for j in range(n)] for i in range(n)])
         assert m[-1][-1] != m[-1][n - 1]
-        assert inverse_exact(rows)[1] == m[-1][n - 1]
+        assert inverse_exact(rows)[1] == sign * m[-1][n - 1] == det_exact(rows)
         assert outcome(solve, rows, rhs) == outcome(oracle_solve, rows, rhs)
         assert outcome(inverse, rows) == outcome(oracle_inverse, rows)
     assert solve_exact(*cases[0]) == ([3, 2], 6)
@@ -180,7 +182,7 @@ def test_solve_and_inverse_match_gauss_jordan(d):
         assert outcome(inverse, rows) == outcome(oracle_inverse, rows)
         # and I - zA itself over Fraction, whose inverse is rows^{-1} scales
         shifted = [[F(x, s) for x in row] for row, s in zip(rows, scales)]
-        assert outcome(solve_shifted, d, rhs, z) == outcome(oracle_solve, shifted, rhs)
+        assert outcome(lambda: solve_shifted(d, rhs, z)[0]) == outcome(oracle_solve, shifted, rhs)
         x, p = inverse_exact(rows)
         assert [[F(a * s, p) for a, s in zip(row, scales)] for row in x] == \
             oracle_inverse(shifted)
@@ -208,7 +210,7 @@ def test_integer_back_substitution_matches_gauss_jordan(system):
     rows, rhs = system
     assert outcome(solve, rows, rhs) == outcome(oracle_solve, rows, rhs)
     assert outcome(inverse, rows) == outcome(oracle_inverse, rows)
-    if outcome(det_exact, rows) != "0":  # X is integral over the last pivot
+    if outcome(det_exact, rows) != "0":  # X is integral over the determinant
         x, p = solve_exact(rows, rhs)
         inv, q = inverse_exact(rows)
         assert all(type(a) is int for a in [p, q, *x, *(a for row in inv for a in row)])

@@ -15,7 +15,6 @@ from substochastic import (
     charpoly,
     coates_charpoly,
     collatz_wielandt_brackets,
-    cycle_length_extremes,
     det_i_minus,
     min_cycle_transversal,
     perron_bounds,
@@ -57,6 +56,7 @@ from substochastic.spectral import (
 
 from conftest import (
     acyclic3,
+    brute_cycles,
     eig_radius,
     k3,
     leibniz_det,
@@ -143,6 +143,30 @@ class TestEdgeOperator:
         rho = eig_radius(big)
         assert lo <= rho <= hi
         assert hi - lo <= 1e-12 * hi
+
+
+@pytest.mark.parametrize("weight, shown", [(F(10**400), "1e400"), (F(1, 10**400), "1e-400")],
+                         ids=["overflow", "underflow"])
+class TestWeightOutsideTheFloatRange:
+    """An exact weight no float holds is named by every conversion; the exact bracket holds."""
+
+    @staticmethod
+    def wide(weight) -> WeightedDigraph:
+        return WeightedDigraph(3, {(0, 0): F(1, 3), (1, 2): weight, (2, 1): F(1, 2)})
+
+    @pytest.mark.parametrize("convert", [
+        lambda d: d.to_float(), lambda d: d.to_numpy(), edge_operator,
+        lambda d: edge_operator(d, [1, 2]), perron_root,
+    ], ids=["to_float", "to_numpy", "edge_operator", "edge_operator-comp", "perron_root"])
+    def test_conversion_names_the_arc_and_weight(self, weight, shown, convert):
+        with pytest.raises(ValueError, match=f"^arc 2->3 has weight {shown}, outside the float range$"):
+            convert(self.wide(weight))
+
+    def test_exact_bracket_still_returned(self, weight, shown):
+        lo, hi = perron_bounds(self.wide(weight))
+        # the radius is the larger of 1/3 and sqrt(weight / 2)
+        rho_sq = max(F(1, 9), weight / 2)
+        assert 0 < lo <= hi and lo * lo <= rho_sq <= hi * hi
 
 
 def _sparse_strong_digraph(seed: int, order: int) -> WeightedDigraph:
@@ -558,7 +582,10 @@ class TestIntegerRows:
         assert repr(det) == repr(oracle_det(oracle_shifted(d)))
         assert det == leibniz_det(oracle_shifted(d))
         for z in SAMPLES:
-            assert repr(det_shifted(d, z)) == repr(oracle_det(oracle_shifted(d, z)))
+            want = repr(oracle_det(oracle_shifted(d, z)))
+            assert repr(det_shifted(d, z)) == want
+            if want != "Fraction(0, 1)":  # the solve's determinant, from the same elimination
+                assert repr(solve_shifted(d, [1] * d.order, z)[1]) == want
 
     @pytest.mark.parametrize("d", EXACT_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
     def test_resolvent_diagonal_as_on_the_fraction_matrix(self, d):
@@ -635,7 +662,7 @@ class TestIntegerRows:
 def _resolvent_vector(d: WeightedDigraph, lam):
     """(I - A/lam)^{-1} 1 from the integer rows, or None where I - A/lam is singular."""
     try:
-        return solve_shifted(d, [1] * d.order, 1 / F(lam))
+        return solve_shifted(d, [1] * d.order, 1 / F(lam))[0]
     except ZeroDivisionError:
         return None
 
@@ -675,9 +702,8 @@ class TestCharpoly:
         d = seeded_digraph(seed, order_max=6)
         coeffs = coates_charpoly(d)
         degree = len(coeffs) - 1
-        ext = cycle_length_extremes(d)
-        fvs = min_cycle_transversal(d).size
-        bound = 0 if ext.l_max is None else fvs * ext.l_max
+        l_max = max(map(len, brute_cycles(d)), default=0)
+        bound = min_cycle_transversal(d).size * l_max
         assert degree <= min(d.order, bound)
 
     def test_union_budget_exhaustion_raises(self):
