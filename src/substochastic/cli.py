@@ -58,13 +58,11 @@ def _load_digraph(args) -> WeightedDigraph:
             with open(args.digraph) as fh:
                 text = fh.read()
         return WeightedDigraph.from_json(text, mode=args.mode)
-    if args.family:
-        fam = _load_family(args)
-        n = args.n
-        if n is None:
-            raise SystemExit("--n is required with --family")
-        return truncate(fam, n)
-    raise SystemExit("provide --digraph FILE or --family NAME --n N")
+    if not args.family:
+        args._parser.error("provide --digraph FILE or --family NAME --n N")
+    if args.n is None:
+        args._parser.error("--n is required with --family")
+    return truncate(_load_family(args), args.n)
 
 
 def _load_family(args):

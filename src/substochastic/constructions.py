@@ -808,10 +808,17 @@ def _lengths(cfg, where: str):
     return _descriptor(_LENGTHS, cfg, where, "sequence")
 
 
+def _number(at: str, value) -> Fraction:
+    try:
+        return _rat(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{at}: {value!r} is not a number") from None
+
+
 def _int_list(at: str, values) -> list[int]:
     out = []
     for value in values:
-        x = _rat(value)
+        x = _number(at, value)
         if x.denominator != 1:
             raise ValueError(f"{at}: {value!r} is not an integer")
         out.append(int(x))
@@ -822,7 +829,7 @@ def _one_minus_inverse(lengths: Callable[[int], int]) -> Callable[[int], Fractio
     return lambda k: 1 - Fraction(1, lengths(k))
 
 
-_LIST = {"list": ({"values": ...}, lambda at, values: [_rat(v) for v in values])}
+_LIST = {"list": ({"values": ...}, lambda at, values: [_number(at, v) for v in values])}
 
 # one table per vocabulary, kind -> (keys with their defaults, builder); a
 # default argument binds a value, checked, when the descriptor is read

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Iterator
 
-from .digraph import WeightedDigraph, strongly_connected_components
+from .digraph import WeightedDigraph, strong_components, strongly_connected_components
 from .errors import BudgetExceededError
 from .rational import is_exact_number, safe_log
 
@@ -23,6 +23,16 @@ from .rational import is_exact_number, safe_log
 # ---------------------------------------------------------------------------
 # Gains: stored as (weight, length) so rational weights compare exactly.
 # ---------------------------------------------------------------------------
+
+
+def _cross(w, length, other_w, other_length):
+    """(lhs, rhs) with gain (w, length) ? (other_w, other_length) iff lhs ? rhs.
+
+    Two exact weights compare by cross powers, a float weight by logs.
+    """
+    if is_exact_number(w) and is_exact_number(other_w):
+        return Fraction(w) ** other_length, Fraction(other_w) ** length
+    return other_length * safe_log(w), length * safe_log(other_w)
 
 
 @total_ordering
@@ -45,21 +55,12 @@ class Gain:
             return 0.0
         return math.exp(safe_log(self.weight) / self.length)
 
-    def _cross(self, other: "Gain"):
-        """Return (lhs, rhs) with gain comparison equivalent to lhs ? rhs."""
-        if is_exact_number(self.weight) and is_exact_number(other.weight):
-            return Fraction(self.weight) ** other.length, Fraction(other.weight) ** self.length
-        return (
-            other.length * safe_log(self.weight),
-            self.length * safe_log(other.weight),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Gain):
             return NotImplemented
         if (self.weight == 0) or (other.weight == 0):
             return self.weight == other.weight == 0
-        lhs, rhs = self._cross(other)
+        lhs, rhs = _cross(self.weight, self.length, other.weight, other.length)
         return lhs == rhs
 
     def __lt__(self, other):
@@ -69,7 +70,7 @@ class Gain:
             return other.weight != 0
         if other.weight == 0:
             return False
-        lhs, rhs = self._cross(other)
+        lhs, rhs = _cross(self.weight, self.length, other.weight, other.length)
         return lhs < rhs
 
 
@@ -156,7 +157,10 @@ def _cycle_paths(d: WeightedDigraph, max_length=None):
     """Yield (live_path, weight) over all simple cycles, minimal vertex first.
 
     Loops come first; then each nontrivial strong component is searched from
-    its minimal vertex, which is removed before the rest is re-split.
+    its minimal vertex, which is removed before the rest is re-split.  The
+    re-split is rooted only at the vertices that keep an out-arc: any other
+    is a singleton component, so the nontrivial components, and the cycles,
+    come out in the same order.
     """
     if max_length is not None and max_length < 1:
         return
@@ -167,7 +171,7 @@ def _cycle_paths(d: WeightedDigraph, max_length=None):
     if max_length == 1:
         return
     adj = d.adjacency
-    comps = [set(c) for c in strongly_connected_components(adj, range(d.order)) if len(c) >= 2]
+    comps = [set(c) for c in strong_components(d) if len(c) >= 2]
     while comps:
         comp = comps.pop()
         start = min(comp)
@@ -175,8 +179,9 @@ def _cycle_paths(d: WeightedDigraph, max_length=None):
         bound = len(comp) if max_length is None else min(max_length, len(comp))
         yield from _bounded_paths(local, start, bound)
         comp.discard(start)
-        sub = {v: [w for w, _ in local[v] if w != start] for v in comp}
-        comps.extend(set(c) for c in strongly_connected_components(sub, comp) if len(c) >= 2)
+        sub = {v: out for v in comp if (out := [w for w, _ in local[v] if w != start])}
+        if len(sub) >= 2:
+            comps.extend(set(c) for c in strongly_connected_components(sub, sub) if len(c) >= 2)
 
 
 class CycleStream:
@@ -231,26 +236,40 @@ def sup_cycle_gain(
 
     A cycle using every arc of ``d`` (i.e. ``d`` itself is one directed cycle)
     is excluded unless ``proper_only=False``.  Returns the zero-gain marker
-    when no cycle qualifies.  If a qualifying cycle lies beyond the first
-    ``max_count``, their maximum (a valid lower bound) rides on the raised
-    :class:`BudgetExceededError`.
+    when no cycle qualifies; of equal gains the first found is kept.  If a
+    qualifying cycle lies beyond the first ``max_count``, their maximum (a
+    valid lower bound) rides on the raised :class:`BudgetExceededError`.
     """
     arc_total = len(d.arcs)
-    best = GAIN_ZERO
+    # the best so far as (weight, length, log of a float weight, else None);
+    # weight 0 is the zero-gain marker, and one Gain is built at the end
+    best_w, best_len, best_log = 0, 1, None
     seen = 0
     for path, weight in _cycle_paths(d, max_length):
-        if proper_only and len(path) == arc_total:
+        length = len(path)
+        if proper_only and length == arc_total:
             continue
         if max_count is not None and seen >= max_count:
             raise BudgetExceededError(
                 f"cycle budget {max_count} exhausted; partial max gain attached",
-                partial=best,
+                partial=Gain(best_w, best_len) if best_w else GAIN_ZERO,
             )
         seen += 1
-        g = Gain(weight, len(path))
-        if best < g:
-            best = g
-    return best
+        if not weight:  # a float product that underflowed is the zero gain
+            continue
+        if best_log is not None and type(weight) is float:
+            # Gain's float comparison, with the best's log taken once
+            log_w = math.log(weight)
+            if length * best_log < best_len * log_w:
+                best_w, best_len, best_log = weight, length, log_w
+            continue
+        if best_w:
+            lhs, rhs = _cross(best_w, best_len, weight, length)
+            if not lhs < rhs:
+                continue
+        best_w, best_len = weight, length
+        best_log = math.log(weight) if type(weight) is float else None
+    return Gain(best_w, best_len) if best_w else GAIN_ZERO
 
 
 # ---------------------------------------------------------------------------

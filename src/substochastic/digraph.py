@@ -87,9 +87,10 @@ class WeightedDigraph:
     def memo(self, key, compute):
         """``compute()``, stored under ``key`` for the life of this digraph.
 
-        The spectral and cycle layers keep their exact results here (and the
-        inequality reports their fingerprint), so each is computed once per
-        digraph object.  An exception is never stored.
+        The spectral and cycle layers keep their exact results and the strong
+        component split here (and the inequality reports their fingerprint),
+        so each is computed once per digraph object.  An exception is never
+        stored.
         Two threads may both compute a missing entry; both get the value
         stored first, and neither sees a partial one.
         """
@@ -231,6 +232,12 @@ def strongly_connected_components(
                         break
                 comps.append(comp)
     return comps
+
+
+def strong_components(d: WeightedDigraph) -> tuple[tuple[int, ...], ...]:
+    """The strong components of ``d`` in Tarjan's order, as tuples, memoised on ``d``."""
+    return d.memo("strong_components", lambda: tuple(
+        map(tuple, strongly_connected_components(d.adjacency, range(d.order)))))
 
 
 # ---------------------------------------------------------------------------

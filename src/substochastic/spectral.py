@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .cycles import enumerate_cycles, peel_transversal
-from .digraph import WeightedDigraph, float_weight, strongly_connected_components
+from .digraph import WeightedDigraph, float_weight, strong_components
 from .errors import BudgetExceededError, SpectralRadiusError
 from .families import TruncationFamily, truncate
 from .rational import det_exact, interpolate_exact, inverse_exact, solve_exact
@@ -309,7 +309,7 @@ def _max_over_components(d: WeightedDigraph, zero, component_brackets):
     one); ``component_brackets(comp)`` brackets every larger component.
     """
     lo = hi = zero
-    for comp in strongly_connected_components(d.adjacency, range(d.order)):
+    for comp in strong_components(d):
         if len(comp) == 1:
             v = comp[0]
             clo = chi = zero + d.arcs.get((v, v), 0)

@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Eight fast paths keep the code they replaced as an
+dense eigensolver.  Nine fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
 without the transversal route), the minimum cycle transversal (the branch
@@ -11,9 +11,10 @@ and bound pruned by the packing bound alone, without the Levy–Low
 reduction), unbounded cycle enumeration (Johnson's blocked search), exact
 solves and inverses (Gauss–Jordan over Fraction), the matrices I - zA
 (built entry by entry over Fraction, not as integer rows), polynomial
-interpolation (Newton divided differences over Fraction on any nodes) and
-the check of a family's declared facts (every cycle of every truncation,
-not one peel and one length search on the last).
+interpolation (Newton divided differences over Fraction on any nodes), the
+check of a family's declared facts (every cycle of every truncation, not
+one peel and one length search on the last) and the supremum of cycle gains
+(one ``Gain`` per cycle, not a running weight, length and log).
 """
 
 import functools
@@ -29,8 +30,16 @@ import numpy as np
 import pytest
 
 from substochastic import WeightedDigraph
-from substochastic.cycles import TransversalResult, _shortest_cycle, _succ_sets
+from substochastic.cycles import (
+    GAIN_ZERO,
+    Gain,
+    TransversalResult,
+    _cycle_paths,
+    _shortest_cycle,
+    _succ_sets,
+)
 from substochastic.digraph import strongly_connected_components
+from substochastic.errors import BudgetExceededError
 from substochastic.inequalities import random_strong_digraph
 from substochastic.spectral import _SPARSE_THRESHOLD, _max_over_components, edge_operator
 
@@ -153,6 +162,35 @@ def _johnson_paths(adj, start):
         else:
             for w, _ in adj[v]:
                 blocked_deps[w].add(v)
+
+
+def oracle_sup_cycle_gain(
+    d: WeightedDigraph,
+    max_length: int | None = None,
+    proper_only: bool = True,
+    max_count: int | None = None,
+) -> Gain:
+    """``sup_cycle_gain`` as it was with one ``Gain`` per cycle, compared by ``Gain.__lt__``.
+
+    The first of equal gains is kept, so a tie between cycles of different
+    weight and length settles on the earlier one.
+    """
+    arc_total = len(d.arcs)
+    best = GAIN_ZERO
+    seen = 0
+    for path, weight in _cycle_paths(d, max_length):
+        if proper_only and len(path) == arc_total:
+            continue
+        if max_count is not None and seen >= max_count:
+            raise BudgetExceededError(
+                f"cycle budget {max_count} exhausted; partial max gain attached",
+                partial=best,
+            )
+        seen += 1
+        g = Gain(weight, len(path))
+        if best < g:
+            best = g
+    return best
 
 
 def oracle_validate_metadata(family, n_max: int) -> list[str]:

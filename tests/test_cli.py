@@ -474,11 +474,15 @@ class TestBoundaryErrors:
             ("prop1", '{"targets": {"kind": "one-minus-inverse-length", '
                       '"lengths": {"kind": "linear", "strat": 2}}}',
              "prop1 params.targets.lengths.strat: unknown key; linear accepts start, step"),
+            ("prop1", '{"lengths": [2, "x"]}', "prop1 params.lengths: 'x' is not a number"),
+            ("example1", '{"f": ["1/2", "abc"]}', "example1 params.f: 'abc' is not a number"),
+            ("example1", '{"f": ["1/2", "1/0"]}', "example1 params.f: '1/0' is not a number"),
         ],
         ids=["list-without-values", "gap-not-object", "f-not-object",
              "constant-without-value", "params-not-object", "unknown-key",
              "epsilon-kind", "sorted-not-boolean", "nested-unknown-key",
-             "two-level-unknown-key"],
+             "two-level-unknown-key", "length-not-number", "list-entry-not-number",
+             "list-entry-zero-denominator"],
     )
     def test_malformed_family_params(self, family, params, message):
         proc = run_cli(["construct", family, "--params", params, "--emit-truncation", "3"])
@@ -509,12 +513,14 @@ class TestBoundaryErrors:
             ["sweep", "--family", "example2"],
             ["fit", "--input", "-", "--window", "1"],
             ["fit", "--input", "-", "--window", "a:b"],
+            ["cycles", "omega", "--family", "example1"],
+            ["spectral", "perron"],
         ],
         ids=["missing-argument", "unknown-option", "perron-seed", "classify-format",
              "sweep-seed", "classify-n", "ladder-n", "option-prefix", "negative-budget",
              "negative-max-count", "negative-count", "order-max-below-two", "negative-n",
              "zero-n", "count-not-int", "zero-max-len", "zero-n-max", "k-zero", "sweep-no-grid",
-             "window-not-range", "window-not-int"],
+             "window-not-range", "window-not-int", "family-without-n", "no-digraph"],
     )
     def test_usage_errors_exit_one(self, args):
         proc = run_cli(args)

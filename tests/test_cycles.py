@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +14,19 @@ from substochastic import (
     enumerate_cycles,
     is_cycle_transversal,
     min_cycle_transversal,
+    perron_root,
     sup_cycle_gain,
     truncate,
 )
+from substochastic import cycles, digraph
 from substochastic.constructions import (
     BUILTIN_FAMILIES,
     build_example1,
     f_geometric,
     family_from_config,
 )
-from substochastic.cycles import _greedy_packing, _succ_sets
+from substochastic.cycles import _cycle_paths, _greedy_packing, _succ_sets
+from substochastic.families import family_to_float
 from substochastic.inequalities import instance_stream, random_strong_digraph
 
 from conftest import (
@@ -32,6 +36,7 @@ from conftest import (
     k3,
     loop,
     oracle_cycles,
+    oracle_sup_cycle_gain,
     seeded_digraph,
     triangle,
     two_cycle,
@@ -128,6 +133,23 @@ class TestOneSearch:
     def test_family_truncations(self, name):
         assert_matches_johnson(truncate(family_from_config(name), 40))
 
+    def test_star_and_omega_windows(self):
+        # the star's re-split is skipped: without the hub no vertex keeps an out-arc
+        assert_matches_johnson(truncate(family_from_config("example2"), 60))
+        fam = family_from_config("corollary1")
+        for n in range(1, 13):
+            d = truncate(fam, fam.omega_window(n))
+            assert [(c.vertices, c.weight) for c in enumerate_cycles(d)] == oracle_cycles(d)
+
+    def test_one_tarjan_pass_per_digraph(self):
+        d = truncate(family_to_float(family_from_config("example2")), 2000)
+        scc = mock.Mock(wraps=digraph.strongly_connected_components)
+        with mock.patch.object(digraph, "strongly_connected_components", scc), \
+             mock.patch.object(cycles, "strongly_connected_components", scc):
+            perron_root(d)
+            sup_cycle_gain(d)
+        assert [c.args[1] for c in scc.call_args_list] == [range(d.order)]
+
 
 class TestGains:
     def test_loop_gain_with_improper_allowed(self):
@@ -190,6 +212,87 @@ class TestGains:
     def test_gain_value_survives_huge_fractions(self):
         g = Gain(F(1, 2) ** 3000, 3000)
         assert g.value == pytest.approx(0.5)
+
+
+def gain_search(search, d, **kwargs):
+    """("gain", g) for a finished search, ("partial", g) for one over its budget."""
+    try:
+        return "gain", search(d, **kwargs)
+    except BudgetExceededError as exc:
+        return "partial", exc.partial
+
+
+def assert_same_gain_search(d, max_length=None):
+    """``sup_cycle_gain`` against the one-``Gain``-per-cycle oracle: same weight
+    (type and value) and length, finished or under every budget around the
+    number of qualifying cycles."""
+    for proper_only in (True, False):
+        count = sum(1 for path, _ in _cycle_paths(d, max_length)
+                    if not (proper_only and len(path) == len(d.arcs)))
+        for max_count in (None, 0, 1, count // 2, max(count - 1, 0), count):
+            kwargs = dict(max_length=max_length, proper_only=proper_only, max_count=max_count)
+            kind, got = gain_search(sup_cycle_gain, d, **kwargs)
+            want_kind, want = gain_search(oracle_sup_cycle_gain, d, **kwargs)
+            assert kind == want_kind
+            assert (type(got.weight), got.weight, got.length) == (
+                type(want.weight), want.weight, want.length)
+
+
+MODES = ("exact", "float")
+
+
+def in_mode(d: WeightedDigraph, mode: str) -> WeightedDigraph:
+    return d if mode == "exact" else d.to_float()
+
+
+class TestGainSearch:
+    """The running (weight, length, log) best against one ``Gain`` per cycle."""
+
+    @given(st.integers(0, 10**6), st.sampled_from(MODES),
+           st.one_of(st.none(), st.integers(1, 5)))
+    @settings(max_examples=80, deadline=None)
+    def test_instance_stream(self, seed, mode, max_length):
+        (_, d), = instance_stream(seed, 1, 11, mode=mode)
+        assert_same_gain_search(d, max_length)
+
+    @given(st.integers(0, 10**6), st.integers(1, 10), st.sampled_from(MODES))
+    @settings(max_examples=80, deadline=None)
+    def test_random_strong_digraphs_with_loops(self, seed, order, mode):
+        d = random_strong_digraph(random.Random(seed), order, arc_prob=0.3)
+        assert_same_gain_search(in_mode(d, mode))
+
+    @pytest.mark.parametrize("n", [5, 40])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_family_truncations(self, name, mode, n):
+        fam = family_from_config(name)
+        d = truncate(fam if mode == "exact" else family_to_float(fam), n)
+        assert_same_gain_search(d, n)
+        assert_same_gain_search(d)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tied_gains_keep_the_first(self, mode):
+        # gain 1/2 each: the loop (1/2, 1) before the 2-cycle (1/4, 2), and the
+        # 2-cycle (1/4, 2) before the triangle (1/8, 3)
+        half = F(1, 2)
+        loop_first = WeightedDigraph(3, {(0, 0): half, (1, 2): half, (2, 1): half})
+        two_cycle_first = WeightedDigraph(3, {(0, 1): half, (1, 0): half, (1, 2): half,
+                                              (2, 0): half})
+        for d, lengths in ((loop_first, [1, 2]), (two_cycle_first, [2, 3])):
+            d = in_mode(d, mode)
+            assert [c.length for c in enumerate_cycles(d)] == lengths
+            assert_same_gain_search(d)
+            g = sup_cycle_gain(d)
+            assert (g.weight, g.length) == (half ** lengths[0], lengths[0])
+
+    def test_mixed_exact_and_float_weights(self):
+        arcs = {(u, v): F(1, 5) if (u + v) % 2 else 0.2 for u in range(4) for v in range(4)}
+        arcs[(0, 0)] = F(1, 2)
+        arcs[(1, 2)] = arcs[(2, 1)] = 0.5  # the float 2-cycle ties with the exact loop at 0
+        d = WeightedDigraph(4, arcs)
+        assert_same_gain_search(d)
+        g = sup_cycle_gain(d)
+        assert (type(g.weight), g.weight, g.length) == (F, F(1, 2), 1)
 
 
 class TestTransversal:
