@@ -767,10 +767,6 @@ def build_prop2(eps: EpsilonSchedule) -> TruncationFamily:
 # ---------------------------------------------------------------------------
 
 
-def _rat(x):
-    return Fraction(str(x))
-
-
 def _descriptor(table: Mapping, cfg, where: str, what: str, kind=None):
     """Check the JSON descriptor ``cfg`` against ``table`` and build what it names.
 
@@ -810,19 +806,20 @@ def _lengths(cfg, where: str):
 
 def _number(at: str, value) -> Fraction:
     try:
-        return _rat(value)
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{at}: {value!r} is not a number") from None
 
 
+def _integer(at: str, value) -> int:
+    x = _number(at, value)
+    if x.denominator != 1:
+        raise ValueError(f"{at}: {value!r} is not an integer")
+    return int(x)
+
+
 def _int_list(at: str, values) -> list[int]:
-    out = []
-    for value in values:
-        x = _number(at, value)
-        if x.denominator != 1:
-            raise ValueError(f"{at}: {value!r} is not an integer")
-        out.append(int(x))
-    return out
+    return [_integer(at, value) for value in values]
 
 
 def _one_minus_inverse(lengths: Callable[[int], int]) -> Callable[[int], Fraction]:
@@ -836,33 +833,38 @@ _LIST = {"list": ({"values": ...}, lambda at, values: [_number(at, v) for v in v
 _SEQUENCES = {
     **_LIST,
     "int-list": ({"values": ...}, _int_list),
-    "linear": ({"start": 1, "step": 1},
-               lambda at, start, step: lambda k, s=int(start), d=int(step): s + d * (k - 1)),
+    "linear": ({"start": 1, "step": 1}, lambda at, start, step: lambda k, s=_integer(
+        f"{at}.start", start), d=_integer(f"{at}.step", step): s + d * (k - 1)),
     "powers-of-two": ({}, lambda at: lambda k: 2**k),
-    "constant": ({"value": ...}, lambda at, value: lambda k, v=_rat(value): v),
+    "constant": ({"value": ...}, lambda at, value: lambda k, v=_number(f"{at}.value", value): v),
     "one-minus-inverse-length": ({"lengths": ...}, lambda at, lengths: _one_minus_inverse(
         as_sequence(_lengths(lengths, f"{at}.lengths")))),
-    "one-minus-geometric": ({"ratio": "1/2"},
-                            lambda at, ratio: lambda k, r=_rat(ratio): 1 - r**k),
+    "one-minus-geometric": ({"ratio": "1/2"}, lambda at, ratio: lambda k, r=_number(
+        f"{at}.ratio", ratio): 1 - r**k),
 }
 _LENGTHS = {**_SEQUENCES, "list": _SEQUENCES["int-list"], "constant": (
-    {"value": ...}, lambda at, value: lambda k, v=_int_list(at, [value])[0]: v)}
+    {"value": ...}, lambda at, value: lambda k, v=_integer(at, value): v)}
 _GAPS = {
     "exp2": ({}, lambda at: GapTarget.exp2()),
-    "power": ({"exponent": 2}, lambda at, exponent: GapTarget.power(int(exponent))),
-    "constant": ({"value": ...}, lambda at, value: GapTarget.constant(_rat(value))),
+    "power": ({"exponent": 2}, lambda at, exponent: GapTarget.power(
+        _integer(f"{at}.exponent", exponent))),
+    "constant": ({"value": ...}, lambda at, value: GapTarget.constant(
+        _number(f"{at}.value", value))),
 }
 _LIFETIMES = {
     **_LIST,
-    "geometric": ({"ratio": "1/2"}, lambda at, ratio: f_geometric(_rat(ratio))),
-    "power": ({"epsilon": 0.5}, lambda at, epsilon: f_power(float(epsilon))),
+    "geometric": ({"ratio": "1/2"}, lambda at, ratio: f_geometric(_number(f"{at}.ratio", ratio))),
+    "power": ({"epsilon": 0.5}, lambda at, epsilon: f_power(
+        float(_number(f"{at}.epsilon", epsilon)))),
 }
 _STAR_WEIGHTS = {
     **_LIST,
-    "power": ({"exponent": -0.75}, lambda at, exponent: a_power(float(exponent))),
+    "power": ({"exponent": -0.75}, lambda at, exponent: a_power(
+        float(_number(f"{at}.exponent", exponent)))),
 }
 _EPSILONS = {
-    "geometric": ({"ratio": "1/4"}, lambda at, ratio: EpsilonSchedule.geometric(_rat(ratio))),
+    "geometric": ({"ratio": "1/4"}, lambda at, ratio: EpsilonSchedule.geometric(
+        _number(f"{at}.ratio", ratio))),
 }
 
 
@@ -882,14 +884,15 @@ def _gap_family(build):
 # each built-in family is a kind whose keys are its top-level parameters
 _FAMILIES = {
     "example1": ({"a": "1/2", "f": {"kind": "geometric"}}, lambda at, a, f: build_example1(
-        _rat(a), _descriptor(_LIFETIMES, f, f"{at}.f", "f"))),
+        _number(f"{at}.a", a), _descriptor(_LIFETIMES, f, f"{at}.f", "f"))),
     "example2": ({"a": {"kind": "power"}, "sorted": True}, _star),
     "prop1": (
         {"lengths": {"kind": "linear"}, "targets": {"kind": "one-minus-geometric"},
          "declared_lambda": None},
         lambda at, lengths, targets, declared_lambda: build_prop1(
             _lengths(lengths, f"{at}.lengths"), _sequence(targets, f"{at}.targets"),
-            None if declared_lambda is None else _rat(declared_lambda))),
+            None if declared_lambda is None else _number(f"{at}.declared_lambda",
+                                                         declared_lambda))),
     "prop2": ({"epsilon": {"kind": "geometric"}}, lambda at, epsilon: build_prop2(
         _descriptor(_EPSILONS, epsilon, f"{at}.epsilon", "epsilon"))),
     "corollary1": ({"lengths": None, "g": {}}, _gap_family(build_corollary1)),

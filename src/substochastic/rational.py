@@ -2,17 +2,23 @@
 
 Nothing here rounds.  The linear algebra is an integer kernel: one
 fraction-free (Bareiss) elimination serves determinants, solves and inverses,
-and interpolation at the nodes 0..n runs in integers too.  It takes integers
-only (a Fraction or float raises TypeError) and returns integers over one
-denominator.  :mod:`substochastic.spectral` clears the denominators of I - zA
-into its integer rows and builds the Fractions from the results.
+and interpolation at the nodes 0..n runs in integers too.  Characteristic
+polynomials come from residues modulo word-size primes (a Hessenberg
+reduction of all primes at once in one numpy array) and the Chinese
+remainder theorem.  The kernel takes integers only (a Fraction or float
+raises TypeError) and returns integers over one denominator.
+:mod:`substochastic.spectral` clears the denominators of I - zA into its
+integer rows and builds the Fractions from the results.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 
 def is_exact_number(x) -> bool:
@@ -213,3 +219,162 @@ def interpolate_exact(values: Sequence[int]) -> tuple[list[int], int]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out, weight
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomials modulo word-size primes.
+#
+# With D = diag(L) and B integral, det(D - zB) = prod(L) det(I - zM) for
+# M = D^{-1} B.  Modulo a prime p that divides no L_i, elementary
+# similarities reduce M to upper Hessenberg form H, and the Hessenberg
+# recurrence gives det(lambda I - H), whose reversal is det(I - zM).  The
+# primes are slices of one int64 array, so the Python-level work is O(n)
+# array operations however many primes the bound needs (per group of primes,
+# when they are so many that one array would pass 8 MB).  Residues lie below
+# 2**31, so every product of two stays below 2**62.
+# ---------------------------------------------------------------------------
+
+_PRIMES: list[int] = []  # the primes below 2**31, descending, grown on demand
+_PRIMES_LOCK = threading.Lock()
+_GROUP_ENTRIES = 2**20  # entries of one (primes, n, n) int64 array: 8 MB
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5 and 7, deterministic for odd 7 < m < 3,215,031,751."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _word_prime(k: int) -> int:
+    """The k-th largest prime below 2**31 (k = 0 is 2**31 - 1).
+
+    The primes are appended under a lock and read without it.
+    """
+    if k >= len(_PRIMES):
+        with _PRIMES_LOCK:
+            while k >= len(_PRIMES):
+                m = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+                while not _is_prime(m):
+                    m -= 2
+                _PRIMES.append(m)
+    return _PRIMES[k]
+
+
+def _moduli(scale: int, bound: int) -> list[int]:
+    """The fewest primes below 2**31 with a product above 2 * bound, none dividing ``scale``."""
+    primes, product, k = [], 1, 0
+    while product <= 2 * bound:
+        p = _word_prime(k)
+        k += 1
+        if scale % p:
+            primes.append(p)
+            product *= p
+    return primes
+
+
+def _symmetric_crt(residues: Sequence[Sequence[int]], primes: Sequence[int]) -> list[int]:
+    """Per column of ``residues`` (one row per prime), the x with |x| <= (N - 1)/2 it gives.
+
+    N is the product of the distinct odd ``primes``.
+    """
+    modulus = math.prod(primes)
+    weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    out = []
+    for column in zip(*residues):
+        x = sum(r * w for r, w in zip(column, weights, strict=True)) % modulus
+        out.append(x - modulus if 2 * x > modulus else x)
+    return out
+
+
+def charpoly_exact(rows: Sequence) -> tuple[list[int], int]:
+    """det(I - z D^{-1} B) as ``(C, prod(L))``: C ascends, trailing zeros dropped.
+
+    ``rows`` holds, per row i, ``(L_i, ((j, B_ij), ...))`` with L_i > 0: D is
+    diag(L) and B is zero off the listed entries.  C holds the integer
+    coefficients c_k of det(D - zB).  Expanding each row of D - zB and
+    bounding det(B_SS) by Hadamard gives sum_k |c_k| <= prod_i (L_i +
+    sum_j |B_ij|); the c_k are reconstructed from their residues modulo the
+    fewest primes whose product exceeds twice that bound.
+    """
+    n = len(rows)
+    lcms = _integers(lcm for lcm, _row in rows)
+    arcs = [(i, j, b) for i, (_lcm, row) in enumerate(rows) for j, b in row]
+    _integers(b for _i, _j, b in arcs)
+    scale = math.prod(lcms)
+    primes = _moduli(scale, math.prod(lcm + sum(abs(b) for _j, b in row) for lcm, row in rows))
+    # a group of primes at a time bounds the memory: float weights can need hundreds
+    group = max(1, _GROUP_ENTRIES // (n * n or 1))
+    residues = []
+    for k in range(0, len(primes), group):
+        residues += _charpoly_residues(n, lcms, arcs, scale, primes[k:k + group]).tolist()
+    coeffs = _symmetric_crt(residues, primes)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs, scale
+
+
+def _charpoly_residues(n: int, lcms: list[int], arcs: list, scale: int, primes: list[int]):
+    """Per prime, the ascending residues of det(D - zB): ``arcs`` lists (i, j, B_ij)."""
+    p = np.array(primes, dtype=np.int64)
+    p1, p2 = p[:, None], p[:, None, None]
+
+    # H = D^{-1} B modulo every prime
+    h = np.zeros((len(primes), n, n), dtype=np.int64)
+    if arcs:
+        i, j, values = zip(*arcs)
+        entries = []
+        for q in primes:
+            inverses = [pow(lcm, -1, q) for lcm in lcms]
+            entries.append([b * inverses[k] % q for k, b in zip(i, values)])
+        h[:, i, j] = entries
+
+    # Upper Hessenberg form with a unit subdiagonal, one column at a time.
+    # Column c keeps its pivot and u below the diagonal: they stand for the
+    # unit subdiagonal entry and the zeros under it, and are never read again.
+    every = np.arange(len(primes))
+    for c in range(n - 2):
+        col = h[:, c + 1:, c]  # the pivot, then u
+        pivots = col[:, 0].tolist()
+        if not all(pivots):  # swap row and column c + 1 with the first nonzero row below
+            nonzero = col != 0
+            r = nonzero.argmax(axis=1) + (c + 1)
+            h[every, c + 1], h[every, r] = h[every, r], h[every, c + 1]
+            h[every, :, c + 1], h[every, :, r] = h[every, :, r], h[every, :, c + 1]
+            # nothing to pivot on: H is block triangular, and the block above
+            # right does not enter the characteristic polynomial
+            empty = ~nonzero.any(axis=1)
+            h[empty, :c + 1, c + 1:] = 0
+            h[empty, c + 1, c] = 1
+            pivots = col[:, 0].tolist()
+        inverse = np.array([pow(x, -1, q) for x, q in zip(pivots, primes)], dtype=np.int64)
+        # similarity by S = diag(1/pivot at c + 1), then by I - u e_{c+1}^T
+        h[:, c + 1, c + 1:] = h[:, c + 1, c + 1:] * inverse[:, None] % p1
+        h[:, c + 2:, c + 1:] -= col[:, 1:, None] * h[:, c + 1, None, c + 1:]
+        h[:, c + 2:, c + 1:] %= p2
+        h[:, :, c + 1] = (h[:, :, c + 1:] * col[:, None, :] % p2).sum(axis=2) % p1
+    if n > 1:  # the last subdiagonal entry needs no elimination: S alone, even when it is 0
+        h[:, :n - 1, n - 1] = h[:, :n - 1, n - 1] * h[:, n - 1, n - 2, None] % p1
+
+    # det(lambda I - H) for a unit subdiagonal: p_{b+1} = lambda p_b - sum_{a <= b} H_ab p_a
+    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = [scale % q for q in primes]  # so p_n carries the factor prod(L)
+    for b in range(n):
+        s = (h[:, :b + 1, b, None] * polys[:, :b + 1, :b + 1] % p2).sum(axis=1)
+        polys[:, b + 1, 1:b + 2] = polys[:, b, :b + 1]
+        polys[:, b + 1, :b + 1] -= s
+        polys[:, b + 1, :b + 1] %= p1
+
+    # det(D - zB) = prod(L) z^n det(I/z - H): p_n reversed
+    return polys[:, n, ::-1]

@@ -24,7 +24,7 @@ from .cycles import enumerate_cycles, peel_transversal
 from .digraph import WeightedDigraph, float_weight, strong_components
 from .errors import BudgetExceededError, SpectralRadiusError
 from .families import TruncationFamily, truncate
-from .rational import det_exact, interpolate_exact, inverse_exact, solve_exact
+from .rational import charpoly_exact, det_exact, inverse_exact, solve_exact
 
 _SPARSE_THRESHOLD = 256
 
@@ -541,11 +541,13 @@ def coates_charpoly(d: WeightedDigraph, budget: int = 2_000_000) -> list:
 def charpoly(d: WeightedDigraph, method: str = "elimination", budget: int = 2_000_000) -> list:
     """det(I - zA) coefficients via Coates unions or elimination.
 
-    The elimination route evaluates the determinant exactly (fraction-free)
-    at order+1 integer points and interpolates; float weights are lifted to
-    their exact binary rationals first, so both routes are exact and the two
-    methods are independent of each other.  The coefficients are memoised on
-    ``d`` per method (and per budget for Coates, whose budget can fail a call).
+    The elimination route reduces the integer rows of I - zA to Hessenberg
+    form modulo word-size primes and reconstructs the exact coefficients by
+    the Chinese remainder theorem (:func:`rational.charpoly_exact`); float
+    weights are lifted to their exact binary rationals first, so both routes
+    are exact and the two methods are independent of each other.  The
+    coefficients are memoised on ``d`` per method (and per budget for Coates,
+    whose budget can fail a call).
     """
     if method == "coates":
         return list(d.memo(("charpoly", method, budget),
@@ -575,11 +577,7 @@ def solve_shifted(d: WeightedDigraph, b: Sequence[int], z=1) -> tuple[list[Fract
 
 
 def _elimination_charpoly(d: WeightedDigraph) -> list:
-    # at integer z the row scales are the lcms L_i, so the integer determinants at
-    # z = 0..n share the denominator prod(L_i): one Fraction per coefficient
-    dets = [det_exact(exact_shifted(d, z)[0]) for z in range(d.order + 1)]
-    coeffs, den = interpolate_exact(dets)
-    den *= math.prod(lcm for lcm, _arcs in _integer_weights(d))
+    coeffs, den = charpoly_exact(_integer_weights(d))
     coeffs = [Fraction(c, den) for c in coeffs]
     return coeffs if d.is_exact else [float(c) for c in coeffs]
 

@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Nine fast paths keep the code they replaced as an
+dense eigensolver.  Ten fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
 without the transversal route), the minimum cycle transversal (the branch
@@ -12,6 +12,8 @@ reduction), unbounded cycle enumeration (Johnson's blocked search), exact
 solves and inverses (Gauss–Jordan over Fraction), the matrices I - zA
 (built entry by entry over Fraction, not as integer rows), polynomial
 interpolation (Newton divided differences over Fraction on any nodes), the
+elimination characteristic polynomial (exact determinants of I - zA at
+z = 0..n, interpolated in integers, not residues modulo word-size primes), the
 check of a family's declared facts (every cycle of every truncation, not
 one peel and one length search on the last) and the supremum of cycle gains
 (one ``Gain`` per cycle, not a running weight, length and log).
@@ -21,6 +23,8 @@ import functools
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import defaultdict
 from fractions import Fraction
 from fractions import Fraction as F
@@ -41,7 +45,14 @@ from substochastic.cycles import (
 from substochastic.digraph import strongly_connected_components
 from substochastic.errors import BudgetExceededError
 from substochastic.inequalities import random_strong_digraph
-from substochastic.spectral import _SPARSE_THRESHOLD, _max_over_components, edge_operator
+from substochastic.rational import det_exact, interpolate_exact
+from substochastic.spectral import (
+    _SPARSE_THRESHOLD,
+    _integer_weights,
+    _max_over_components,
+    edge_operator,
+    exact_shifted,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +379,17 @@ def oracle_interpolate(points, values) -> list[F]:
     return out
 
 
+def oracle_elimination_charpoly(d: WeightedDigraph) -> list:
+    """det(I - zA) coefficients: Bareiss determinants at z = 0..n, interpolated in integers."""
+    # at integer z the row scales are the lcms L_i, so the integer determinants at
+    # z = 0..n share the denominator prod(L_i): one Fraction per coefficient
+    dets = [det_exact(exact_shifted(d, z)[0]) for z in range(d.order + 1)]
+    coeffs, den = interpolate_exact(dets)
+    den *= math.prod(lcm for lcm, _arcs in _integer_weights(d))
+    coeffs = [Fraction(c, den) for c in coeffs]
+    return coeffs if d.is_exact else [float(c) for c in coeffs]
+
+
 def eig_radius(d: WeightedDigraph) -> float:
     if d.order == 0:
         return 0.0
@@ -570,6 +592,37 @@ def brute_reachable(d: WeightedDigraph) -> bool:
                     if reach[k][j]:
                         reach[i][j] = True
     return all(reach[i][j] for i in range(n) for j in range(n))
+
+
+def run_threads(work, count: int = 4) -> list:
+    """Run ``work(i)`` on ``count`` threads started together; return the results.
+
+    A short switch interval makes the threads interleave inside shared memos.
+    """
+    barrier = threading.Barrier(count)
+    results = [None] * count
+    errors = []
+
+    def run(i):
+        barrier.wait(timeout=60)
+        try:
+            results[i] = work(i)
+        except Exception as exc:  # reported on the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    return results
 
 
 def seeded_digraph(seed: int, order_max: int = 6, weighting: str = "truthly") -> WeightedDigraph:

@@ -74,6 +74,12 @@ class TestPruittCertificate:
     def test_nonpositive_vector_rejected(self):
         assert verify_pruitt(loop(), [0], 1) == (False, None)
 
+    def test_zero_entry_rejected_though_a_row_is_strict(self):
+        # row 0 is strict (1/2 < 1) and the arc-free row 1 holds as 0 <= 0, so
+        # only the positivity test rejects the vector
+        d = WeightedDigraph(2, {(0, 0): F(1, 2)})
+        assert verify_pruitt(d, [F(1), F(0)], 1) == (False, None)
+
     @given(st.integers(0, 300))
     @settings(max_examples=40, deadline=None)
     def test_above_radius_certificate_exists_and_verifies_exactly(self, seed):

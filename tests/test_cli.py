@@ -477,12 +477,24 @@ class TestBoundaryErrors:
             ("prop1", '{"lengths": [2, "x"]}', "prop1 params.lengths: 'x' is not a number"),
             ("example1", '{"f": ["1/2", "abc"]}', "example1 params.f: 'abc' is not a number"),
             ("example1", '{"f": ["1/2", "1/0"]}', "example1 params.f: '1/0' is not a number"),
+            ("example1", '{"a": "1/0"}', "example1 params.a: '1/0' is not a number"),
+            ("example1", '{"a": "x"}', "example1 params.a: 'x' is not a number"),
+            ("example1", '{"f": {"kind": "geometric", "ratio": "q"}}',
+             "example1 params.f.ratio: 'q' is not a number"),
+            ("prop1", '{"lengths": {"kind": "linear", "start": "q"}}',
+             "prop1 params.lengths.start: 'q' is not a number"),
+            ("prop1", '{"targets": {"kind": "constant", "value": "1/0"}}',
+             "prop1 params.targets.value: '1/0' is not a number"),
+            ("corollary1", '{"g": {"kind": "power", "exponent": "5/2"}}',
+             "corollary1 params.g.exponent: '5/2' is not an integer"),
         ],
         ids=["list-without-values", "gap-not-object", "f-not-object",
              "constant-without-value", "params-not-object", "unknown-key",
              "epsilon-kind", "sorted-not-boolean", "nested-unknown-key",
              "two-level-unknown-key", "length-not-number", "list-entry-not-number",
-             "list-entry-zero-denominator"],
+             "list-entry-zero-denominator", "scalar-zero-denominator", "scalar-not-number",
+             "nested-scalar-not-number", "linear-start-not-number",
+             "sequence-value-zero-denominator", "exponent-not-integer"],
     )
     def test_malformed_family_params(self, family, params, message):
         proc = run_cli(["construct", family, "--params", params, "--emit-truncation", "3"])

@@ -1,7 +1,5 @@
 import hashlib
 import math
-import sys
-import threading
 import time
 from fractions import Fraction as F
 
@@ -38,6 +36,8 @@ from substochastic.constructions import (
     family_from_config,
     power_series_sum,
 )
+
+from conftest import run_threads
 
 
 class TestExample1:
@@ -563,40 +563,6 @@ def test_non_monotone_minorant_pinned(kind):
 # Thread safety: one family (and one lazy sequence) shared by a few threads
 # ---------------------------------------------------------------------------
 
-N_THREADS = 4
-
-
-def _run_threads(work):
-    """Run ``work(i)`` on N_THREADS threads started together; return the results.
-
-    A short switch interval makes the threads interleave inside the memos.
-    """
-    barrier = threading.Barrier(N_THREADS)
-    results = [None] * N_THREADS
-    errors = []
-
-    def run(i):
-        barrier.wait(timeout=60)
-        try:
-            results[i] = work(i)
-        except Exception as exc:  # reported on the main thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(N_THREADS)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors
-    return results
-
-
 def test_memo_shared_across_threads_stays_indexed():
     def step(k, prev=None):
         time.sleep(0)  # hand the GIL over mid-step
@@ -604,7 +570,7 @@ def test_memo_shared_across_threads_stays_indexed():
 
     for _ in range(5):
         memo = _Memo1(step)
-        results = _run_threads(lambda i: [memo(k) for k in range(1, 201)])
+        results = run_threads(lambda i: [memo(k) for k in range(1, 201)])
         assert all(r == list(range(1, 201)) for r in results)
         assert memo.values == list(range(1, 201))
 
@@ -620,7 +586,7 @@ def test_keyed_memo_shared_across_threads_computes_once():
     for _ in range(5):
         calls.clear()
         memo = _MemoN(compute)
-        results = _run_threads(lambda i: [memo(n) for n in range(50)])
+        results = run_threads(lambda i: [memo(n) for n in range(50)])
         assert all(r == [(n,) for n in range(50)] for r in results)
         assert sorted(calls) == list(range(50))
 
@@ -630,7 +596,7 @@ def test_family_shared_across_threads_matches_serial(name):
     orders = (146, 7, 60, 31)
     serial = [truncate(family_from_config(name), n).to_json() for n in orders]
     shared = family_from_config(name)
-    results = _run_threads(
+    results = run_threads(
         lambda i: [truncate(shared, n).to_json() for n in orders[i:] + orders[:i]]
     )
     for i, r in enumerate(results):

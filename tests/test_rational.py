@@ -1,6 +1,8 @@
 """The integer kernel's det, solve, inverse and interpolation against Leibniz
 determinants, Cramer's rule, and the Gauss–Jordan elimination and Newton
-divided differences they replaced, all over Fraction; rational ln bounds."""
+divided differences they replaced, all over Fraction; the word-size primes and
+the symmetric Chinese remaindering of the modular characteristic polynomial;
+rational ln bounds."""
 
 import math
 import random
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from substochastic import rational
 from substochastic.inequalities import instance_stream, random_strong_digraph
 from substochastic.rational import (
     _eliminate,
+    charpoly_exact,
     det_exact,
     interpolate_exact,
     inverse_exact,
@@ -21,7 +25,14 @@ from substochastic.rational import (
 )
 from substochastic.spectral import exact_shifted, solve_shifted
 
-from conftest import leibniz_det, oracle_interpolate, oracle_inverse, oracle_solve, poly_eval
+from conftest import (
+    leibniz_det,
+    oracle_interpolate,
+    oracle_inverse,
+    oracle_solve,
+    poly_eval,
+    run_threads,
+)
 
 entries = st.integers(-12, 12)
 
@@ -274,10 +285,49 @@ def test_kernel_rejects_a_non_integer_entry(bad):
         lambda: solve_exact([[1, 0], [0, 1]], [bad, 1]),
         lambda: inverse_exact([[bad]]),
         lambda: interpolate_exact([1, bad, 3]),
+        lambda: charpoly_exact([(2, ((0, 1),)), (bad, ())]),
+        lambda: charpoly_exact([(2, ((0, bad),))]),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="the exact kernel takes integers"):
             call()
+
+
+def _word_primes_by_trial_division(count: int) -> list[int]:
+    primes, m = [], 2**31 - 1
+    while len(primes) < count:
+        if all(m % k for k in range(3, math.isqrt(m) + 1, 2)):
+            primes.append(m)
+        m -= 2
+    return primes
+
+
+def test_word_primes_descend_from_the_mersenne_prime():
+    assert [rational._word_prime(k) for k in range(8)] == _word_primes_by_trial_division(8)
+
+
+def test_word_primes_shared_across_threads_grow_once(monkeypatch):
+    want = _word_primes_by_trial_division(12)
+    for _ in range(3):
+        monkeypatch.setattr(rational, "_PRIMES", [])
+        results = run_threads(lambda i: [rational._word_prime(k) for k in range(12 - 3 * i)])
+        assert all(r == want[:len(r)] for r in results)
+        assert rational._PRIMES == want
+
+
+def test_symmetric_residues_at_both_ends():
+    primes = _word_primes_by_trial_division(3)
+    top = (math.prod(primes) - 1) // 2
+    values = [top, -top, 0, 1, -1, top - 1, -top + 1]
+    residues = [[x % p for x in values] for p in primes]
+    assert rational._symmetric_crt(residues, primes) == values
+
+
+def test_charpoly_kernel_pins():
+    # det(D - zB) for D = diag(2, 3) and B = [[1, 1], [2, 0]]: 6 - 3z - 2z^2
+    assert charpoly_exact([(2, ((0, 1), (1, 1))), (3, ((0, 2),))]) == ([6, -3, -2], 6)
+    assert charpoly_exact([(5, ()), (7, ())]) == ([35], 35)
+    assert charpoly_exact([]) == ([1], 1)
 
 
 @pytest.mark.parametrize("q", [F(1, 3), F(2, 3), F(1, 1000)])

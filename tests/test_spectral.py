@@ -24,8 +24,9 @@ from substochastic import (
     sup_cycle_gain,
     truncate,
 )
-from substochastic import spectral
+from substochastic import rational, spectral
 from substochastic.constructions import (
+    BUILTIN_FAMILIES,
     a_power,
     build_example1,
     build_example2,
@@ -63,6 +64,7 @@ from conftest import (
     loop,
     oracle_collatz_wielandt_brackets,
     oracle_det,
+    oracle_elimination_charpoly,
     oracle_inverse,
     oracle_perron_bounds,
     oracle_shifted,
@@ -617,16 +619,20 @@ class TestIntegerRows:
         assert repr(seen) == repr(want) and len(seen) == 2 * len(SAMPLES)
         assert rep.ok and not rep.notes and not notes
 
-    def test_one_interpolation_per_charpoly(self, monkeypatch):
-        calls = []
-        interpolate = spectral.interpolate_exact
-        monkeypatch.setattr(spectral, "interpolate_exact",
-                            lambda values: calls.append(len(values)) or interpolate(values))
-        for d in INTEGER_ROW_DIGRAPHS[:4]:
+    def test_charpoly_from_the_fewest_primes(self, monkeypatch, crt_primes):
+        # no determinant: residues modulo the fewest primes below 2**31 whose
+        # product exceeds twice the bound prod_i (L_i + sum_j B_ij)
+        monkeypatch.setattr(spectral, "det_exact", lambda rows: pytest.fail("det_exact called"))
+        monkeypatch.setattr(rational, "det_exact", lambda rows: pytest.fail("det_exact called"))
+        for d in INTEGER_ROW_DIGRAPHS:
             fresh = WeightedDigraph(d.order, d.arcs)
             assert charpoly(fresh) == charpoly(fresh)
-            assert calls[-1] == d.order + 1
-        assert len(calls) == 4
+            rows = spectral._integer_weights(fresh)
+            bound = math.prod(lcm + sum(b for _j, b in arcs) for lcm, arcs in rows)
+            primes = crt_primes[-1]
+            assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+            assert primes == [rational._word_prime(k) for k in range(len(primes))]
+        assert len(crt_primes) == len(INTEGER_ROW_DIGRAPHS)
 
     def test_zeta_on_a_loop_skips_its_singular_sample(self, monkeypatch):
         seen, rep = _zeta_records(monkeypatch, loop(F(1, 2)), 0, [F(1, 3), F(2)])
@@ -728,6 +734,108 @@ class TestCharpoly:
         cycle = WeightedDigraph(order, {(v, (v + 1) % order): F(1, 2) for v in range(order)})
         with pytest.raises(error):
             charpoly(cycle, method=method)
+
+
+@pytest.fixture
+def crt_primes(monkeypatch) -> list:
+    """The primes of every ``_symmetric_crt`` call, in order."""
+    seen = []
+    crt = rational._symmetric_crt
+    monkeypatch.setattr(rational, "_symmetric_crt",
+                        lambda residues, primes: seen.append(primes) or crt(residues, primes))
+    return seen
+
+
+def _assert_charpoly_as_the_oracles(d: WeightedDigraph) -> list:
+    """charpoly(d) equals the elimination oracle, element types too, and Coates up to order 8."""
+    got = charpoly(d)
+    want = oracle_elimination_charpoly(d)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+    if d.order <= 8:
+        exact = coates_charpoly(_lift(d))
+        assert got == (exact if d.is_exact else [float(c) for c in exact])
+    return got
+
+
+class TestModularCharpoly:
+    """det(I - zA) from residues modulo word-size primes, against the elimination it replaced."""
+
+    @given(st.integers(0, 10**6), st.sampled_from(["exact", "float"]))
+    @settings(max_examples=60, deadline=None)
+    def test_instance_stream(self, seed, mode):
+        (_, d), = instance_stream(seed, 1, 12, mode=mode)
+        _assert_charpoly_as_the_oracles(d)
+
+    @given(st.integers(0, 10**6), st.integers(13, 40))
+    @settings(max_examples=8, deadline=None)
+    def test_random_strong_digraphs(self, seed, order):
+        _assert_charpoly_as_the_oracles(random_strong_digraph(random.Random(seed), order))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_family_truncations(self, name, n):
+        _assert_charpoly_as_the_oracles(truncate(family_from_config(name), n))
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_float_example2(self, n):
+        d = truncate(family_to_float(family_from_config("example2")), n)
+        assert all(type(c) is float for c in _assert_charpoly_as_the_oracles(d))
+
+    @pytest.mark.parametrize(
+        "d, want",
+        [(WeightedDigraph(1, {(0, 0): F(3, 4)}), [F(1), F(-3, 4)]),
+         (acyclic3(), [F(1)]),
+         (WeightedDigraph(3, {}), [F(1)]),
+         (WeightedDigraph(0, {}), [F(1)]),
+         # the bound 2**31 - 2 is below the first prime but not half of it:
+         # modulo that prime alone, L = 2**31 - 3 would come back as -2
+         (WeightedDigraph(1, {(0, 0): F(1, 2**31 - 3)}), [F(1), F(-1, 2**31 - 3)])],
+        ids=["order1-loop", "acyclic", "arc-free", "empty", "twice-the-bound"],
+    )
+    def test_edge_cases(self, d, want):
+        assert _assert_charpoly_as_the_oracles(d) == want
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 128])
+    def test_unit_loops_attain_the_bound(self, n):
+        # (1 - z)^n: the absolute coefficients sum to 2^n = prod_i (L_i + B_ii),
+        # and no column of the diagonal matrix has a pivot
+        d = WeightedDigraph(n, {(v, v): F(1) for v in range(n)})
+        want = [F((-1) ** k * math.comb(n, k)) for k in range(n + 1)]
+        assert charpoly(d) == want
+        assert sum(abs(c) for c in want) == 2**n
+
+    def test_a_denominator_equal_to_the_first_prime_skips_it(self, crt_primes):
+        first = 2**31 - 1
+        d = WeightedDigraph(3, {(0, 1): F(1, first), (1, 0): F(1, 2), (1, 2): F(1, 3),
+                                (2, 0): F(first - 1, first), (2, 2): F(1, 5)})
+        _assert_charpoly_as_the_oracles(d)
+        (primes,) = crt_primes
+        assert first not in primes
+
+    def test_primes_in_groups(self, monkeypatch, crt_primes):
+        d = truncate(family_to_float(family_from_config("example2")), 12)
+        want = oracle_elimination_charpoly(d)
+        monkeypatch.setattr(rational, "_GROUP_ENTRIES", 3 * 12 * 12)  # three primes a group
+        assert charpoly(d) == want
+        (primes,) = crt_primes
+        assert len(primes) > 6 and len(primes) % 3  # the last group is short
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["swap", "empty-column"])
+    def test_pivots_that_differ_between_primes(self, crt_primes, empty):
+        # numerators divisible by 2**31 - 1 vanish modulo the first prime only:
+        # there the first column pivots on row 2 or, with rows 2 and 3 zero
+        # too, has no pivot
+        first = 2**31 - 1
+        arcs = {(0, 1): F(1, 2), (0, 2): F(1, 4), (1, 2): F(1, 3), (2, 1): F(1, 7),
+                (1, 0): F(first, 2**31), (2, 0): F(1, 3), (3, 0): F(1, 5), (0, 3): F(1, 6)}
+        if empty:
+            arcs[(2, 0)] = F(first, 2**32)
+            arcs[(3, 0)] = F(first, 2**33)
+        d = WeightedDigraph(4, arcs)
+        _assert_charpoly_as_the_oracles(d)
+        (primes,) = crt_primes
+        assert primes[0] == first and len(primes) > 1
 
 
 class TestDeterminant:
