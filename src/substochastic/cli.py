@@ -22,7 +22,7 @@ from .cycles import (
     sup_cycle_gain,
 )
 from .digraph import WeightedDigraph
-from .families import family_to_float, truncate
+from .families import family_gain, family_to_float, truncate
 from .inequalities import SUITES, run_suite
 from .rational import weight_to_str
 from .spectral import charpoly, perron_ladder, perron_root
@@ -113,15 +113,10 @@ def _cmd_fvs(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    family_mode = bool(args.family) and args.n is not None
-    if family_mode:
-        # every cycle of the infinite digraph of length <= n lies in the window truncation
-        fam = _load_family(args)
-        window = fam.omega_window(args.n) if fam.omega_window is not None else args.n
-        d = truncate(fam, max(window, args.n))
+    if args.family and args.n is not None:
+        g = family_gain(_load_family(args), args.n)
     else:
-        d = _load_digraph(args)
-    g = sup_cycle_gain(d, max_length=args.n, proper_only=not (args.improper or family_mode))
+        g = sup_cycle_gain(_load_digraph(args), max_length=args.n, proper_only=not args.improper)
     _emit(json.dumps({"omega": _gain_payload(g), "max_length": args.n}, indent=2), args.out)
     return EXIT_OK
 

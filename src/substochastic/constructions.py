@@ -240,7 +240,7 @@ def build_example1(a=Fraction(1, 2), f=None) -> TruncationFamily:
         return_vertex=0,
         pruitt_strict_vertex=0,
     )
-    return TruncationFamily("example1", generator, facts, omega_window=lambda n: n)
+    return TruncationFamily("example1", generator, facts)
 
 
 def f_geometric(q=Fraction(1, 2)) -> Callable[[int], Fraction]:
@@ -333,9 +333,7 @@ def build_example2(a, sorted_weights: bool = True) -> TruncationFamily:
         return_vertex=0,
     )
     witness = (lambda n: tuple(range(n))) if sorted_weights else None
-    return TruncationFamily(
-        "example2", generator, facts, omega_window=lambda n: n, witness_submatrix=witness,
-    )
+    return TruncationFamily("example2", generator, facts, witness_submatrix=witness)
 
 
 def a_power(exponent: float = -0.75) -> Callable[[int], float]:
@@ -754,10 +752,9 @@ def build_prop2(eps: EpsilonSchedule) -> TruncationFamily:
         pruitt_strict_vertex=0,
     )
     gamma_facts = replace(facts, weighting_class=Tag.STRICTLY_SUBSTOCHASTIC)
-    gamma = TruncationFamily("prop2-cycles", gamma_generator, gamma_facts,
-                             omega_window=lambda n: n)
+    gamma = TruncationFamily("prop2-cycles", gamma_generator, gamma_facts)
     return TruncationFamily(
-        "prop2", generator, facts, omega_window=lambda n: n,
+        "prop2", generator, facts,
         extras={"schedule": sched, "certify": sched.certify, "cycle_system": gamma},
     )
 

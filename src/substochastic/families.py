@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Mapping, Sequence
 
-from .cycles import _greedy_packing, enumerate_cycles, is_cycle_transversal
+from .cycles import Gain, _cycle_paths, _greedy_packing, is_cycle_transversal, sup_cycle_gain
 from .digraph import Tag, WeightedDigraph
 from .errors import FamilyDefinitionError
 
@@ -49,7 +49,7 @@ class TruncationFamily:
     generator: Callable[[int], WeightedDigraph]
     facts: FamilyFacts = field(default_factory=FamilyFacts)
     #: smallest truncation order containing every cycle of length <= n
-    omega_window: Callable[[int], int] | None = None
+    omega_window: Callable[[int], int] = lambda n: n
     #: vertices of an order-n induced subdigraph with large Perron root
     witness_submatrix: Callable[[int], Sequence[int]] | None = None
     extras: Mapping = field(default_factory=dict, compare=False)
@@ -86,6 +86,19 @@ def family_to_float(family: TruncationFamily) -> TruncationFamily:
     )
 
 
+def family_gain(family: TruncationFamily, n: int, truncation=None) -> Gain:
+    """omega_n: the best gain over the family's cycles of length <= ``n``.
+
+    They lie in the truncation of order ``max(omega_window(n), n)``, reused
+    from ``truncation`` when it has that order, and each is a proper cycle of
+    the infinite digraph.
+    """
+    window = max(family.omega_window(n), n)
+    if truncation is None or truncation.order != window:
+        truncation = truncate(family, window)
+    return sup_cycle_gain(truncation, max_length=n, proper_only=False)
+
+
 @dataclass
 class MetadataReport:
     family: str
@@ -104,10 +117,10 @@ def validate_metadata(family: TruncationFamily, n_max: int) -> MetadataReport:
     cycle of this one: a fact fails on some truncation up to ``n_max``
     exactly when it fails here.  The transversal takes one Kahn peel, a
     finite sct_size one greedy packing of disjoint cycles (a transversal hits
-    each), and the lengths the lock search ``enumerate_cycles``: bounded at
-    length l_min - 1 for a shorter cycle, and for a finite l_max run until a
-    longer cycle turns up or ``L_MAX_BUDGET`` cycles are listed.  A search
-    that runs out of budget has not settled l_max, and that fails too.
+    each), and the lengths the lock search's path stream: bounded at length
+    l_min - 1 for a shorter cycle, and for a finite l_max run until a longer
+    cycle turns up or ``L_MAX_BUDGET`` cycles are listed.  A search that runs
+    out of budget has not settled l_max, and that fails too.
     Violations are collected in the report rather than raised, so a wrong
     declaration can be inspected.
     """
@@ -131,17 +144,17 @@ def validate_metadata(family: TruncationFamily, n_max: int) -> MetadataReport:
             report.violations.append(f"declared transversal {sorted(facts.transversal)} "
                                      f"has fewer vertices than declared sct_size {sct}")
     if facts.l_max is not None and facts.l_max != math.inf:
-        cycles = enumerate_cycles(d, max_count=L_MAX_BUDGET)
-        longer = next((c for c in cycles if c.length > facts.l_max), None)
+        lengths = (len(path) for path, _ in _cycle_paths(d))
+        longer = next((k for k in islice(lengths, L_MAX_BUDGET) if k > facts.l_max), None)
         if longer is not None:
             report.violations.append(
-                f"n={n_max}: a cycle has length {longer.length} > declared l_max {facts.l_max}")
-        elif cycles.truncated:
+                f"n={n_max}: a cycle has length {longer} > declared l_max {facts.l_max}")
+        elif next(lengths, None) is not None:
             report.violations.append(
                 f"n={n_max}: declared l_max {facts.l_max} unsettled after {L_MAX_BUDGET} cycles")
     if facts.l_min is not None:
-        shorter = next(enumerate_cycles(d, max_length=facts.l_min - 1), None)
+        shorter = next((len(path) for path, _ in _cycle_paths(d, facts.l_min - 1)), None)
         if shorter is not None:
             report.violations.append(
-                f"n={n_max}: a cycle has length {shorter.length} < declared l_min {facts.l_min}")
+                f"n={n_max}: a cycle has length {shorter} < declared l_min {facts.l_min}")
     return report

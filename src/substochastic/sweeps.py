@@ -12,8 +12,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .constructions import family_from_config
-from .cycles import min_cycle_transversal, sup_cycle_gain
-from .families import family_to_float, truncate
+from .cycles import min_cycle_transversal
+from .families import family_gain, family_to_float, truncate
 from .spectral import perron_root
 
 CSV_VERSION = "substochastic-sweep-v1"
@@ -51,23 +51,17 @@ def run_sweep(spec: SweepSpec, progress=None) -> list[dict]:
     fam = family_from_config(spec.family, spec.params)
     fam = family_to_float(fam) if spec.mode == "float" else fam
     progress = progress if progress is not None else sys.stderr
+    limit = fam.facts.spectral_limit
     rows = []
     for n in spec.n_grid:
         row: dict = {"n": n}
         try:
             d = truncate(fam, n)
             lam = perron_root(d)
-            window = fam.omega_window(n) if fam.omega_window is not None else n
-            host = d if window <= n else truncate(fam, window)
-            # every cycle of a truncation is a proper cycle of the infinite digraph
-            omega = sup_cycle_gain(host, max_length=n, proper_only=False).value
-            row["lambda_n"] = lam
-            row["omega_n"] = omega
-            row["one_minus_omega"] = 1 - omega
-            row["one_minus_lambda"] = 1 - lam
-            row["n_one_minus_lambda"] = n * (1 - lam)
-            limit = fam.facts.spectral_limit
-            row["gap_to_limit"] = (float(limit) - lam) if limit is not None else ""
+            omega = family_gain(fam, n, d).value
+            row.update(lambda_n=lam, omega_n=omega, one_minus_omega=1 - omega,
+                       one_minus_lambda=1 - lam, n_one_minus_lambda=n * (1 - lam),
+                       gap_to_limit=(float(limit) - lam) if limit is not None else "")
             row["fvs_size"] = (min_cycle_transversal(d, budget=20_000).size
                                if spec.compute_fvs else "")
         except Exception as exc:  # keep sweeping, record the cell error

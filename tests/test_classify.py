@@ -315,3 +315,20 @@ class TestClassifyRecurrence:
         )
         verdict = classify_recurrence(fam, n_max=10, p_max=500)
         assert verdict.verdict == "unknown"
+
+    def test_all_ones_is_checked_at_the_declared_radius(self):
+        # the Green sums are bounded at 1, and the all-ones vector passes at 2 but
+        # not at 1 (row 1 sums to 3/2): the declaration is false, so no verdict
+        fam = TruncationFamily(
+            "false-ones",
+            lambda n: WeightedDigraph(n, {(u, u + 1): w for u, w in ((0, F(1, 2)), (1, F(3, 2)))
+                                          if u + 1 < n}),
+            FamilyFacts(weighting_class=Tag.TRUTHLY_SUBSTOCHASTIC, spectral_limit=1,
+                        return_vertex=0),
+        )
+        d = truncate(fam, 10)
+        assert verify_pruitt(d, [F(1)] * 10, 1) == (False, None)
+        assert verify_pruitt(d, [F(1)] * 10, 2)[0]
+        verdict = classify_recurrence(fam, n_max=10, p_max=100)
+        assert (verdict.verdict, verdict.evidence, verdict.confidence) == ("unknown", None, None)
+        assert verdict.notes[-1] == "declared all-ones certificate failed re-verification"

@@ -468,8 +468,7 @@ def _outcome(fn, n) -> str:
 def _family_lines(fam):
     for n in PIN_ORDERS:
         yield truncate(fam, n).to_json()
-        if fam.omega_window is not None:
-            yield f"omega {n} {_outcome(fam.omega_window, n)}"
+        yield f"omega {n} {_outcome(fam.omega_window, n)}"
         if fam.witness_submatrix is not None:
             yield f"witness {n} {_outcome(lambda m: tuple(fam.witness_submatrix(m)), n)}"
         if fam.facts.perron_closed_form is not None:

@@ -10,10 +10,13 @@ from substochastic import (
     FamilyFacts,
     TruncationFamily,
     WeightedDigraph,
+    enumerate_cycles,
+    sup_cycle_gain,
     truncate,
     validate_metadata,
 )
 from substochastic import families
+from substochastic.families import family_gain
 from substochastic.constructions import (
     BUILTIN_FAMILIES,
     a_power,
@@ -123,6 +126,26 @@ class TestValidateMetadata:
         assert validate_metadata(build_example2(a_power(-0.75)), 40).ok
         assert calls == [40]
 
+    @pytest.mark.parametrize("l_max", [1, 2, 3])
+    def test_l_max_note_at_every_budget(self, monkeypatch, l_max):
+        # the first longer cycle among the first L_MAX_BUDGET listed, else
+        # "unsettled" when a further cycle exists, which is not length-checked
+        fam = family_from_config("corollary1").with_facts(l_max=l_max)
+        d = truncate(fam, 14)
+        lengths = [c.length for c in enumerate_cycles(d)]
+        assert lengths == [1, 2, 2, 2, 3, 2, 4, 2]
+        for budget in range(len(lengths) + 2):
+            monkeypatch.setattr(families, "L_MAX_BUDGET", budget)
+            longer = next((k for k in lengths[:budget] if k > l_max), None)
+            if longer is not None:
+                want = [f"n=14: a cycle has length {longer} > declared l_max {l_max}"]
+            elif budget < len(lengths):
+                want = [f"n=14: declared l_max {l_max} unsettled after {budget} cycles"]
+            else:
+                want = []
+            notes = [v for v in validate_metadata(fam, 14).violations if "l_max" in v]
+            assert notes == want, budget
+
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     @pytest.mark.parametrize("wrong", [
         {},
@@ -148,6 +171,16 @@ class TestValidateMetadata:
             return
         for n in (1, 2, 3, 5, 8, 12):
             assert validate_metadata(fam, n).ok == (not oracle_validate_metadata(fam, n)), n
+
+
+def test_family_gain_searches_the_omega_window():
+    # corollary1's short beads lie beyond vertex n, so the order-n truncation is not reused
+    fam = build_corollary1(GapTarget.exp2())
+    for n in (1, 2, 5, 9):
+        host = truncate(fam, fam.omega_window(n))
+        want = sup_cycle_gain(host, max_length=n, proper_only=False)
+        assert family_gain(fam, n) == family_gain(fam, n, truncate(fam, n)) == want
+    assert want != sup_cycle_gain(truncate(fam, 9), max_length=9, proper_only=False)
 
 
 def test_facts_defaults_are_none():

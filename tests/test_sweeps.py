@@ -1,10 +1,12 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from substochastic import DecayFit, SweepSpec, fit_decay, run_sweep, sweep_csv, sweep_json
+from substochastic import families, sweeps
 
 
 def spec(**kw):
@@ -72,6 +74,49 @@ class TestRunSweep:
         rows = run_sweep(spec(), progress=sink)
         payload = sweep_json(rows)
         assert '"columns"' in payload and '"rows"' in payload
+
+    def test_one_truncation_per_order(self):
+        # omega_n is computed on the order-n truncation the row already built
+        with mock.patch.object(sweeps, "truncate", wraps=sweeps.truncate) as row_cuts, \
+             mock.patch.object(families, "truncate", wraps=families.truncate) as gain_cuts:
+            run_sweep(spec(family="example1", params={}, n_grid=(5, 10, 20), compute_fvs=False),
+                      progress=io.StringIO())
+        assert (row_cuts.call_count, gain_cuts.call_count) == (3, 0)
+
+
+E1_POWER = {"a": "1/2", "f": {"kind": "power", "epsilon": 0.5}}
+
+
+class TestExperiments:
+    """``run_sweep`` then ``fit_decay`` on the grids of the README experiments.
+
+    The expected fits are the ones the former standalone experiment scripts
+    printed: the ladder-gap exponent of the star family with hub weights
+    a_k = k^exponent, and the decay of 1 - omega_n on the return path.
+    """
+
+    @pytest.mark.parametrize("exponent, fitted", [
+        (-0.625, ("-0.264658", "-0.266619", "-0.262696")),
+        (-0.75, ("-0.505809", "-0.507217", "-0.504402")),
+        (-1.0, ("-1.001951", "-1.002740", "-1.001162")),
+    ])
+    def test_ladder_gap_exponent(self, exponent, fitted):
+        rows = run_sweep(SweepSpec("example2", {"a": {"kind": "power", "exponent": exponent}},
+                                   (100, 182, 331, 603, 1098, 2000), compute_fvs=False),
+                         progress=io.StringIO())
+        fit = fit_decay([(row["n"], row["gap_to_limit"]) for row in rows])
+        assert tuple(f"{x:.6f}" for x in (fit.slope, fit.ci_low, fit.ci_high)) == fitted
+
+    def test_gain_rate(self):
+        grid = (100, 110, 122, 134, 149, 164, 182, 201, 222, 245, 271, 300)
+        rows = run_sweep(SweepSpec("example1", E1_POWER, grid, compute_fvs=False),
+                         progress=io.StringIO())
+        pairs = [(row["n"], row["one_minus_omega"]) for row in rows]
+        plain = fit_decay(pairs)
+        corrected = fit_decay(pairs, log_correction=True)
+        assert f"{plain.slope:+.4f}" == "-0.8060"
+        assert (f"{corrected.slope:+.4f}", f"{corrected.log_coefficient:+.4f}") == (
+            "-1.0438", "+1.2221")
 
 
 class TestFitDecay:
