@@ -510,3 +510,44 @@ def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResul
 def is_cycle_transversal(d: WeightedDigraph, vertices: Iterable[int]) -> bool:
     """True iff removing ``vertices`` leaves ``d`` acyclic (one Kahn peel)."""
     return peel_transversal(d.adjacency, set(range(d.order)) - set(vertices), 0) is not None
+
+
+def _transversals_of_size(d: WeightedDigraph, size: int) -> Iterator[tuple[int, ...]]:
+    """Every cycle transversal of exactly ``size`` vertices, in ``itertools.combinations`` order.
+
+    A depth-first walk over the vertices 0..n-1 decides for each whether it
+    goes into the transversal W or stays in the rest R, trying W first, so
+    the sets come out in lexicographic order.  R is kept acyclic as it grows:
+    a vertex may stay only if it has no loop and no path through R leads
+    from its successors back to its predecessors (a search over integer
+    bitmasks).  Every superset of a cyclic set is cyclic, so a branch whose
+    rest has a cycle holds no transversal, and a branch with too few
+    vertices left to fill W is cut too.  The cost follows the number of
+    acyclic rests visited, not C(n, size).
+    """
+    n = d.order
+    succ, pred = [0] * n, [0] * n
+    for (u, v) in d.arcs:
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    # (next vertex, vertices W still needs, W so far, bitmask of R so far)
+    stack = [(0, size, (), 0)] if 0 <= size <= n else []
+    while stack:
+        v, need, chosen, rest = stack.pop()
+        if need == n - v:  # every vertex left goes into W
+            yield chosen + tuple(range(v, n))
+            continue
+        if not succ[v] >> v & 1:
+            # v may stay unless a path in R runs from a successor to a predecessor
+            target = pred[v] & rest
+            seen = frontier = succ[v] & rest if target else 0
+            while frontier and not seen & target:
+                low = frontier & -frontier
+                frontier ^= low
+                new = succ[low.bit_length() - 1] & rest & ~seen
+                seen |= new
+                frontier |= new
+            if not seen & target:
+                stack.append((v + 1, need, chosen, rest | 1 << v))
+        if need:
+            stack.append((v + 1, need - 1, chosen + (v,), rest))

@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Ten fast paths keep the code they replaced as an
+dense eigensolver.  Eleven fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
 without the transversal route), the minimum cycle transversal (the branch
@@ -15,8 +15,10 @@ interpolation (Newton divided differences over Fraction on any nodes), the
 elimination characteristic polynomial (exact determinants of I - zA at
 z = 0..n, interpolated in integers, not residues modulo word-size primes), the
 check of a family's declared facts (every cycle of every truncation, not
-one peel and one length search on the last) and the supremum of cycle gains
-(one ``Gain`` per cycle, not a running weight, length and log).
+one peel and one length search on the last), the supremum of cycle gains
+(one ``Gain`` per cycle, not a running weight, length and log) and the
+argmax conjecture scan (one Kahn peel per k-subset, not a pruned search of
+the transversals).
 """
 
 import functools
@@ -41,10 +43,12 @@ from substochastic.cycles import (
     _cycle_paths,
     _shortest_cycle,
     _succ_sets,
+    is_cycle_transversal,
+    min_cycle_transversal,
 )
 from substochastic.digraph import strongly_connected_components
 from substochastic.errors import BudgetExceededError
-from substochastic.inequalities import random_strong_digraph
+from substochastic.inequalities import ConjectureRecord, fingerprint, random_strong_digraph
 from substochastic.rational import det_exact, interpolate_exact
 from substochastic.spectral import (
     _SPARSE_THRESHOLD,
@@ -52,6 +56,7 @@ from substochastic.spectral import (
     _max_over_components,
     edge_operator,
     exact_shifted,
+    resolvent_diagonal,
 )
 
 
@@ -566,6 +571,28 @@ def oracle_min_cycle_transversal(
     assert _shortest_cycle(succ, all_vs - best) is None, "transversal re-verification failed"
     result = TransversalResult(frozenset(best), len(best), "upper-bound" if exhausted else "exact")
     return result, nodes
+
+
+def oracle_scan_argmax_conjecture(d: WeightedDigraph) -> ConjectureRecord:
+    """The argmax conjecture scan as it was before the pruned transversal search.
+
+    Every k-subset of the vertices, in ``itertools.combinations`` order, for
+    k = |sct| and |sct| + 1, is tested with one Kahn peel.
+    """
+    diag = resolvent_diagonal(d)
+    peak = max(diag)
+    argmax = tuple(v for v in range(d.order) if diag[v] == peak)
+
+    fvs = min_cycle_transversal(d)
+    record = ConjectureRecord(fingerprint(d), argmax, 0)
+    for size in range(fvs.size, min(d.order, fvs.size + 1) + 1):
+        for subset in itertools.combinations(range(d.order), size):
+            if not is_cycle_transversal(d, subset):
+                continue
+            record.transversals_checked += 1
+            if not set(subset) & set(argmax):
+                record.counterexamples.append(subset)
+    return record
 
 
 def _packing_count(succ, alive: set[int]) -> int:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import substochastic.cycles as cycles_module
+import substochastic.inequalities as inequalities_module
 import substochastic.spectral as spectral_module
 from substochastic import (
     BudgetExceededError,
@@ -195,11 +196,13 @@ def test_certify_calls_bracket_and_invert_once(monkeypatch, seed):
     brackets = count_calls(monkeypatch, spectral_module, "_integer_power_brackets")
     inverses = count_calls(monkeypatch, spectral_module, "inverse_exact")
     searches = count_calls(monkeypatch, cycles_module, "_branch_and_bound")
+    sigmas = count_calls(monkeypatch, inequalities_module, "_elementary_symmetric")
     d = stream_instance(seed)
     certify_calls(d, seed)
     assert len(brackets) == 1  # a strong digraph is one component
     assert len(inverses) == 1
     assert len(searches) == 1
+    assert len(sigmas) == 1  # every sigma_k of the transversal from one DP
 
 
 def test_equivalent_calls_share_one_computation(monkeypatch):

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -27,11 +29,20 @@ from substochastic import (
     scan_argmax_conjecture,
     truncate,
 )
-from substochastic import spectral
+from substochastic import cycles, inequalities, spectral
 from substochastic.constructions import build_example1, f_geometric
 from substochastic.inequalities import SUITES, InequalityReport, instance_stream
 
-from conftest import acyclic3, brute_cycles, brute_reachable, loop, seeded_digraph, two_cycle
+from conftest import (
+    acyclic3,
+    brute_cycles,
+    brute_reachable,
+    k3,
+    loop,
+    oracle_scan_argmax_conjecture,
+    seeded_digraph,
+    two_cycle,
+)
 
 import random
 
@@ -197,6 +208,20 @@ class TestSigmaBound:
         with pytest.raises(ValueError):
             check_sigma_bound(loop(F(1, 2)), frozenset({0}), 2)
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sigma_k_is_the_sum_over_k_subsets(self, seed, mode):
+        d = seeded_digraph(seed, order_max=8)
+        d = d if mode == "exact" else d.to_float()
+        w = sorted(min_cycle_transversal(d).vertices)
+        diag = resolvent_diagonal(d)
+        for k in range(1, len(w) + 1):
+            rep = check_sigma_bound(d, w, k)
+            want = sum(math.prod(diag[x] for x in sub) for sub in itertools.combinations(w, k))
+            sigma = rep.min_margin + max(diag)  # the margin is sigma_k - max G(v, v)
+            assert type(rep.min_margin) is type(diag[0])
+            assert sigma == want if mode == "exact" else sigma == pytest.approx(want, rel=1e-12)
+
     def test_random_suite_all_k(self):
         rep = run_suite("sigma-k", count=50, seed=29, order_max=9)
         assert rep.ok
@@ -315,6 +340,54 @@ class TestConjectureScan:
         # counterexamples, if any, land in findings with full data
         for f in rep.findings:
             assert f["counterexamples"]
+
+    # The pruned transversal search against the subset loop it replaced: the
+    # whole record, so argmax, the count and the order of counterexamples.
+
+    def test_matches_the_subset_oracle_on_the_certify_pool(self):
+        for _i, d in instance_stream(7919, 1000, 12):
+            assert scan_argmax_conjecture(d) == oracle_scan_argmax_conjecture(d)
+
+    @given(st.integers(0, 10**6), st.integers(2, 12), st.sampled_from(["exact", "float"]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_subset_oracle_on_the_stream(self, seed, order_max, mode):
+        [(_i, d)] = instance_stream(seed, 1, order_max, mode=mode)
+        assert scan_argmax_conjecture(d) == oracle_scan_argmax_conjecture(d)
+
+    @pytest.mark.parametrize("order", range(6, 15))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_subset_oracle_on_sparse_digraphs(self, order, seed):
+        d = random_strong_digraph(random.Random(f"sparse-scan:{seed}"), order, arc_prob=2.5 / order)
+        assert scan_argmax_conjecture(d) == oracle_scan_argmax_conjecture(d)
+
+    @pytest.mark.parametrize("d, argmax, checked, counterexamples", [
+        (loop(F(1, 2)), (0,), 1, []),
+        # every vertex looped: W = V is the one transversal
+        (WeightedDigraph(3, {(0, 0): F(1, 2), (1, 1): F(1, 4), (2, 2): F(1, 4),
+                             (0, 1): F(1, 4), (1, 2): F(1, 4), (2, 0): F(1, 4)}), (0,), 1, []),
+        # acyclic: the empty set is a transversal, and it avoids the argmax
+        (acyclic3(), (0, 1, 2), 4, [()]),
+        # every vertex in the argmax: no transversal can avoid it
+        (k3(), (0, 1, 2), 4, []),
+    ], ids=["loop", "all-looped", "acyclic", "all-argmax"])
+    def test_edge_cases_match_the_subset_oracle(self, d, argmax, checked, counterexamples):
+        rec = scan_argmax_conjecture(d)
+        assert (rec.argmax, rec.transversals_checked, rec.counterexamples) == (
+            argmax, checked, counterexamples)
+        assert rec == oracle_scan_argmax_conjecture(d)
+
+    def test_order_20_scan_tests_no_subset(self, monkeypatch):
+        # 203,490 subsets of sizes 12 and 13, too many for the oracle here
+        [(_i, d)] = instance_stream(0, 1, 20)
+        assert (d.order, min_cycle_transversal(d).size) == (20, 12)
+
+        def refuse(*args):
+            raise AssertionError("the scan tested a subset")
+
+        monkeypatch.setattr(cycles, "is_cycle_transversal", refuse)
+        monkeypatch.setattr(inequalities, "is_cycle_transversal", refuse)
+        rec = scan_argmax_conjecture(d)
+        assert (rec.transversals_checked, rec.counterexamples) == (65, [])
 
 
 class TestSuiteTable:

@@ -492,6 +492,25 @@ class TestExactBrackets:
         lo, hi = perron_bounds(self.small_root_digraph())
         assert hi - lo <= spectral.BRACKET_WIDTH
 
+    # integer steps to BRACKET_WIDTH on the first 60 components of the certify
+    # pool, instance_stream(7919, ., 12); a float seed taken one step later
+    # would add one step to each
+    POOL_STEPS = [
+        19, 52, 33, 14, 29, 16, 24, 22, 24, 17, 30, 18, 30, 17, 22, 22, 29, 35, 27, 22,
+        27, 28, 22, 63, 18, 50, 35, 18, 18, 20, 16, 32, 30, 24, 26, 27, 38, 28, 31, 26,
+        9, 19, 6, 27, 30, 30, 50, 23, 13, 29, 33, 41, 6, 16, 21, 41, 74, 30, 18, 38,
+    ]
+
+    def test_step_counts_on_the_certify_pool_are_pinned(self):
+        comps = [(d, sorted(c)) for _i, d in instance_stream(7919, 60, 12)
+                 for c in _strong_components(d)]
+        assert len(comps) == len(self.POOL_STEPS) and sum(self.POOL_STEPS) == 1633
+        for (d, comp), steps in zip(comps, self.POOL_STEPS):
+            lo, hi = spectral._integer_power_brackets(d, comp, spectral.BRACKET_WIDTH, steps)
+            assert hi - lo <= spectral.BRACKET_WIDTH
+            lo, hi = spectral._integer_power_brackets(d, comp, spectral.BRACKET_WIDTH, steps - 1)
+            assert hi - lo > spectral.BRACKET_WIDTH
+
 
 def _loops_and_an_empty_row() -> list[WeightedDigraph]:
     """Loops (one with the row's only arc), a sink vertex (an empty row), dyadic floats."""

@@ -5,9 +5,12 @@ same branch and bound pruned by the packing bound alone: a stronger valid
 bound may only skip subtrees without a smaller transversal, so every exact
 answer must be the same vertex set.  The reduction is checked on its own
 against exhaustive subset search, and the beaded-chain hosts of the paper's
-families are pinned at sizes the packing bound alone could not finish.
+families are pinned at sizes the packing bound alone could not finish.  The
+pruned enumeration of all transversals of one size, which the conjecture scan
+reads, is checked against the filtered ``itertools.combinations``.
 """
 
+import itertools
 import random
 import subprocess
 import sys
@@ -24,7 +27,13 @@ from substochastic import (
     min_cycle_transversal,
     truncate,
 )
-from substochastic.cycles import _branch_and_bound, _reduce, _succ_sets, peel_transversal
+from substochastic.cycles import (
+    _branch_and_bound,
+    _reduce,
+    _succ_sets,
+    _transversals_of_size,
+    peel_transversal,
+)
 from substochastic.inequalities import instance_stream, random_strong_digraph
 
 from conftest import brute_is_acyclic, brute_min_fvs, oracle_min_cycle_transversal
@@ -65,6 +74,21 @@ def test_small_random_matches_oracle_and_brute_force(seed, order):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_larger_random_matches_oracle(order, seed):
     assert_same_as_oracle(random_strong_digraph(random.Random(f"fvs-large:{seed}"), order))
+
+
+# search nodes on the order-24..32 digraphs of the certify benchmark pool; a lower
+# bound of forced - packing in place of forced + packing took 610, 141, 191 and
+# 807 on the first four, while the beaded hosts take 1 node either way
+LARGE_POOL_NODES = [218, 58, 67, 135, 362, 430, 196, 72, 343, 74]
+
+
+def test_node_counts_on_the_large_pool_are_pinned():
+    nodes = [
+        _branch_and_bound(random_strong_digraph(random.Random(f"7919:large:{j}"), 24 + j % 9),
+                          200_000)[1]
+        for j in range(len(LARGE_POOL_NODES))
+    ]
+    assert nodes == LARGE_POOL_NODES
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +184,26 @@ def test_is_cycle_transversal_matches_kahn_oracle(seed, order):
     d = random_digraph(rng, order)
     removed = {v for v in range(order) if rng.random() < 0.4}
     assert is_cycle_transversal(d, removed) == brute_is_acyclic(d, frozenset(removed))
+
+
+@given(st.integers(0, 10**6), st.integers(1, 10))
+@settings(max_examples=80, deadline=None)
+def test_transversals_of_size_match_subset_search(seed, order):
+    d = random_digraph(random.Random(f"sized:{seed}"), order)
+    for size in range(order + 2):
+        want = [w for w in itertools.combinations(range(order), size)
+                if brute_is_acyclic(d, frozenset(w))]
+        assert list(_transversals_of_size(d, size)) == want
+
+
+def test_transversals_of_size_edge_cases():
+    acyclic = WeightedDigraph(3, {(0, 1): F(1, 2), (1, 2): F(1, 2)})
+    assert list(_transversals_of_size(acyclic, 0)) == [()]
+    assert list(_transversals_of_size(acyclic, 3)) == [(0, 1, 2)]
+    looped = WeightedDigraph(2, {(0, 0): F(1, 2), (1, 1): F(1, 2), (0, 1): F(1, 4)})
+    assert list(_transversals_of_size(looped, 1)) == []
+    assert list(_transversals_of_size(looped, 2)) == [(0, 1)]
+    assert list(_transversals_of_size(WeightedDigraph(0, {}), 0)) == [()]
 
 
 def test_peel_takes_loops_first_then_the_largest_degree_product():
