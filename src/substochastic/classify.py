@@ -106,8 +106,8 @@ def cyr_criterion(facts: FamilyFacts) -> bool:
 def green_partial_sums(d: WeightedDigraph, v: int, lam: float, p_max: int) -> np.ndarray:
     """G_P = sum_{p<=P} A^p(v,v) lam^{-p} for P = 0..p_max.
 
-    Iterates x -> A^T x / lam on the arc arrays, so x[v] after p steps is
-    A^p(v, v) lam^{-p}; no n x n matrix is built.
+    Iterates x -> A^T x / lam on the float arc arrays of ``edge_operator``, so
+    x[v] after p steps is A^p(v, v) lam^{-p}; no n x n matrix is built.
     """
     op = edge_operator(d)
     x = np.zeros(d.order)
@@ -203,7 +203,7 @@ def classify_recurrence(
         return RecurrenceVerdict(UNKNOWN, None, None, tuple(notes + ["radius estimate <= 0"]))
 
     d = truncate(family, n)
-    sums = green_partial_sums(d.to_float(), v, lam, p_max)
+    sums = green_partial_sums(d, v, lam, p_max)
     verdict_raw = _growth_assessment(sums)
     marks = sorted(set(range(0, p_max + 1, max(1, p_max // 16))) | {p_max})
     subsample = tuple(float(sums[p]) for p in marks)

@@ -9,7 +9,7 @@ exactly once with its minimal vertex first.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -447,7 +447,7 @@ def min_cycle_transversal(d: WeightedDigraph, budget: int = 200_000) -> Transver
     order as a search pruned by any weaker valid bound.  When the
     node budget runs out the best-found set is returned with
     ``optimality="upper-bound"``.  The result is always re-verified to leave
-    an acyclic digraph.
+    an acyclic digraph; a failed check raises RuntimeError.
 
     Results are memoised on ``d``.  The search is deterministic, so an exact
     result that took N nodes is the answer for every budget of at least N,
@@ -467,9 +467,10 @@ def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResul
     all_vs = set(range(d.order))
 
     # greedy initial upper bound: hit shortest cycles at maximum-degree vertices
+    degree = Counter(v for arc in d.arcs for v in arc)  # out-degree plus in-degree
     greedy: set[int] = set()
     while (cyc := _shortest_cycle(succ, all_vs - greedy)) is not None:
-        greedy.add(max(cyc, key=lambda v: len(succ[v]) + sum(v in succ[u] for u in all_vs)))
+        greedy.add(max(cyc, key=degree.__getitem__))
 
     best = set(greedy)
     nodes = 0
@@ -502,7 +503,8 @@ def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResul
 
     rec(set(), frozenset())
 
-    assert peel_transversal(succ, all_vs - best, 0) is not None, "transversal re-verification failed"
+    if peel_transversal(succ, all_vs - best, 0) is None:
+        raise RuntimeError(f"transversal re-verification failed: {sorted(best)} leaves a cycle")
     result = TransversalResult(frozenset(best), len(best), "upper-bound" if exhausted else "exact")
     return result, nodes
 

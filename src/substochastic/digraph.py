@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .rational import is_exact_number, parse_weight, weight_to_str
 
 Arc = tuple[int, int]
@@ -101,12 +99,6 @@ class WeightedDigraph:
 
     def out_weight(self, v: int):
         return sum(self.adjacency[v].values(), start=Fraction(0) if self.is_exact else 0.0)
-
-    def to_numpy(self) -> np.ndarray:
-        m = np.zeros((self.order, self.order))
-        for arc, w in self.arcs.items():
-            m[arc] = float_weight(arc, w)
-        return m
 
     def induced(self, vertices: Iterable[int]) -> "WeightedDigraph":
         """Induced subdigraph, reindexed by the sorted vertex list."""

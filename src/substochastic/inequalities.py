@@ -27,6 +27,7 @@ from .cycles import (
     min_cycle_transversal,
 )
 from .digraph import WeightedDigraph, strongly_connected_components
+from .errors import BudgetExceededError
 from .spectral import (
     charpoly,
     contractive_radius,
@@ -241,7 +242,7 @@ def check_trace_bounds(d: WeightedDigraph) -> InequalityReport:
 
 def _verified_transversal(d: WeightedDigraph, w: TransversalResult | Iterable[int]) -> frozenset:
     vs = frozenset(w.vertices if isinstance(w, TransversalResult) else w)
-    if not is_cycle_transversal(d, vs):
+    if not d.memo(("is_cycle_transversal", vs), lambda: is_cycle_transversal(d, vs)):
         raise ValueError(f"{sorted(vs)} is not a cycle transversal")
     return vs
 
@@ -342,19 +343,22 @@ class ConjectureRecord:
 def scan_argmax_conjecture(d: WeightedDigraph) -> ConjectureRecord:
     """Does every cycle transversal contain a vertex of maximal G(v,v)?
 
-    Checks all minimum-size transversals and all transversals one vertex
-    larger, in ``itertools.combinations`` order.  A transversal avoiding the
-    argmax set entirely is a counterexample, reported verbatim.  The
-    transversals come from a search that cuts every branch whose rest holds a
-    cycle, so the cost follows the number of transversals rather than the
-    number of subsets: one order-20 instance with |W| = 12 has 65
-    transversals among its 203,490 subsets of sizes 12 and 13.
+    Checks all minimum-size transversals (an unproved minimum raises
+    BudgetExceededError) and all transversals one vertex larger, in
+    ``itertools.combinations`` order.  A transversal avoiding the argmax set
+    entirely is a counterexample, reported verbatim.  The transversals come
+    from a search that cuts every branch whose rest holds a cycle, so the cost
+    follows the number of transversals rather than the number of subsets: one
+    order-20 instance with |W| = 12 has 65 transversals among its 203,490
+    subsets of sizes 12 and 13.
     """
     diag = resolvent_diagonal(d)
     peak = max(diag)
     argmax = tuple(v for v in range(d.order) if diag[v] == peak)
 
     fvs = min_cycle_transversal(d)
+    if fvs.optimality != "exact":
+        raise BudgetExceededError(f"minimum transversal size {fvs.size} is an upper bound only")
     record = ConjectureRecord(fingerprint(d), argmax, 0)
     for size in range(fvs.size, min(d.order, fvs.size + 1) + 1):
         for subset in _transversals_of_size(d, size):

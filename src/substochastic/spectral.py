@@ -67,7 +67,7 @@ class EdgeOperator:
     """A on a vertex set, held as arrays of its arcs.
 
     ``op @ x`` is A x and ``op.rmatvec(x)`` is A^T x, both bincount
-    matvecs; ``toarray`` gives the dense A.
+    matvecs; ``toarray`` gives the dense A (the library's only dense builder).
     """
 
     def __init__(self, k: int, rows: list[int], cols: list[int], vals: list[float]):
@@ -368,7 +368,9 @@ def perron_bounds(
 def _integer_power_brackets(d, comp, width, max_iter):
     """Collatz-Wielandt brackets on one strong component, in integers.
 
-    B = scale (I + A) has integer entries.  The first step takes x = all
+    B = scale (I + A) has integer entries, read off the memoised rows b / L_u
+    of ``_integer_weights``: ``scale`` is the lcm of the reduced denominators
+    L_u / gcd(b, L_u) over the component's own arcs.  The first step takes x = all
     ones, which brackets a component with equal row sums exactly.  Otherwise
     x restarts from the float Perron vector scaled to about 2^62, and power
     steps renormalized to 160 bits narrow the bracket.  Every positive
@@ -379,12 +381,11 @@ def _integer_power_brackets(d, comp, width, max_iter):
     """
     idx = {v: i for i, v in enumerate(comp)}
     k = len(comp)
-    local = [(idx[u], idx[v], Fraction(w)) for (u, v), w in d.arcs.items()
-             if u in idx and v in idx]
-    scale = math.lcm(*(w.denominator for _u, _v, w in local)) if local else 1
-    rows: list[list[tuple[int, int]]] = [[(i, scale)] for i in range(k)]  # the +I shift
-    for i, j, w in local:
-        rows[i].append((j, int(w * scale)))
+    local = [(lcm, [(idx[j], b) for j, b in arcs if j in idx])
+             for lcm, arcs in map(_integer_weights(d).__getitem__, comp)]
+    scale = math.lcm(*(lcm // math.gcd(b, lcm) for lcm, arcs in local for _j, b in arcs))
+    rows = [[(i, scale)] + [(j, b * scale // lcm) for j, b in arcs]  # the +I shift, then A
+            for i, (lcm, arcs) in enumerate(local)]
 
     x = [1] * k
     steps = max(1, max_iter)
@@ -461,7 +462,7 @@ def _integer_weights(d: WeightedDigraph) -> tuple:
 
 def float_shifted(d: WeightedDigraph) -> np.ndarray:
     """I - A as a dense float array."""
-    return np.eye(d.order) - d.to_numpy()
+    return np.eye(d.order) - edge_operator(d).toarray()
 
 
 def radius_brackets(d: WeightedDigraph) -> tuple:

@@ -395,10 +395,18 @@ def oracle_elimination_charpoly(d: WeightedDigraph) -> list:
     return coeffs if d.is_exact else [float(c) for c in coeffs]
 
 
+def dense_matrix(d: WeightedDigraph) -> np.ndarray:
+    """The dense float A, built arc by arc apart from ``spectral.edge_operator``."""
+    m = np.zeros((d.order, d.order))
+    for (u, v), w in d.arcs.items():
+        m[u, v] = float(w)
+    return m
+
+
 def eig_radius(d: WeightedDigraph) -> float:
     if d.order == 0:
         return 0.0
-    return float(max(abs(np.linalg.eigvals(d.to_numpy()))))
+    return float(max(abs(np.linalg.eigvals(dense_matrix(d)))))
 
 
 def oracle_perron_bounds(d: WeightedDigraph, width=F(1, 10**18), max_iter: int = 20_000):

@@ -34,9 +34,9 @@ from substochastic.constructions import (
     f_power,
     family_from_config,
 )
-from substochastic.spectral import solve_shifted
+from substochastic.spectral import EdgeOperator, solve_shifted
 
-from conftest import loop, seeded_digraph, two_cycle
+from conftest import dense_matrix, loop, seeded_digraph, two_cycle
 
 
 def half_loop_family() -> TruncationFamily:
@@ -129,7 +129,7 @@ class TestGreenSums:
 
 def dense_green_partial_sums(d: WeightedDigraph, v: int, lam: float, p_max: int) -> np.ndarray:
     """The Green partial sums as computed before the edge operator: dense A^T matvecs."""
-    a = d.to_numpy().T
+    a = dense_matrix(d).T
     x = np.zeros(d.order)
     x[v] = 1.0
     sums = np.empty(p_max + 1)
@@ -163,7 +163,7 @@ class TestGreenSumsOnTheArcArrays:
         def no_dense(_self):
             raise AssertionError("dense n x n matrix built")
 
-        monkeypatch.setattr(WeightedDigraph, "to_numpy", no_dense)
+        monkeypatch.setattr(EdgeOperator, "toarray", no_dense)
         tracemalloc.start()
         try:
             sums = green_partial_sums(d, 0, 1.0, 20)
@@ -305,6 +305,23 @@ class TestClassifyRecurrence:
             verdict = classify_recurrence(fam, n_max=40)
         assert verdict.verdict == "transient"
         assert (cuts.call_count, runs.call_count) == (1, 1)
+
+    def test_radius_at_most_zero_is_unknown_before_any_green_sum(self):
+        fam = build_prop1([2, 3], [F(1, 3), F(1, 3)], declared_lambda=0)
+        with mock.patch.object(classify, "green_partial_sums") as runs:
+            verdict = classify_recurrence(fam, n_max=20, p_max=100)
+        assert (verdict.verdict, verdict.evidence, verdict.confidence) == ("unknown", None, None)
+        assert verdict.notes == ("structural facts incomplete: maximum cycle length not declared",
+                                 "radius estimate <= 0")
+        assert runs.call_count == 0
+
+    def test_fewer_than_twenty_green_terms_are_inconclusive(self):
+        # the half loop's sums 1, 2, 3, ... diverge from 20 powers on; 19 settle nothing
+        assert classify_recurrence(half_loop_family(), n_max=12, p_max=20).verdict == "recurrent"
+        verdict = classify_recurrence(half_loop_family(), n_max=12, p_max=19)
+        assert (verdict.verdict, verdict.evidence, verdict.confidence) == ("unknown", None, None)
+        assert verdict.notes == (
+            "structural facts incomplete: cycle-transversal size not declared",)
 
     def test_unknown_without_certificate(self):
         # bounded sums but no declared presentation class: stays unknown

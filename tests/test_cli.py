@@ -188,6 +188,15 @@ class TestClassifyCommand:
             assert payload["confidence"] == "numerical"
 
 
+    def test_radius_at_most_zero_exit_three(self):
+        proc = run_cli(["classify", "--family", "prop1", "--params", '{"declared_lambda": "0"}'])
+        assert proc.returncode == 3
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, VERDICT_SCHEMA)
+        assert (payload["verdict"], payload["confidence"]) == ("unknown", None)
+        assert payload["notes"][-1] == "radius estimate <= 0"
+
+
 class TestConstructCommand:
     def test_emits_digraph_schema(self, star_json):
         with open(star_json) as fh:

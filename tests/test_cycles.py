@@ -180,6 +180,15 @@ class TestGains:
         assert isinstance(info.value.partial, Gain)
         assert info.value.partial.weight > 0
 
+    @pytest.mark.parametrize("loop_weight, want", [(None, GAIN_ZERO), (0.5, Gain(0.5, 1))],
+                             ids=["alone", "after-a-loop"])
+    def test_a_float_cycle_that_underflows_is_skipped(self, loop_weight, want):
+        # the 2-cycle's weight 1e-200 * 1e-200 is 0.0, which has no log
+        arcs = {(0, 1): 1e-200, (1, 0): 1e-200}
+        if loop_weight is not None:
+            arcs[(0, 0)] = loop_weight
+        assert sup_cycle_gain(WeightedDigraph(2, arcs), proper_only=False) == want
+
     def test_budget_equal_to_cycle_count_does_not_raise(self):
         half = F(1, 2)
         g = sup_cycle_gain(triangle(half, half, half), proper_only=False, max_count=1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from substochastic import (
+    BudgetExceededError,
     Tag,
     WeightedDigraph,
     charpoly,
@@ -30,6 +31,7 @@ from substochastic import (
     truncate,
 )
 from substochastic import cycles, inequalities, spectral
+from substochastic.cycles import TransversalResult
 from substochastic.constructions import build_example1, f_geometric
 from substochastic.inequalities import SUITES, InequalityReport, instance_stream
 
@@ -376,6 +378,14 @@ class TestConjectureScan:
             argmax, checked, counterexamples)
         assert rec == oracle_scan_argmax_conjecture(d)
 
+    def test_an_upper_bound_transversal_raises(self, monkeypatch):
+        # the scan reads the size as the minimum; a search out of budget has not proved it
+        monkeypatch.setattr(inequalities, "min_cycle_transversal",
+                            lambda d: TransversalResult(frozenset({0, 1}), 2, "upper-bound"))
+        with pytest.raises(BudgetExceededError, match="^minimum transversal size 2 is an upper "
+                           "bound only$"):
+            scan_argmax_conjecture(k3())
+
     def test_order_20_scan_tests_no_subset(self, monkeypatch):
         # 203,490 subsets of sizes 12 and 13, too many for the oracle here
         [(_i, d)] = instance_stream(0, 1, 20)
@@ -388,6 +398,26 @@ class TestConjectureScan:
         monkeypatch.setattr(inequalities, "is_cycle_transversal", refuse)
         rec = scan_argmax_conjecture(d)
         assert (rec.transversals_checked, rec.counterexamples) == (65, [])
+
+
+class TestVerifiedTransversal:
+    def test_each_vertex_set_is_peeled_once(self):
+        d = seeded_digraph(15, order_max=9)
+        w = min_cycle_transversal(d)
+        assert w.size == 5
+        with mock.patch.object(inequalities, "is_cycle_transversal",
+                               wraps=inequalities.is_cycle_transversal) as peels:
+            for k in range(1, w.size + 1):
+                check_sigma_bound(d, w, k)
+            check_diag_transversal_bound(d, w)
+            check_transversal_product(d, sorted(w.vertices))
+        assert peels.call_count == 1
+
+    def test_a_set_that_is_not_a_transversal_is_rejected_every_time(self):
+        d = k3()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^\[0\] is not a cycle transversal$"):
+                check_diag_transversal_bound(d, {0})
 
 
 class TestSuiteTable:

@@ -58,6 +58,7 @@ from substochastic.spectral import (
 from conftest import (
     acyclic3,
     brute_cycles,
+    dense_matrix,
     eig_radius,
     k3,
     leibniz_det,
@@ -131,7 +132,7 @@ class TestEdgeOperator:
 
     def test_matvec_rmatvec_and_dense_form_match_a(self, big):
         op = edge_operator(big)
-        dense = big.to_numpy()
+        dense = dense_matrix(big)
         assert np.array_equal(op.toarray(), dense)
         x = np.linspace(0.5, 2.0, big.order)
         # positive terms summed in another order: n ulps bound the difference
@@ -157,9 +158,9 @@ class TestWeightOutsideTheFloatRange:
         return WeightedDigraph(3, {(0, 0): F(1, 3), (1, 2): weight, (2, 1): F(1, 2)})
 
     @pytest.mark.parametrize("convert", [
-        lambda d: d.to_float(), lambda d: d.to_numpy(), edge_operator,
+        lambda d: d.to_float(), edge_operator,
         lambda d: edge_operator(d, [1, 2]), perron_root,
-    ], ids=["to_float", "to_numpy", "edge_operator", "edge_operator-comp", "perron_root"])
+    ], ids=["to_float", "edge_operator", "edge_operator-comp", "perron_root"])
     def test_conversion_names_the_arc_and_weight(self, weight, shown, convert):
         with pytest.raises(ValueError, match=f"^arc 2->3 has weight {shown}, outside the float range$"):
             convert(self.wide(weight))
@@ -501,6 +502,21 @@ class TestExactBrackets:
         9, 19, 6, 27, 30, 30, 50, 23, 13, 29, 33, 41, 6, 16, 21, 41, 74, 30, 18, 38,
     ]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_arcs_leaving_a_component_do_not_change_its_bracket(self, seed):
+        # the leaving arcs put 7, 11 and 13 into the rows' denominators L_u; the
+        # component's integers, and so its bracket, are those of the component alone
+        rng = random.Random(f"leaving:{seed}")
+        comp = random_strong_digraph(rng, rng.randint(2, 12))
+        k = comp.order
+        leaving = {(u, k + rng.randrange(2)): F(1, rng.choice((7, 11, 13)))
+                   for u in range(k) if rng.random() < 0.5}
+        d = WeightedDigraph(k + 2, {**comp.arcs, **leaving, (k, k + 1): F(1, 3)})
+        assert [sorted(c) for c in _strong_components(d) if len(c) > 1] == [list(range(k))]
+        assert (spectral._integer_power_brackets(d, list(range(k)), spectral.BRACKET_WIDTH, 20_000)
+                == spectral._integer_power_brackets(comp, list(range(k)), spectral.BRACKET_WIDTH,
+                                                    20_000))
+
     def test_step_counts_on_the_certify_pool_are_pinned(self):
         comps = [(d, sorted(c)) for _i, d in instance_stream(7919, 60, 12)
                  for c in _strong_components(d)]
@@ -735,6 +751,13 @@ class TestCharpoly:
         with pytest.raises(BudgetExceededError):
             coates_charpoly(k3(), budget=2)
 
+    def test_unions_beyond_the_budget_raise_after_the_cycles_fit(self):
+        # 10 disjoint loops: 10 cycles fit a budget of 100, their 1,023 unions do not
+        loops = WeightedDigraph(10, {(v, v): F(1, 2) for v in range(10)})
+        with pytest.raises(BudgetExceededError, match=r"^cycle-union budget 100 exhausted "
+                           r"after 101 unions \(10 cycles\); partial sums discarded$"):
+            coates_charpoly(loops, budget=100)
+
     def test_budget_equal_to_cycle_count_is_enough(self):
         half = F(1, 2)
         assert coates_charpoly(triangle(half, half, half), budget=1) == [F(1), 0, 0, F(-1, 8)]
@@ -930,7 +953,7 @@ class TestResolvent:
         lam = perron_root(d)
         g = float(resolvent_diagonal(d)[0])
         # partial sums with the geometric tail bound
-        a = d.to_numpy()
+        a = dense_matrix(d)
         x = [0.0] * d.order
         x[0] = 1.0
         total, p_cap = 1.0, 60
@@ -997,6 +1020,12 @@ class TestLadder:
         fam = build_example2(a_power(-0.75))
         with pytest.raises(BudgetExceededError):
             perron_ladder(fam, [16], mode="sup_exact", window=20)
+
+    def test_sup_exact_subset_guard(self):
+        # n = 10 passes the order guard; C(30, 10) subsets of the window do not
+        fam = build_example2(a_power(-0.75))
+        with pytest.raises(BudgetExceededError, match="^sup_exact would enumerate 30045015 subsets$"):
+            perron_ladder(fam, [10], mode="sup_exact", window=30)
 
 
 class TestOmegaPerronInterplay:

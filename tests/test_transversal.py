@@ -27,6 +27,7 @@ from substochastic import (
     min_cycle_transversal,
     truncate,
 )
+from substochastic import cycles
 from substochastic.cycles import (
     _branch_and_bound,
     _reduce,
@@ -80,6 +81,14 @@ def test_larger_random_matches_oracle(order, seed):
 # bound of forced - packing in place of forced + packing took 610, 141, 191 and
 # 807 on the first four, while the beaded hosts take 1 node either way
 LARGE_POOL_NODES = [218, 58, 67, 135, 362, 430, 196, 72, 343, 74]
+
+
+def test_a_result_that_leaves_a_cycle_raises(monkeypatch):
+    # an explicit check, not an assert, so that ``python -O`` keeps it
+    monkeypatch.setattr(cycles, "peel_transversal", lambda succ, alive, max_size: None)
+    with pytest.raises(RuntimeError, match=r"^transversal re-verification failed: \[0\] "
+                       r"leaves a cycle$"):
+        _branch_and_bound(WeightedDigraph(2, {(0, 1): F(1, 2), (1, 0): F(1, 2)}), 100)
 
 
 def test_node_counts_on_the_large_pool_are_pinned():
