@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -30,6 +30,7 @@ from .families import FamilyFacts, TruncationFamily
 from .rational import is_exact_number, ln_bounds, safe_log
 
 HALF = Fraction(1, 2)
+_SERIES_TERMS = 100_000  # terms power_series_sum adds up before its midpoint tail
 
 
 # ---------------------------------------------------------------------------
@@ -112,24 +113,18 @@ class _MemoN:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
+class EpsilonSchedule(_Memo1):
     """Strictly decreasing positive epsilon_k < 1/2, exact rationals."""
 
-    eps: Callable[[int], Fraction]
-    _memo: _Memo1 = field(init=False, repr=False, compare=False)
+    def __init__(self, eps: Callable[[int], Fraction]):
+        super().__init__(lambda k, _: Fraction(eps(k)), self._check)
+        self.eps = eps
 
-    def __post_init__(self):
-        def check(j, v, prev):
-            if not 0 < v < HALF:
-                raise ValueError(f"epsilon_{j} = {v} outside (0, 1/2)")
-            if prev and not v < prev[-1]:
-                raise ValueError(f"epsilon schedule not strictly decreasing at k={j}")
-
-        object.__setattr__(self, "_memo", _Memo1(lambda k, _: Fraction(self.eps(k)), check))
-
-    def __call__(self, k: int) -> Fraction:
-        return self._memo(k)
+    def _check(self, j: int, v: Fraction, prev: list):
+        if not 0 < v < HALF:
+            raise ValueError(f"epsilon_{j} = {v} outside (0, 1/2)")
+        if prev and not v < prev[-1]:
+            raise ValueError(f"epsilon schedule not strictly decreasing at k={j}")
 
     @staticmethod
     def geometric(ratio: Fraction = Fraction(1, 4)) -> "EpsilonSchedule":
@@ -180,7 +175,7 @@ class GapTarget:
 
     @staticmethod
     def power(exponent: int) -> "GapTarget":
-        return GapTarget(lambda n: Fraction(1, n**exponent))
+        return GapTarget(lambda n: Fraction(1, n) ** exponent)
 
     @staticmethod
     def constant(value) -> "GapTarget":
@@ -191,6 +186,30 @@ class GapTarget:
 # ---------------------------------------------------------------------------
 # The return-path host (loop at 1, path forward, return arcs to 1)
 # ---------------------------------------------------------------------------
+
+
+#: both weightings of the return path: {1} is its smallest cycle transversal,
+#: it has cycles of every length, and vertex 1 alone is strictly slack
+_RETURN_PATH_FACTS = FamilyFacts(
+    transversal=frozenset({0}),
+    sct_size=1,
+    l_min=1,
+    l_max=math.inf,
+    weighting_class=Tag.TRUTHLY_SUBSTOCHASTIC,
+    return_vertex=0,
+    pruitt_strict_vertex=0,
+)
+
+
+def _return_path(n: int, loop, forward, back) -> WeightedDigraph:
+    """Order-n return path: ``loop`` on the loop at vertex 1, ``forward(m)`` on
+    the path arc (m, m+1) and ``back(m)`` on the return arc (m, 1), 1-based m."""
+    arcs = {(0, 0): loop}
+    for i in range(n - 1):
+        arcs[(i, i + 1)] = forward(i + 1)
+    for i in range(1, n):
+        arcs[(i, 0)] = back(i + 1)
+    return WeightedDigraph(n, arcs)
 
 
 def build_example1(a=Fraction(1, 2), f=None) -> TruncationFamily:
@@ -224,23 +243,10 @@ def build_example1(a=Fraction(1, 2), f=None) -> TruncationFamily:
         return remainders(m) if m else _one_like(f_at(1))
 
     def generator(n: int) -> WeightedDigraph:
-        arcs = {(0, 0): a * f_at(1)}
-        for i in range(n - 1):
-            arcs[(i, i + 1)] = rem(i + 1) / rem(i)
-        for i in range(1, n):
-            arcs[(i, 0)] = f_at(i + 1) / rem(i)
-        return WeightedDigraph(n, arcs)
+        return _return_path(n, a * f_at(1), lambda m: rem(m) / rem(m - 1),
+                            lambda m: f_at(m) / rem(m - 1))
 
-    facts = FamilyFacts(
-        transversal=frozenset({0}),
-        sct_size=1,
-        l_min=1,
-        l_max=math.inf,
-        weighting_class=Tag.TRUTHLY_SUBSTOCHASTIC,
-        return_vertex=0,
-        pruitt_strict_vertex=0,
-    )
-    return TruncationFamily("example1", generator, facts)
+    return TruncationFamily("example1", generator, _RETURN_PATH_FACTS)
 
 
 def f_geometric(q=Fraction(1, 2)) -> Callable[[int], Fraction]:
@@ -252,12 +258,12 @@ def f_geometric(q=Fraction(1, 2)) -> Callable[[int], Fraction]:
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def power_series_sum(s: float, n_terms: int = 100_000) -> float:
+def power_series_sum(s: float) -> float:
     """sum_{k>=1} k^(-s) for s > 1, partial sum plus midpoint tail (memoised)."""
     if s <= 1:
         raise ValueError("series diverges for s <= 1")
-    partial = sum(k ** (-s) for k in range(1, n_terms + 1))
-    tail = (n_terms + 0.5) ** (1 - s) / (s - 1)
+    partial = sum(k ** (-s) for k in range(1, _SERIES_TERMS + 1))
+    tail = (_SERIES_TERMS + 0.5) ** (1 - s) / (s - 1)
     return partial + tail
 
 
@@ -310,14 +316,16 @@ def build_example2(a, sorted_weights: bool = True) -> TruncationFamily:
     # a_1^2 + ... + a_k^2 as floats, summed left to right
     sums = _Memo1(lambda k, prev: (prev[-1] if prev else 0.0) + float(a_k(k)) ** 2)
 
+    def spokes(n: int) -> int:
+        return n - 1 if length is None else min(n - 1, length)
+
     def b_n(n: int) -> float:
-        kmax = n - 1 if length is None else min(n - 1, length)
+        kmax = spokes(n)
         return math.sqrt(sums(kmax) if kmax else 0.0)
 
     def generator(n: int) -> WeightedDigraph:
         arcs = {}
-        top = n - 1 if length is None else min(n - 1, length)
-        for k in range(1, top + 1):
+        for k in range(1, spokes(n) + 1):
             w = a_k(k)
             arcs[(0, k)] = w
             arcs[(k, 0)] = w
@@ -362,7 +370,7 @@ class _BeadedChain:
         self.lengths = lengths
         self.bead_arc_weight = bead_arc_weight  # (k, arc_index) -> weight
         self.connector_len = connector_len
-        #: first vertex of bead k
+        #: first vertex of bead k, and so one past the end of bead k-1's block
         self.offset = _Memo1(lambda k, prev: prev[-1] + self.block_size(k - 1) if prev else 0)
 
     def block_size(self, k: int) -> int:
@@ -445,9 +453,13 @@ def build_prop1(cycle_lengths, targets, declared_lambda=None) -> TruncationFamil
             return None
         return (math.log1p(-gap) if gap < HALF else safe_log(t)) / lengths(k)
 
+    def beads_within(n: int) -> list[int]:
+        """The beads of length <= n among the first 512."""
+        return [k for k in range(1, 513) if lengths(k) <= n]
+
     def witness(n: int):
         """Vertices of the first bead of length <= n with the largest gain."""
-        beads = [k for k in range(1, 513) if lengths(k) <= n]
+        beads = beads_within(n)
         if not beads:
             raise ValueError(f"no bead of length <= {n}")
         logs = [log_gain(k) for k in beads]
@@ -462,11 +474,7 @@ def build_prop1(cycle_lengths, targets, declared_lambda=None) -> TruncationFamil
         return tuple(chain.bead_vertices(best_k))
 
     def window(n: int) -> int:
-        top = 1
-        for k in range(1, 513):
-            if lengths(k) <= n:
-                top = max(top, chain.offset(k) + chain.block_size(k))
-        return max(top, n)
+        return max(n, 1, *(chain.offset(k + 1) for k in beads_within(n)))
 
     facts = FamilyFacts(
         sct_size=math.inf,
@@ -528,8 +536,7 @@ def build_corollary1(g: GapTarget, cycle_lengths=None, name: str = "corollary1")
         raise FamilyDefinitionError(f"{name}: no witness bead of length <= {n}")
 
     def window(n: int) -> int:
-        k = kstar(n)
-        return chain.offset(k) + chain.block_size(k)
+        return chain.offset(kstar(n) + 1)
 
     def witness(n: int):
         return tuple(chain.bead_vertices(kstar(n)))
@@ -567,16 +574,8 @@ def build_theorem2_fast(g: GapTarget, cycle_lengths=None) -> TruncationFamily:
     def generator(n: int) -> WeightedDigraph:
         return base_gen(n).map_weights(lambda w: scale * w)
 
-    facts = FamilyFacts(
-        sct_size=math.inf,
-        l_min=l_min,
-        weighting_class=Tag.STRICTLY_SUBSTOCHASTIC,
-        spectral_limit=scale,
-        return_vertex=0,
-        pruitt_strict_vertex=0,
-    )
     return TruncationFamily(
-        "theorem2-fast", generator, facts,
+        "theorem2-fast", generator, replace(base.facts, spectral_limit=scale),
         omega_window=base.omega_window, witness_submatrix=base.witness_submatrix,
         extras={"scale": scale, "host": base},
     )
@@ -617,19 +616,23 @@ class _LongCycleSchedule:
         self.eps = eps
         #: l_k; l_1 = 1 is the loop at vertex 1
         self.length = _Memo1(self._select)
+        self._ln_bounds = _MemoN(self._growth_ln_bounds)
 
-    def _certified(self, cand: int, total: int, lo_a: Fraction, hi_b: Fraction) -> bool:
+    def _growth_ln_bounds(self, j: int) -> tuple[Fraction, Fraction]:
+        """A lower bound on ln((1-e)/(1-2e)) and an upper one on ln(2^j (1-e)/e), e = eps_j."""
+        e = self.eps(j)
+        return ln_bounds((1 - e) / (1 - 2 * e))[0], ln_bounds(2**j * (1 - e) / e)[1]
+
+    def _certified(self, j: int, cand: int, total: int) -> bool:
+        lo_a, hi_b = self._ln_bounds(j)
         return cand > total and cand * lo_a > total * hi_b
 
     def _select(self, j: int, prev: list) -> int:
         if j == 1:
             return 1
-        e = self.eps(j)
         total = sum(prev)
-        lo_a, _ = ln_bounds((1 - e) / (1 - 2 * e))
-        _, hi_b = ln_bounds(2**j * (1 - e) / e)
         cand = total + 1
-        while not self._certified(cand, total, lo_a, hi_b):
+        while not self._certified(j, cand, total):
             cand *= 2
         return cand
 
@@ -671,9 +674,7 @@ class _LongCycleSchedule:
             gain_ok = self.loop_weight() >= gain_bound
             direct = True
         else:
-            lo_a, _ = ln_bounds((1 - e) / (1 - 2 * e))
-            _, hi_b = ln_bounds(2**k * (1 - e) / e)
-            ineq = self._certified(l_k, total, lo_a, hi_b)
+            ineq = self._certified(k, l_k, total)
             # census: the l_{k-1} arcs with old tails number at most L_{k-1},
             # and every such weight (e_j/2^j or 1-e_j) is at least e_k/2^k
             floor = e / 2**k
@@ -728,12 +729,7 @@ def build_prop2(eps: EpsilonSchedule) -> TruncationFamily:
     sched = _LongCycleSchedule(eps)
 
     def generator(n: int) -> WeightedDigraph:
-        arcs = {(0, 0): sched.loop_weight()}
-        for i in range(n - 1):
-            arcs[(i, i + 1)] = sched.path_weight(i + 1)
-        for i in range(1, n):
-            arcs[(i, 0)] = sched.return_weight(i + 1)
-        return WeightedDigraph(n, arcs)
+        return _return_path(n, sched.loop_weight(), sched.path_weight, sched.return_weight)
 
     def gamma_generator(n: int) -> WeightedDigraph:
         # the cycle system keeps only the return arcs that close some gamma_k
@@ -741,16 +737,7 @@ def build_prop2(eps: EpsilonSchedule) -> TruncationFamily:
         return WeightedDigraph(n, {(u, v): w for (u, v), w in arcs.items()
                                    if v != 0 or u == 0 or sched.closing_index(u + 1)})
 
-    facts = FamilyFacts(
-        transversal=frozenset({0}),
-        sct_size=1,
-        l_min=1,
-        l_max=math.inf,
-        weighting_class=Tag.TRUTHLY_SUBSTOCHASTIC,
-        spectral_limit=1,
-        return_vertex=0,
-        pruitt_strict_vertex=0,
-    )
+    facts = replace(_RETURN_PATH_FACTS, spectral_limit=1)
     gamma_facts = replace(facts, weighting_class=Tag.STRICTLY_SUBSTOCHASTIC)
     gamma = TruncationFamily("prop2-cycles", gamma_generator, gamma_facts)
     return TruncationFamily(
@@ -806,6 +793,13 @@ def _number(at: str, value) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{at}: {value!r} is not a number") from None
+
+
+def _positive(at: str, value) -> Fraction:
+    x = _number(at, value)
+    if not x > 0:
+        raise ValueError(f"{at}: {value!r} is not positive")
+    return x
 
 
 def _integer(at: str, value) -> int:
@@ -888,8 +882,8 @@ _FAMILIES = {
          "declared_lambda": None},
         lambda at, lengths, targets, declared_lambda: build_prop1(
             _lengths(lengths, f"{at}.lengths"), _sequence(targets, f"{at}.targets"),
-            None if declared_lambda is None else _number(f"{at}.declared_lambda",
-                                                         declared_lambda))),
+            None if declared_lambda is None else _positive(f"{at}.declared_lambda",
+                                                           declared_lambda))),
     "prop2": ({"epsilon": {"kind": "geometric"}}, lambda at, epsilon: build_prop2(
         _descriptor(_EPSILONS, epsilon, f"{at}.epsilon", "epsilon"))),
     "corollary1": ({"lengths": None, "g": {}}, _gap_family(build_corollary1)),

@@ -188,14 +188,6 @@ class TestClassifyCommand:
             assert payload["confidence"] == "numerical"
 
 
-    def test_radius_at_most_zero_exit_three(self):
-        proc = run_cli(["classify", "--family", "prop1", "--params", '{"declared_lambda": "0"}'])
-        assert proc.returncode == 3
-        payload = json.loads(proc.stdout)
-        jsonschema.validate(payload, VERDICT_SCHEMA)
-        assert (payload["verdict"], payload["confidence"]) == ("unknown", None)
-        assert payload["notes"][-1] == "radius estimate <= 0"
-
 
 class TestConstructCommand:
     def test_emits_digraph_schema(self, star_json):
@@ -509,6 +501,15 @@ class TestBoundaryErrors:
         proc = run_cli(["construct", family, "--params", params, "--emit-truncation", "3"])
         self.assert_one_line_error(proc)
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_declared_lambda(self, value):
+        # a declared spectral limit is a Perron radius of a family with cycles
+        params = json.dumps({"declared_lambda": value})
+        proc = run_cli(["classify", "--family", "prop1", "--params", params])
+        self.assert_one_line_error(proc)
+        assert proc.stdout == ""
+        assert f"prop1 params.declared_lambda: '{value}' is not positive" in proc.stderr
 
     @pytest.mark.parametrize(
         "args",

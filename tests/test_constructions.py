@@ -81,13 +81,15 @@ class TestExample1:
         with pytest.raises(ValueError):
             build_example1(a=F(3, 2), f=f_geometric())
 
-    def test_power_series_sum_pinned_and_memoised(self):
+    def test_power_series_sum_pinned_and_memoised(self, monkeypatch):
         before = power_series_sum.cache_info().hits
         assert power_series_sum(1.5).hex() == "0x1.4e6250bfbd88ep+1"
         assert power_series_sum(1.5) == 2.6123753486854815
         assert power_series_sum.cache_info().hits > before
         assert power_series_sum(2.0) == 1.6449340668482426
-        assert power_series_sum(1.5, 1000) == 2.6123753506594434
+        # the midpoint tail after 1,000 terms, read past the memo
+        monkeypatch.setattr(constructions, "_SERIES_TERMS", 1000)
+        assert power_series_sum.__wrapped__(1.5) == 2.6123753506594434
 
     def test_power_schedule_normalizes(self):
         f = f_power(0.5)
@@ -312,6 +314,22 @@ class TestGapTarget:
     def test_nonpositive_target_rejected(self):
         with pytest.raises(ValueError):
             GapTarget(lambda n: 0).minorant()(1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_negative_power_exponent_is_n_to_the_k(self, k):
+        g = GapTarget.power(-k)
+        assert [g(n) for n in range(1, 9)] == [F(n) ** k for n in range(1, 9)]
+        assert all(type(g(n)) is F for n in range(1, 9))
+
+    def test_corollary1_builds_with_a_negative_power_exponent(self):
+        # g(n) = n never binds: the minorant is h(n) = 1/(n+1)
+        h = GapTarget.power(-1).minorant()
+        assert [h(n) for n in range(1, 7)] == [F(1, n + 1) for n in range(1, 7)]
+        fam = family_from_config("corollary1", {"g": {"kind": "power", "exponent": -1}})
+        d = truncate(fam, 5)
+        assert classify_weighting(d).tag is Tag.STRICTLY_SUBSTOCHASTIC
+        # bead 1 is the loop at vertex 1, weighted 1 - h(lengths(2)) = 1 - h(2)
+        assert d.arcs[(0, 0)] == F(2, 3)
 
 
 class TestCorollary1:
