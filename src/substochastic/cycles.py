@@ -98,40 +98,46 @@ class Cycle:
 # ---------------------------------------------------------------------------
 
 
-def _bounded_paths(adj, start, bound):
+def _bounded_paths(adj, comp, start, bound):
     """Yield (live_path, weight) for every simple cycle of length <= ``bound`` through ``start``.
 
-    The lock/relax search of Gupta & Suzumura (2021).  A path of length k
-    may step to w only while k < lock[w], and stepping sets lock[w] to the
-    new length.  A vertex that leaves the path having found a way back to
-    ``start`` in b steps relaxes its lock to ``bound - b + 1``, and the locks
-    of the vertices waiting on it in ``deps`` to one less per step back; one
-    that found none waits on its successors.  Only branches that hold no
-    cycle are pruned, so with ``bound`` at the component order every cycle
-    through ``start`` comes out.
+    The lock/relax search of Gupta & Suzumura (2021), on the arcs of
+    ``adj`` (``d.adjacency``) that stay in the vertex set ``comp``.  A path
+    of length k may step to w only while k < lock[w], and stepping sets
+    lock[w] to the new length; a lock is ``bound`` until first set.  A
+    vertex that leaves the path having found a way back to ``start`` in b
+    steps relaxes its lock to ``bound - b + 1``, and the locks of the
+    vertices waiting on it in ``deps`` to one less per step back; one that
+    found none waits on its successors.  Only branches that hold no cycle
+    are pruned, so with ``bound`` at the component order every cycle
+    through ``start`` comes out.  A loop is never stepped along: the top
+    vertex's lock equals the path length, and ``start`` skips its own.
 
     ``live_path`` is reused between yields; callers that keep it must copy.
     """
     path = [start]
     on_path = {start}
-    lock = dict.fromkeys(adj, bound)  # never read for ``start``, which closes cycles
-    deps: dict[int, set[int]] = {v: set() for v in adj}
-    # the top vertex's successor iterator, path weight and shortest way back
-    # to ``start`` found so far; ``below`` holds the same for the vertices under it
-    succ, weight, back = iter(adj[start]), 1, bound
+    lock: dict[int, int] = {}
+    deps: dict[int, set[int]] = {}
+    # the top vertex's arc iterator, path weight and shortest way back to
+    # ``start`` found so far; ``below`` holds the same for the vertices under it
+    succ, weight, back = iter(adj[start].items()), 1, bound
     below: list[tuple[Iterator[tuple[int, object]], object, int]] = []
     while True:
         depth = len(path)
         for w, wt in succ:
+            if w not in comp:
+                continue
             if w == start:
-                yield path, weight * wt
-                back = 1
-            elif depth < lock[w]:
+                if depth > 1:
+                    yield path, weight * wt
+                    back = 1
+            elif depth < lock.get(w, bound):
                 below.append((succ, weight, back))
                 path.append(w)
                 on_path.add(w)
                 lock[w] = depth + 1
-                succ, weight, back = iter(adj[w]), weight * wt, bound
+                succ, weight, back = iter(adj[w].items()), weight * wt, bound
                 break
         else:
             if not below:
@@ -144,13 +150,30 @@ def _bounded_paths(adj, start, bound):
                     new, u = relax.pop()
                     if lock[u] < new:
                         lock[u] = new
-                        if deps[u]:
-                            relax.extend((new - 1, x) for x in deps[u] if x not in on_path)
+                        if waiting := deps.get(u):
+                            relax.extend((new - 1, x) for x in waiting if x not in on_path)
             else:
-                for w, _ in adj[v]:
-                    deps[w].add(v)
+                for w in adj[v]:
+                    if w in comp:
+                        if (waiting := deps.get(w)) is None:
+                            deps[w] = {v}
+                        else:
+                            waiting.add(v)
             succ, weight, parent_back = below.pop()
-            back = min(parent_back, back)
+            if parent_back < back:
+                back = parent_back
+
+
+class _Induced:
+    """The successors in ``adj`` that lie in ``vertices``, read through ``get``
+    as ``strongly_connected_components`` reads its ``succ``."""
+
+    def __init__(self, adj, vertices):
+        self.adj = adj
+        self.vertices = vertices
+
+    def get(self, v, default=()):
+        return filter(self.vertices.__contains__, self.adj[v])
 
 
 def _cycle_paths(d: WeightedDigraph, max_length=None):
@@ -158,9 +181,10 @@ def _cycle_paths(d: WeightedDigraph, max_length=None):
 
     Loops come first; then each nontrivial strong component is searched from
     its minimal vertex, which is removed before the rest is re-split.  The
-    re-split is rooted only at the vertices that keep an out-arc: any other
-    is a singleton component, so the nontrivial components, and the cycles,
-    come out in the same order.
+    re-split is skipped unless two vertices keep an arc into the rest (a
+    vertex with none is a singleton component), and it roots Tarjan in the
+    rest's own iteration order, so the nontrivial components, and the
+    cycles, always come out in the same order.
     """
     if max_length is not None and max_length < 1:
         return
@@ -175,13 +199,13 @@ def _cycle_paths(d: WeightedDigraph, max_length=None):
     while comps:
         comp = comps.pop()
         start = min(comp)
-        local = {v: [(w, wt) for w, wt in adj[v].items() if w in comp and w != v] for v in comp}
         bound = len(comp) if max_length is None else min(max_length, len(comp))
-        yield from _bounded_paths(local, start, bound)
+        yield from _bounded_paths(adj, comp, start, bound)
         comp.discard(start)
-        sub = {v: out for v in comp if (out := [w for w, _ in local[v] if w != start])}
-        if len(sub) >= 2:
-            comps.extend(set(c) for c in strongly_connected_components(sub, sub) if len(c) >= 2)
+        keep = (v for v in comp if not comp.isdisjoint(adj[v]))
+        if next(keep, None) is not None and next(keep, None) is not None:
+            comps.extend(set(c) for c in strongly_connected_components(_Induced(adj, comp), comp)
+                         if len(c) >= 2)
 
 
 class CycleStream:

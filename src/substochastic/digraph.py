@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -85,10 +86,10 @@ class WeightedDigraph:
     def memo(self, key, compute):
         """``compute()``, stored under ``key`` for the life of this digraph.
 
-        The spectral and cycle layers keep their exact results and the strong
-        component split here (and the inequality reports their fingerprint),
-        so each is computed once per digraph object.  An exception is never
-        stored.
+        The spectral and cycle layers keep their exact results, the strong
+        component split and the float arc arrays here (and the inequality
+        reports their fingerprint), so each is computed once per digraph
+        object.  An exception is never stored.
         Two threads may both compute a missing entry; both get the value
         stored first, and neither sees a partial one.
         """
@@ -131,6 +132,10 @@ class WeightedDigraph:
         """Parse ``{"order": n, "arcs": [[u, v, w], ...]}``; schema errors raise ValueError."""
         if not isinstance(obj, Mapping):
             raise ValueError("digraph JSON must be an object")
+        unknown = sorted(set(obj) - {"order", "arcs"}, key=str)
+        if unknown:
+            raise ValueError(f"digraph JSON has unknown key {unknown[0]!r} "
+                             "(its keys are 'order' and 'arcs')")
         order = _json_int(obj.get("order"), "digraph 'order'")
         triples = obj.get("arcs")
         if not isinstance(triples, (list, tuple)):
@@ -177,14 +182,19 @@ def _json_int(x, what: str) -> int:
 # Connectivity
 # ---------------------------------------------------------------------------
 
+_DONE = sys.maxsize
+
 
 def strongly_connected_components(
     succ: Mapping[int, Iterable[int]], vertices: Iterable[int]
 ) -> list[list[int]]:
-    """Tarjan's algorithm over ``vertices``, iterative; components in reverse topological order."""
+    """Tarjan's algorithm over ``vertices``, iterative; components in reverse topological order.
+
+    A vertex whose component is out gets the index ``_DONE``, above every
+    low-link, so an arc into it never lowers one and no on-stack set is kept.
+    """
     index: dict[int, int] = {}
     low: dict[int, int] = {}
-    on_stack: set[int] = set()
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
@@ -196,33 +206,34 @@ def strongly_connected_components(
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
         while work:
             v, it = work[-1]
-            w = next(it, None)
-            if w is not None:
-                if w not in index:
+            for w in it:
+                iw = index.get(w)
+                if iw is None:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(succ.get(w, ()))))
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    x = stack.pop()
-                    on_stack.discard(x)
-                    comp.append(x)
-                    if x == v:
-                        break
-                comps.append(comp)
+                    break
+                if iw < low[v]:
+                    low[v] = iw
+            else:
+                work.pop()
+                lv = low[v]
+                if work:
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+                if lv == index[v]:
+                    comp = []
+                    while True:
+                        x = stack.pop()
+                        index[x] = _DONE
+                        comp.append(x)
+                        if x == v:
+                            break
+                    comps.append(comp)
     return comps
 
 

@@ -14,6 +14,7 @@ integer rows and builds the Fractions from the results.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from fractions import Fraction
 from typing import Sequence
@@ -25,12 +26,22 @@ def is_exact_number(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+# A weight: an optional sign, then p/q with q > 0 or a decimal with an
+# optional exponent, in ASCII digits with no "_" grouping and no inner
+# space, optionally surrounded by whitespace.
+_WEIGHT = re.compile(
+    r"\s*[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*")
+
+
 def parse_weight(text: str, mode: str = "exact"):
     """Parse a weight string, either a decimal like ``"0.25"`` or ``"3/4"``.
 
-    In ``exact`` mode the result is a Fraction; in ``float`` mode a float, and
+    Text outside that grammar (``_WEIGHT``) raises ValueError naming it.  In
+    ``exact`` mode the result is a Fraction; in ``float`` mode a float, and
     a nonzero weight that overflows or rounds to zero raises ValueError.
     """
+    if not _WEIGHT.fullmatch(text):
+        raise ValueError(f"weight {text!r} is not a decimal or p/q with q > 0")
     value = Fraction(text.strip())
     if mode == "exact":
         return value

@@ -13,6 +13,7 @@ iteration over integers from a float-seeded vector.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,17 +65,19 @@ _SQRT_EPS = math.sqrt(_EPS)
 
 
 class EdgeOperator:
-    """A on a vertex set, held as arrays of its arcs.
+    """A on a vertex set, held as arrays of its arcs in ``d.arcs`` order.
 
-    ``op @ x`` is A x and ``op.rmatvec(x)`` is A^T x, both bincount
-    matvecs; ``toarray`` gives the dense A (the library's only dense builder).
+    ``rows`` and ``cols`` are the arcs' tail and head positions in the
+    sorted vertex set and ``vals`` their float weights.  ``op @ x`` is A x
+    and ``op.rmatvec(x)`` is A^T x, both bincount matvecs; ``toarray`` gives
+    the dense A (the library's only dense builder).
     """
 
-    def __init__(self, k: int, rows: list[int], cols: list[int], vals: list[float]):
+    def __init__(self, k: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
         self.shape = (k, k)
-        self.rows = np.array(rows, dtype=np.intp)
-        self.cols = np.array(cols, dtype=np.intp)
-        self.vals = np.array(vals, dtype=float)
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, weights=self.vals * x.take(self.cols),
@@ -90,17 +93,54 @@ class EdgeOperator:
         return m
 
 
+def _arc_arrays(d: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
+    """The ends (u0, v0, u1, v1, ...) and float weights of ``d.arcs`` in order, memoised on ``d``.
+
+    An exact weight outside the float range is NaN here; ``edge_operator``
+    names it through ``float_weight`` when its arc is asked for.
+    """
+
+    def build():
+        m = len(d.arcs)
+        ends = np.fromiter(itertools.chain.from_iterable(d.arcs), np.intp, 2 * m)
+        try:
+            vals = np.fromiter(d.arcs.values(), float, m)
+        except OverflowError:
+            vals = None
+        if vals is None or not vals.all():  # weights are positive: 0.0 is an underflow
+            vals = np.fromiter(map(_float_or_nan, d.arcs.items()), float, m)
+        return ends, vals
+
+    return d.memo("arc_arrays", build)
+
+
+def _float_or_nan(item) -> float:
+    try:
+        return float_weight(*item)
+    except ValueError:
+        return math.nan
+
+
 def edge_operator(d: WeightedDigraph, vertices=None) -> EdgeOperator:
-    """A on the subdigraph induced on ``vertices`` (default: all), reindexed in sorted order."""
-    verts = range(d.order) if vertices is None else sorted(vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    rows, cols, vals = [], [], []
-    for (u, v), w in d.arcs.items():
-        if u in idx and v in idx:
-            rows.append(idx[u])
-            cols.append(idx[v])
-            vals.append(float_weight((u, v), w))
-    return EdgeOperator(len(idx), rows, cols, vals)
+    """A on the subdigraph induced on ``vertices`` (default: all), reindexed in sorted order.
+
+    The arcs are sliced from the memoised arc arrays through a vertex-to-position
+    lookup, in ``d.arcs`` order.  An exact weight no float holds raises
+    ValueError from ``float_weight``, naming the first such arc of the subdigraph.
+    """
+    ends, vals = _arc_arrays(d)
+    verts = np.arange(d.order) if vertices is None else np.array(sorted(vertices), np.intp)
+    pos = np.full(d.order, -1, np.intp)
+    pos[verts] = np.arange(len(verts))
+    at = pos[ends]
+    rows, cols = at[0::2], at[1::2]
+    inside = np.flatnonzero((rows >= 0) & (cols >= 0))
+    vals = vals[inside]
+    bad = np.flatnonzero(np.isnan(vals))
+    if len(bad):
+        arc = next(itertools.islice(d.arcs.items(), int(inside[bad[0]]), None))
+        float_weight(*arc)  # raises
+    return EdgeOperator(len(verts), rows[inside], cols[inside], vals)
 
 
 def _converged(lo: float, hi: float, tol: float) -> bool:

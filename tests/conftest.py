@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Eleven fast paths keep the code they replaced as an
+dense eigensolver.  Thirteen fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
 without the transversal route), the minimum cycle transversal (the branch
@@ -16,9 +16,11 @@ elimination characteristic polynomial (exact determinants of I - zA at
 z = 0..n, interpolated in integers, not residues modulo word-size primes), the
 check of a family's declared facts (every cycle of every truncation, not
 one peel and one length search on the last), the supremum of cycle gains
-(one ``Gain`` per cycle, not a running weight, length and log) and the
+(one ``Gain`` per cycle, not a running weight, length and log), the
 argmax conjecture scan (one Kahn peel per k-subset, not a pruned search of
-the transversals).
+the transversals), Tarjan's strong components (with an on-stack set and a
+``next`` call per arc) and the float arc operator (one pass over the arcs
+per call, not slices of memoised arc arrays).
 """
 
 import functools
@@ -35,7 +37,8 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from substochastic import WeightedDigraph
+from substochastic import WeightedDigraph, truncate
+from substochastic.constructions import BUILTIN_FAMILIES, family_from_config
 from substochastic.cycles import (
     GAIN_ZERO,
     Gain,
@@ -46,15 +49,21 @@ from substochastic.cycles import (
     is_cycle_transversal,
     min_cycle_transversal,
 )
-from substochastic.digraph import strongly_connected_components
+from substochastic.digraph import float_weight
 from substochastic.errors import BudgetExceededError
-from substochastic.inequalities import ConjectureRecord, fingerprint, random_strong_digraph
+from substochastic.families import family_to_float
+from substochastic.inequalities import (
+    ConjectureRecord,
+    fingerprint,
+    instance_stream,
+    random_strong_digraph,
+)
 from substochastic.rational import det_exact, interpolate_exact
 from substochastic.spectral import (
     _SPARSE_THRESHOLD,
     _integer_weights,
+    EdgeOperator,
     _max_over_components,
-    edge_operator,
     exact_shifted,
     resolvent_diagonal,
 )
@@ -123,7 +132,8 @@ def oracle_cycles(d: WeightedDigraph) -> list[tuple[tuple[int, ...], object]]:
         if u != v:
             adj[u].append((v, w))
     succ = {v: [w for w, _ in adj[v]] for v in range(d.order)}
-    comps = [set(c) for c in strongly_connected_components(succ, range(d.order)) if len(c) >= 2]
+    comps = [set(c) for c in oracle_strongly_connected_components(succ, range(d.order))
+             if len(c) >= 2]
     while comps:
         comp = comps.pop()
         start = min(comp)
@@ -131,8 +141,70 @@ def oracle_cycles(d: WeightedDigraph) -> list[tuple[tuple[int, ...], object]]:
         out.extend((tuple(path), weight) for path, weight in _johnson_paths(local, start))
         comp.discard(start)
         sub = {v: [w for w in succ[v] if w in comp] for v in comp}
-        comps.extend(set(c) for c in strongly_connected_components(sub, comp) if len(c) >= 2)
+        comps.extend(set(c) for c in oracle_strongly_connected_components(sub, comp) if len(c) >= 2)
     return out
+
+
+def oracle_strongly_connected_components(succ, vertices) -> list[list[int]]:
+    """Tarjan's algorithm as it was before the lean pass: a ``next(it, None)``
+    per arc, an on-stack set and ``min`` for every low-link update."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+
+    for root in vertices:
+        if root in index:
+            continue
+        work: list[tuple[int, Iterator[int]]] = [(root, iter(succ.get(root, ())))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            w = next(it, None)
+            if w is not None:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                elif w in on_stack:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    x = stack.pop()
+                    on_stack.discard(x)
+                    comp.append(x)
+                    if x == v:
+                        break
+                comps.append(comp)
+    return comps
+
+
+def oracle_edge_operator(d: WeightedDigraph, vertices=None) -> EdgeOperator:
+    """``spectral.edge_operator`` as it was before the memoised arc arrays: one
+    Python pass over ``d.arcs`` per call, each weight through ``float_weight``."""
+    verts = range(d.order) if vertices is None else sorted(vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    rows, cols, vals = [], [], []
+    for (u, v), w in d.arcs.items():
+        if u in idx and v in idx:
+            rows.append(idx[u])
+            cols.append(idx[v])
+            vals.append(float_weight((u, v), w))
+    return EdgeOperator(len(idx), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                        np.array(vals, dtype=float))
 
 
 def _johnson_paths(adj, start):
@@ -457,7 +529,7 @@ class ShiftedOperator:
     """
 
     def __init__(self, d: WeightedDigraph, comp):
-        self.edges = edge_operator(d, comp)
+        self.edges = oracle_edge_operator(d, comp)
         self.shape = self.edges.shape
         self.matvecs = 0
 
@@ -627,6 +699,46 @@ def brute_reachable(d: WeightedDigraph) -> bool:
                     if reach[k][j]:
                         reach[i][j] = True
     return all(reach[i][j] for i in range(n) for j in range(n))
+
+
+def strong_blocks_with_loops(seed: int) -> WeightedDigraph:
+    """One to four random strong digraphs on shuffled vertex labels, plus
+    arcs that only run from an earlier block to a later one (so each block
+    stays a strong component) and loops on about a third of the vertices."""
+    rng = random.Random(f"blocks:{seed}")
+    blocks = [random_strong_digraph(rng, rng.randint(1, 8)) for _ in range(rng.randint(1, 4))]
+    block_of = [i for i, b in enumerate(blocks) for _ in range(b.order)]
+    label = list(range(len(block_of)))
+    rng.shuffle(label)
+    arcs, base = {}, 0
+    for b in blocks:
+        arcs.update(((label[base + u], label[base + v]), w) for (u, v), w in b.arcs.items())
+        base += b.order
+    for x, y in itertools.product(range(len(block_of)), repeat=2):
+        if block_of[x] < block_of[y] and rng.random() < 0.2:
+            arcs[(label[x], label[y])] = F(1, 5)
+        elif x == y and rng.random() < 0.3:
+            arcs.setdefault((label[x], label[x]), F(1, 7))
+    return WeightedDigraph(len(block_of), arcs)
+
+
+# The digraphs the strong-component and arc-operator equality tests run on:
+# the certify pool's stream, reducible digraphs with loops, and the six
+# families at small n in both arithmetics and at n = 2000 in float.
+CORPORA = ("instance-stream", "strong-blocks-with-loops", *(
+    f"{name}:{n}:{mode}" for name in BUILTIN_FAMILIES
+    for n, mode in ((5, "exact"), (5, "float"), (40, "exact"), (40, "float"), (2000, "float"))))
+
+
+def corpus(which: str) -> list[WeightedDigraph]:
+    """Fresh digraphs of one entry of ``CORPORA``."""
+    if which == "instance-stream":
+        return [d for _, d in instance_stream(7919, 1000, 12)]
+    if which == "strong-blocks-with-loops":
+        return [strong_blocks_with_loops(seed) for seed in range(300)]
+    name, n, mode = which.split(":")
+    fam = family_from_config(name)
+    return [truncate(fam if mode == "exact" else family_to_float(fam), int(n))]
 
 
 def run_threads(work, count: int = 4) -> list:

@@ -361,6 +361,24 @@ class TestBoundaryErrors:
         self.assert_one_line_error(run_cli(["spectral", "perron", "--digraph", str(path)]))
 
     @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"order": 2, "odrer": 3, "arcs": [[1, 2, "1/2"], [2, 1, "1/2"]]}, "'odrer'"),
+            ({"order": 2, "arcs": [[1, 2, "1_0"], [2, 1, "1/2"]]}, "'1_0'"),
+            ({"order": 2, "arcs": [[1, 2, "1/0"], [2, 1, "1/2"]]}, "'1/0'"),
+        ],
+        ids=["unknown-key", "digit-grouping", "zero-denominator"],
+    )
+    def test_digraph_json_outside_its_grammar(self, tmp_path, payload, named):
+        # the first two used to run (the key ignored, "1_0" read as 10), and
+        # "1/0" ended in a ZeroDivisionError traceback
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        proc = run_cli(["spectral", "charpoly", "--digraph", str(path)])
+        self.assert_one_line_error(proc)
+        assert proc.stdout == "" and named in proc.stderr
+
+    @pytest.mark.parametrize(
         "weight,mode,message",
         [
             ("1e400", "float", "weight 1e400 is outside the float range"),

@@ -94,17 +94,45 @@ class TestEnumeration:
         assert not stream.truncated
 
 
-def assert_matches_johnson(d):
-    """The lock search yields Johnson's sequence, and at each bound L its length <= L part."""
-    expected = oracle_cycles(d)
-    assert [(c.vertices, c.weight) for c in enumerate_cycles(d)] == expected
-    for bound in range(1, d.order + 1):
-        got = [(c.vertices, c.weight) for c in enumerate_cycles(d, max_length=bound)]
-        assert got == [(vs, w) for vs, w in expected if len(vs) <= bound]
+def assert_matches_johnson(d, bounds=None):
+    """The lock search yields Johnson's sequence, and at each bound L (default:
+    every L up to the order) its length <= L part: the same vertices, weights
+    and weight types in the same order."""
+    expected = [(vs, type(w), w) for vs, w in oracle_cycles(d)]
+
+    def listed(stream):
+        return [(c.vertices, type(c.weight), c.weight) for c in stream]
+
+    assert listed(enumerate_cycles(d)) == expected
+    for bound in range(1, d.order + 1) if bounds is None else bounds:
+        got = listed(enumerate_cycles(d, max_length=bound))
+        assert got == [c for c in expected if len(c[0]) <= bound]
     for budget in range(max(len(expected) - 1, 0), len(expected) + 1):
         stream = enumerate_cycles(d, max_count=budget)
-        assert [(c.vertices, c.weight) for c in stream] == expected[:budget]
+        assert listed(stream) == expected[:budget]
         assert stream.truncated == (budget < len(expected))
+
+
+def hub_and_cycles(seed: int) -> WeightedDigraph:
+    """Vertex 0 joined to two to four disjoint short cycles on labels spread
+    over an order of 40-200.  The re-split after 0 finds each cycle as a
+    strong component, and a set of such labels does not iterate in sorted
+    order, so the order Tarjan is rooted in decides the order of the cycles."""
+    rng = random.Random(f"hub:{seed}")
+    order = rng.randint(40, 200)
+    labels = rng.sample(range(1, order), 12)
+    arcs = {}
+    for j in range(rng.randint(2, 4)):
+        cyc = labels[3 * j: 3 * j + 2 + j % 2]
+        arcs.update(((a, b), F(1, 3)) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+        arcs[(0, cyc[0])] = arcs[(cyc[-1], 0)] = F(1, 5)
+    return WeightedDigraph(order, arcs)
+
+
+# Float truncations at the sizes the ladder runs, each with the bounds it is
+# checked at: example2's star (hub 0, one 2-cycle per spoke) and example1's
+# return path (one cycle of each length through vertex 0)
+LARGE_FLOAT = [("example2", 2000, (1, 2, 3)), ("example1", 500, (1, 2, 100, 499))]
 
 
 class TestOneSearch:
@@ -122,6 +150,10 @@ class TestOneSearch:
         d = random_strong_digraph(random.Random(seed), order, arc_prob=0.3)
         assert_matches_johnson(d)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hub_joined_to_disjoint_cycles(self, seed):
+        assert_matches_johnson(hub_and_cycles(seed), (2, 3))
+
     @pytest.mark.parametrize("order", range(1, 7))
     def test_complete_digraphs_with_loops(self, order):
         d = WeightedDigraph(
@@ -129,17 +161,23 @@ class TestOneSearch:
         )
         assert_matches_johnson(d)
 
-    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
-    def test_family_truncations(self, name):
-        assert_matches_johnson(truncate(family_from_config(name), 40))
+    @pytest.mark.parametrize("name, n, mode, bounds", [
+        *((name, 40, "exact", None) for name in BUILTIN_FAMILIES),
+        *((name, n, "float", bounds) for name, n, bounds in LARGE_FLOAT),
+    ])
+    def test_family_truncations(self, name, n, mode, bounds):
+        fam = family_from_config(name)
+        assert_matches_johnson(truncate(fam if mode == "exact" else family_to_float(fam), n),
+                               bounds)
 
-    def test_star_and_omega_windows(self):
+    def test_star(self):
         # the star's re-split is skipped: without the hub no vertex keeps an out-arc
         assert_matches_johnson(truncate(family_from_config("example2"), 60))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_omega_windows(self, n):
         fam = family_from_config("corollary1")
-        for n in range(1, 13):
-            d = truncate(fam, fam.omega_window(n))
-            assert [(c.vertices, c.weight) for c in enumerate_cycles(d)] == oracle_cycles(d)
+        assert_matches_johnson(truncate(fam, max(fam.omega_window(n), n)), (n,))
 
     def test_one_tarjan_pass_per_digraph(self):
         d = truncate(family_to_float(family_from_config("example2")), 2000)
@@ -270,14 +308,20 @@ class TestGainSearch:
         d = random_strong_digraph(random.Random(seed), order, arc_prob=0.3)
         assert_same_gain_search(in_mode(d, mode))
 
-    @pytest.mark.parametrize("n", [5, 40])
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
-    def test_family_truncations(self, name, mode, n):
+    @pytest.mark.parametrize("name, mode, n, max_length", [
+        *((name, mode, n, n) for name in BUILTIN_FAMILIES for mode in MODES for n in (5, 40)),
+        *((name, "float", n, bounds[-2]) for name, n, bounds in LARGE_FLOAT),
+    ])
+    def test_family_truncations(self, name, mode, n, max_length):
         fam = family_from_config(name)
         d = truncate(fam if mode == "exact" else family_to_float(fam), n)
-        assert_same_gain_search(d, n)
+        assert_same_gain_search(d, max_length)
         assert_same_gain_search(d)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_omega_windows(self, n):
+        fam = family_from_config("corollary1")
+        assert_same_gain_search(truncate(fam, max(fam.omega_window(n), n)), n)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_tied_gains_keep_the_first(self, mode):

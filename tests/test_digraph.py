@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,10 +11,19 @@ from substochastic import (
     classify_weighting,
 )
 from substochastic.constructions import build_example1, f_geometric
-from substochastic.digraph import strongly_connected_components
+from substochastic.digraph import strong_components, strongly_connected_components
 from substochastic.families import truncate
+from substochastic.rational import parse_weight
 
-from conftest import brute_reachable, loop, seeded_digraph, two_cycle
+from conftest import (
+    CORPORA,
+    brute_reachable,
+    corpus,
+    loop,
+    oracle_strongly_connected_components,
+    seeded_digraph,
+    two_cycle,
+)
 
 # adding out-weight mass can only move a weighting toward a *less* strict class
 STRICTNESS_RANK = {
@@ -104,6 +114,18 @@ class TestStrongConnectivity:
         assert is_strong(d) == brute_reachable(d)
 
 
+@pytest.mark.parametrize("which", CORPORA)
+def test_strong_components_as_the_oracle(which):
+    """The lean Tarjan pass against the one it replaced: the same components,
+    each in the same vertex order, in the same order, also rooted in reverse."""
+    for d in corpus(which):
+        want = oracle_strongly_connected_components(d.adjacency, range(d.order))
+        assert strong_components(d) == tuple(map(tuple, want))
+        backwards = range(d.order - 1, -1, -1)
+        assert (strongly_connected_components(d.adjacency, backwards)
+                == oracle_strongly_connected_components(d.adjacency, backwards))
+
+
 class TestJsonInterchange:
     def test_round_trip_exact(self):
         d = WeightedDigraph(3, {(0, 1): F(3, 4), (1, 2): F(1, 8), (2, 0): 1})
@@ -133,6 +155,27 @@ class TestJsonInterchange:
         obj = {"order": 1, "arcs": [[1, 1, weight]]}
         with pytest.raises(ValueError, match=f"weight {weight} is outside the float range"):
             WeightedDigraph.from_json_dict(obj, mode="float")
+
+    @pytest.mark.parametrize("text, value", [
+        ("3/4", F(3, 4)), (" 3/4\n", F(3, 4)), ("+1/2", F(1, 2)), ("0.25", F(1, 4)),
+        (".5", F(1, 2)), ("2.", F(2)), ("7", F(7)), ("1e-3", F(1, 1000)), ("2.5E+2", F(250)),
+        ("-1/2", F(-1, 2)), ("1/02", F(1, 2)),
+    ])
+    def test_weight_grammar(self, text, value):
+        assert parse_weight(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1_0", "1/2_0", "1e1_0", "0.2_5", "1 0", "3 / 4", "1/0", "1/00", "1/", "/2", "1/2/3",
+        "1e", ".", "", "0x10", "inf", "nan", "1/0.5", "\u0661/\u0662",
+    ])
+    def test_weight_outside_the_grammar_is_named(self, text):
+        with pytest.raises(ValueError, match=f"^weight {re.escape(repr(text))} is not "):
+            WeightedDigraph.from_json_dict({"order": 1, "arcs": [[1, 1, text]]})
+
+    def test_unknown_top_level_key_is_named(self):
+        obj = {"order": 2, "odrer": 3, "arcs": [[1, 2, "1/2"], [2, 1, "1/2"]]}
+        with pytest.raises(ValueError, match="^digraph JSON has unknown key 'odrer'"):
+            WeightedDigraph.from_json_dict(obj)
 
     def test_duplicate_arcs_rejected(self):
         with pytest.raises(ValueError):

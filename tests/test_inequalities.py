@@ -33,7 +33,7 @@ from substochastic import (
 from substochastic import cycles, inequalities, spectral
 from substochastic.cycles import TransversalResult
 from substochastic.constructions import build_example1, f_geometric
-from substochastic.inequalities import SUITES, InequalityReport, instance_stream
+from substochastic.inequalities import SUITES, InequalityReport, fingerprint, instance_stream
 
 from conftest import (
     acyclic3,
@@ -43,6 +43,7 @@ from conftest import (
     loop,
     oracle_scan_argmax_conjecture,
     seeded_digraph,
+    triangle,
     two_cycle,
 )
 
@@ -117,6 +118,18 @@ class TestKsv:
     def test_random_suite(self):
         rep = run_suite("ksv", count=60, seed=13, order_max=8)
         assert rep.ok
+
+
+@pytest.mark.parametrize("d", [two_cycle(F(1, 2), F(1, 3)), triangle(F(1, 2), F(1, 3), F(1, 5))],
+                         ids=["two-cycle", "triangle"])
+@pytest.mark.parametrize("check, sym", [(check_ksv, "n"), (check_boyle_handelman, "r")],
+                         ids=["ksv", "boyle-handelman"])
+def test_single_cycle_is_an_equality_within_the_bracket(d, check, sym):
+    # one r-cycle of weight w: det(I - A) = 1 - w = 1 - radius^r exactly, and
+    # radius = w^(1/r) is irrational, so the bracket cannot separate the two
+    rep = check(d)
+    assert rep.notes == [f"{fingerprint(d)}: det = 1-radius^{sym} within bracket width"]
+    assert rep.ok and rep.min_margin == 0 and isinstance(rep.min_margin, F)
 
 
 class TestEmptyDigraph:

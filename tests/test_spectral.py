@@ -35,7 +35,7 @@ from substochastic.constructions import (
     family_from_config,
 )
 from substochastic.cycles import peel_transversal
-from substochastic.digraph import strongly_connected_components
+from substochastic.digraph import strong_components, strongly_connected_components
 from substochastic.classify import verify_pruitt
 from substochastic.families import TruncationFamily, family_to_float
 from substochastic.inequalities import (
@@ -56,8 +56,10 @@ from substochastic.spectral import (
 )
 
 from conftest import (
+    CORPORA,
     acyclic3,
     brute_cycles,
+    corpus,
     dense_matrix,
     eig_radius,
     k3,
@@ -65,6 +67,7 @@ from conftest import (
     loop,
     oracle_collatz_wielandt_brackets,
     oracle_det,
+    oracle_edge_operator,
     oracle_elimination_charpoly,
     oracle_inverse,
     oracle_perron_bounds,
@@ -148,6 +151,32 @@ class TestEdgeOperator:
         assert hi - lo <= 1e-12 * hi
 
 
+def operator_outcome(build, d, vertices=None):
+    """The shape and the three arrays with their dtypes, or the ValueError text."""
+    try:
+        op = build(d, vertices)
+    except ValueError as exc:
+        return "error", str(exc)
+    return op.shape, *((a.dtype, a.tolist()) for a in (op.rows, op.cols, op.vals))
+
+
+class TestArcArrays:
+    """Operators sliced from the memoised arc arrays against the per-call arc loop."""
+
+    @pytest.mark.parametrize("which", CORPORA)
+    def test_whole_digraph_and_each_component_as_the_oracle(self, which):
+        for d in corpus(which):
+            for vertices in (None, *strong_components(d)):
+                assert operator_outcome(edge_operator, d, vertices) == operator_outcome(
+                    oracle_edge_operator, d, vertices)
+
+    def test_empty_digraph_and_empty_vertex_set(self):
+        d = WeightedDigraph(2, {(0, 1): 0.5})
+        for g, vertices in ((WeightedDigraph(0, {}), None), (d, []), (d, [1])):
+            assert operator_outcome(edge_operator, g, vertices) == operator_outcome(
+                oracle_edge_operator, g, vertices)
+
+
 @pytest.mark.parametrize("weight, shown", [(F(10**400), "1e400"), (F(1, 10**400), "1e-400")],
                          ids=["overflow", "underflow"])
 class TestWeightOutsideTheFloatRange:
@@ -164,6 +193,17 @@ class TestWeightOutsideTheFloatRange:
     def test_conversion_names_the_arc_and_weight(self, weight, shown, convert):
         with pytest.raises(ValueError, match=f"^arc 2->3 has weight {shown}, outside the float range$"):
             convert(self.wide(weight))
+
+    def test_each_vertex_set_names_its_own_first_arc(self, weight, shown):
+        # two such arcs in two components: a vertex set without them still
+        # gets its operator, and one with them names its first in d.arcs order
+        d = WeightedDigraph(5, {(0, 0): F(1, 3), (1, 2): weight, (2, 1): F(1, 2),
+                                (4, 3): weight, (3, 4): F(1, 2), (0, 3): F(1, 4)})
+        for vertices in (None, [0], [0, 3], [1, 2], [3, 4], [4, 3, 0], [2, 4, 1, 3]):
+            got = operator_outcome(edge_operator, d, vertices)
+            assert got == operator_outcome(oracle_edge_operator, d, vertices)
+        assert operator_outcome(edge_operator, d, [3, 4]) == (
+            "error", f"arc 5->4 has weight {shown}, outside the float range")
 
     def test_exact_bracket_still_returned(self, weight, shown):
         lo, hi = perron_bounds(self.wide(weight))
