@@ -27,7 +27,7 @@ from .cycles import Gain
 from .digraph import Tag, WeightedDigraph
 from .errors import FamilyDefinitionError
 from .families import FamilyFacts, TruncationFamily
-from .rational import is_exact_number, ln_bounds, safe_log
+from .rational import is_exact_number, ln_bounds, parse_weight, safe_log
 
 HALF = Fraction(1, 2)
 _SERIES_TERMS = 100_000  # terms power_series_sum adds up before its midpoint tail
@@ -758,7 +758,8 @@ def _descriptor(table: Mapping, cfg, where: str, what: str, kind=None):
     required key) and to a builder, called as ``build(where, **values)``.  The
     descriptor names its kind under "kind", else it is ``kind``; a bare list is
     ``{"kind": "list", "values": [...]}`` where the table has that kind.  A
-    malformed descriptor raises ``ValueError`` naming ``where``, its dotted path.
+    malformed descriptor, or a value its builder rejects, raises ``ValueError``
+    naming ``where``, its dotted path.
     """
     if isinstance(cfg, (list, tuple)) and "list" in table:
         cfg = {"kind": "list", "values": cfg}
@@ -776,7 +777,12 @@ def _descriptor(table: Mapping, cfg, where: str, what: str, kind=None):
     for key, default in keys.items():
         if default is ... and key not in given:
             raise ValueError(f"{where} of kind {kind!r} needs key {key!r}")
-    return build(where, **{**keys, **given})
+    try:
+        return build(where, **{**keys, **given})
+    except ValueError as exc:  # nested descriptors name their path once
+        if str(exc).startswith(where):
+            raise
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _sequence(cfg, where: str):
@@ -789,9 +795,10 @@ def _lengths(cfg, where: str):
 
 
 def _number(at: str, value) -> Fraction:
+    """A parameter in the weight grammar of digraph files (``rational.parse_weight``)."""
     try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
+        return parse_weight(str(value))
+    except ValueError:
         raise ValueError(f"{at}: {value!r} is not a number") from None
 
 

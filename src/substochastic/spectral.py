@@ -213,61 +213,26 @@ def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float,
 def _transversal_route(op: EdgeOperator) -> tuple[float, float, np.ndarray] | None:
     """Collatz-Wielandt bracket of a Perron vector built through a cycle transversal.
 
-    With W a greedy cycle transversal (``cycles.peel_transversal``) and
-    mu = 1/lambda, the first-return matrix F(mu) (Meyer's Perron
-    complement) sums weight * mu^length over the paths from W to W with
-    interior in the acyclic rest R; rho(A) = 1/mu exactly when
-    rho(F(mu)) = 1.  Newton's method on log rho(F) against log mu starts at
-    1/max row sum, a lower bound on the root; rho(F) is log-convex in log mu
-    (Kingman), so after the first step the iterates fall monotonically, and
-    they stop when a step stalls at rounding level.  The vector is x_W, the
-    Perron vector of F, on W, and on R the values the same dynamic program
-    gives, so A x = lambda x up to rounding.  The bracket is min and max of
-    (A x)_i / x_i, unshifted, so that a small root keeps its relative
-    precision.  Returns ``(lo, hi, x)``, or None without a small W or a
-    finite positive x.
+    With W a greedy cycle transversal (``cycles.peel_transversal``), mu =
+    1/lambda and F the first-return matrix of ``first_return``, rho(A) =
+    1/mu exactly when rho(F(mu)) = 1.  Newton's method on log rho(F)
+    against log mu starts at 1/max row sum, a lower bound on the root;
+    rho(F) is log-convex in log mu (Kingman), so after the first step the
+    iterates fall monotonically, and they stop when a step stalls at
+    rounding level.  The vector is x_W, the Perron vector of F, on W, and
+    on R its extension by ``first_return``, so A x = lambda x up to
+    rounding.  The bracket is min and max of (A x)_i / x_i, unshifted, so
+    that a small root keeps its relative precision.  Returns ``(lo, hi,
+    x)``, or None without a small W or a finite positive x.
     """
     k = op.shape[0]
-    out: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    out: list[dict[int, float]] = [{} for _ in range(k)]
     for r, c, w in zip(op.rows.tolist(), op.cols.tolist(), op.vals.tolist()):
-        out[r].append((c, w))
-    peeled = peel_transversal([[c for c, _w in arcs] for arcs in out], range(k), _ROUTE_MAX_W)
+        out[r][c] = w
+    peeled = peel_transversal(out, range(k), _ROUTE_MAX_W)
     if peeled is None:
         return None
     order, transversal = peeled
-    m = len(transversal)
-
-    def fill(mu: float, h: list[float], hd: list[float] | None) -> None:
-        """h (and its mu-derivative hd) on R from their values on W, in peel order."""
-        for v in order:
-            s = sd = 0.0
-            for u, a in out[v]:
-                s += a * h[u]
-                if hd is not None:
-                    sd += a * hd[u]
-            h[v] = mu * s
-            if hd is not None:
-                hd[v] = s + mu * sd
-
-    def first_return(mu: float) -> tuple[np.ndarray, np.ndarray]:
-        """F(mu) and dF/dmu, one pass per vertex of W."""
-        f_cols, df_cols = [], []
-        for target in transversal:
-            h = [0.0] * k
-            hd = [0.0] * k
-            h[target] = 1.0
-            fill(mu, h, hd)
-            f_col, df_col = [], []
-            for w in transversal:
-                s = sd = 0.0
-                for u, a in out[w]:
-                    s += a * h[u]
-                    sd += a * hd[u]
-                f_col.append(mu * s)
-                df_col.append(s + mu * sd)
-            f_cols.append(f_col)
-            df_cols.append(df_col)
-        return np.array(f_cols).T, np.array(df_cols).T
 
     # Newton in log mu, kept inside [lo_mu, hi_mu] with rho(F) <= 1 at lo_mu
     # and rho(F) > 1 (or overflow) at hi_mu; a step leaving it bisects.  It
@@ -277,7 +242,7 @@ def _transversal_route(op: EdgeOperator) -> tuple[float, float, np.ndarray] | No
     hi_mu = last = math.inf
     right = None
     for _ in range(_NEWTON_STEPS):
-        f, df = first_return(mu)
+        f, df = (np.array(cols).T for cols in first_return(out, order, transversal, mu))
         rho, right = _perron_eig(f)
         _rho, left = _perron_eig(f.T)
         # left @ right is 0 when F underflows to a reducible matrix
@@ -309,20 +274,54 @@ def _transversal_route(op: EdgeOperator) -> tuple[float, float, np.ndarray] | No
     # The eigensolver gives x_W to eps in absolute terms only, which leaves
     # its tiny entries (1e-16 of the largest on sparse random digraphs)
     # without correct digits.  F x_W = x_W, and a sum of nonnegative terms
-    # keeps relative accuracy, so m - 1 steps x_W <- F x_W carry the
+    # keeps relative accuracy, so |W| - 1 steps x_W <- F x_W carry the
     # accuracy of the large entries to the small ones, one arc of F a step.
-    for _ in range(m - 1):
+    for _ in range(len(transversal) - 1):
         right = f @ right
         right /= right.max()
-    x = [0.0] * k
-    for w, xw in zip(transversal, (right / right.max()).tolist()):
-        x[w] = xw
-    fill(mu, x, None)
-    vec = np.array(x)
+    vec = np.array(first_return(out, order, transversal, mu, (right / right.max()).tolist()))
     if not (np.isfinite(vec).all() and (vec > 0).all()):
         return None
     q = (op @ vec) / vec
     return float(q.min()), float(q.max()), vec / vec.max()
+
+
+def first_return(out, order: Sequence[int], transversal: Sequence[int], z, values=None):
+    """First returns to a cycle transversal W through the acyclic rest R, in z's arithmetic.
+
+    ``out[v]`` maps the heads of v's out-arcs to their weights; ``order``
+    lists R with each vertex after its heads outside W, as from
+    ``cycles.peel_transversal``.  One pass over R, then over W's rows, sets
+    h(v) = z sum_u a_vu h(u) and dh/dz from h given on W.  For h the
+    indicator of w, W's rows give column w of F(z), Meyer's Perron
+    complement: weight * z^length summed over the paths from W to W with
+    interior in R.  Returns the columns of F(z) and dF/dz, or with
+    ``values`` on W their extension over R.  Sums start from z's zero, so
+    Fractions stay exact: det(I_W - F(z)) = det(I - zA) by Schur's formula.
+    """
+    k, m = len(out), len(transversal)
+    rows = [*order, *transversal]
+    slots = [*order, *range(k, k + m)]  # W's rows write past the vertices, where no arc reads
+    zero = type(z)(0)
+    starts = [values] if values is not None else [
+        [zero + (w == t) for w in transversal] for t in transversal]
+    f_cols, df_cols = [], []
+    for start in starts:
+        h, hd = [zero] * (k + m), [zero] * (k + m)
+        for w, value in zip(transversal, start):
+            h[w] = value
+        for v, slot in zip(rows, slots):
+            s = sd = zero
+            arcs = out[v]
+            for u in arcs:  # keys and a lookup: faster than items() on rows of 1-2 arcs
+                a = arcs[u]
+                s += a * h[u]
+                sd += a * hd[u]
+            h[slot] = z * s
+            hd[slot] = s + z * sd
+        f_cols.append(h[k:])
+        df_cols.append(hd[k:])
+    return (f_cols, df_cols) if values is None else h[:k]
 
 
 def _perron_eig(m: np.ndarray) -> tuple[float, np.ndarray]:

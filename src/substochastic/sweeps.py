@@ -124,13 +124,18 @@ def fit_decay(
         raise ValueError("points must be finite in the fitted window")
     if any(g <= 0 for _, g in pts):
         raise ValueError("gaps must be positive in the fitted window")
+    if any(n <= 0 for n, _ in pts):
+        raise ValueError("n must be positive in the fitted window")
+    if log_correction and any(n <= 1 for n, _ in pts):
+        raise ValueError("log correction needs n > 1 throughout")
+    params = 3 if log_correction else 2
+    if len({n for n, _ in pts}) < params:  # the design matrix would be singular
+        raise ValueError(f"need {params} distinct n to fit {params} parameters")
     x = np.log([float(n) for n, _ in pts])
     y = np.log([float(g) for _, g in pts])
     cols = [x, np.ones_like(x)]
     if log_correction:
-        if any(v <= 1 for v, _ in pts):
-            raise ValueError("log correction needs n > 1 throughout")
-        cols.insert(1, np.log(np.log([float(n) for n, _ in pts])))
+        cols.insert(1, np.log(x))
     design = np.column_stack(cols)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef

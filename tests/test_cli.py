@@ -308,6 +308,18 @@ class TestSweepAndFit:
         assert fit.returncode == 1 and fit.stdout == ""
         assert fit.stderr.strip().splitlines() == [f"error: {row}"]
 
+    @pytest.mark.parametrize("text, args, message", [
+        ("n,gap\n0,0.5\n1,0.25\n2,0.125\n", [], "n must be positive in the fitted window"),
+        ("n,gap\n2,0.5\n2,0.25\n2,0.125\n", [], "need 2 distinct n to fit 2 parameters"),
+        ("n,gap\n2,0.5\n4,0.25\n2,0.125\n", ["--log-correction"],
+         "need 3 distinct n to fit 3 parameters"),
+    ], ids=["zero-n", "one-distinct-n", "two-distinct-n-log-corrected"])
+    def test_fit_rejects_a_window_it_cannot_fit(self, text, args, message):
+        # n = 0 used to print LAPACK lines on stdout; a repeated n fitted a slope
+        fit = run_cli(["fit", "--input", "-", *args], stdin_text=text)
+        assert fit.returncode == 1 and fit.stdout == ""
+        assert fit.stderr.strip().splitlines() == [f"error: {message}"]
+
     def test_error_exit_code(self):
         proc = run_cli(["fit", "--input", "/nonexistent/file.csv"])
         assert proc.returncode == 1
@@ -506,6 +518,11 @@ class TestBoundaryErrors:
              "prop1 params.targets.value: '1/0' is not a number"),
             ("corollary1", '{"g": {"kind": "power", "exponent": "5/2"}}',
              "corollary1 params.g.exponent: '5/2' is not an integer"),
+            # the weight grammar of digraph files: ASCII digits, no "_" grouping
+            ("example1", '{"a": "\u0663/\u0664"}',
+             "example1 params.a: '\u0663/\u0664' is not a number"),
+            ("example2", '{"a": {"kind": "list", "values": ["1_0/2_0"]}}',
+             "example2 params.a: '1_0/2_0' is not a number"),
         ],
         ids=["list-without-values", "gap-not-object", "f-not-object",
              "constant-without-value", "params-not-object", "unknown-key",
@@ -513,7 +530,8 @@ class TestBoundaryErrors:
              "two-level-unknown-key", "length-not-number", "list-entry-not-number",
              "list-entry-zero-denominator", "scalar-zero-denominator", "scalar-not-number",
              "nested-scalar-not-number", "linear-start-not-number",
-             "sequence-value-zero-denominator", "exponent-not-integer"],
+             "sequence-value-zero-denominator", "exponent-not-integer",
+             "non-ascii-digits", "digit-grouping"],
     )
     def test_malformed_family_params(self, family, params, message):
         proc = run_cli(["construct", family, "--params", params, "--emit-truncation", "3"])

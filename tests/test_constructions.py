@@ -568,6 +568,41 @@ def test_a_non_integral_length_is_rejected_by_its_path(name, params, where):
     assert str(info.value) == f"{where} is not an integer"
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("example1", {"f": {"kind": "geometric", "ratio": "3/2"}},
+     "example1 params.f: q must be in (0,1)"),
+    ("example1", {"f": {"kind": "power", "epsilon": 0}},
+     "example1 params.f: epsilon must be positive"),
+    ("example2", {"a": {"kind": "power", "exponent": 0.5}},
+     "example2 params.a: exponent must be negative"),
+    ("prop2", {"epsilon": {"kind": "geometric", "ratio": "3/2"}},
+     "prop2 params.epsilon: ratio must be in (0,1)"),
+    ("example2", {"a": []}, "example2 params: a must not be empty"),
+    ("example1", {"a": "3/2"}, "example1 params: a must lie in (0,1)"),
+], ids=["lifetimes-geometric", "lifetimes-power", "star-weights", "epsilons",
+        "families-example2", "families-example1"])
+def test_a_builder_range_error_names_its_path_once(name, params, message):
+    with pytest.raises(ValueError) as info:
+        family_from_config(name, params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", ["\u0663/\u0664", "1_0/2_0", "1/0", "3 / 4", "0x10", "inf",
+                                   True])
+def test_a_parameter_outside_the_weight_grammar_is_rejected(value):
+    with pytest.raises(ValueError) as info:
+        family_from_config("example1", {"a": value})
+    assert str(info.value) == f"example1 params.a: {value!r} is not a number"
+
+
+@pytest.mark.parametrize("value, exact", [
+    (0.5, F(1, 2)), (1e-05, F(1, 100000)), ("3/4", F(3, 4)), (" .25 ", F(1, 4)),
+    (F(2, 3), F(2, 3)),
+])
+def test_json_numbers_stay_in_the_weight_grammar(value, exact):
+    assert constructions._number("at", value) == exact
+
+
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_non_monotone_minorant_pinned(kind):
     hi, lo = (F(3, 4), F(1, 2)) if kind == "exact" else (0.75, 0.5)

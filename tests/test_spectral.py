@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -489,6 +491,106 @@ class TestRouteGuards:
     def test_perron_eig_of_a_non_finite_matrix(self, bad):
         rho, vec = spectral._perron_eig(np.array([[0.5, bad], [1.0, 0.0]]))
         assert rho == math.inf and vec.tolist() == [1.0, 1.0]
+
+
+def _first_return_det(d: WeightedDigraph, order, transversal, z) -> F:
+    """det(I_W - F(z)) from ``spectral.first_return`` on the exact weights of ``d``."""
+    f_cols, _df_cols = spectral.first_return(d.adjacency, order, transversal, z)
+    m = len(transversal)
+    return oracle_det([[int(i == j) - f_cols[j][i] for j in range(m)] for i in range(m)])
+
+
+def _exact_identity_inputs():
+    """Exact instance_stream digraphs with |W| <= 6, then family truncations at n <= 40."""
+    for _i, d in instance_stream(3, 150, 12):
+        peeled = peel_transversal(d.adjacency, range(d.order), 6)
+        if peeled is not None:
+            yield d, *peeled
+    for name in BUILTIN_FAMILIES:
+        for n in (2, 7, 20, 40):
+            d = truncate(family_from_config(name), n)
+            d = WeightedDigraph(d.order, {a: F(w) for a, w in d.arcs.items()})  # lift floats
+            yield d, *peel_transversal(d.adjacency, range(d.order), d.order)
+
+
+class TestFirstReturn:
+    """det(I - zA) = det(I_W - F(z)) in Fractions: R is acyclic, so I - z A_RR is unitriangular."""
+
+    ZS = (F(1, 3), F(1, 2), F(2))
+
+    def test_determinant_identity_holds_exactly(self):
+        count = 0
+        for d, order, transversal in _exact_identity_inputs():
+            coeffs = charpoly(d)
+            for z in self.ZS:
+                assert _first_return_det(d, order, transversal, z) == poly_eval(coeffs, z)
+                count += 1
+        assert count > 450
+
+    def test_a_transversal_missing_a_cycle_breaks_the_identity(self):
+        # mutation: W's first vertex moves to the end of the peel order, so
+        # the rest may hold a cycle through it, and rows before it read it unset
+        failed = []
+        for d, order, transversal in _exact_identity_inputs():
+            wrong = _first_return_det(d, [*order, transversal[0]], transversal[1:], F(1, 2))
+            failed.append(wrong != poly_eval(charpoly(d), F(1, 2)))
+        assert all(failed)
+
+    def test_extension_solves_the_rest_exactly(self):
+        # values on W extend over R to x with x_v = z (A x)_v at every v of R
+        for d, order, transversal in itertools.islice(_exact_identity_inputs(), 40):
+            values = [F(j + 1, 7) for j in range(len(transversal))]
+            x = spectral.first_return(d.adjacency, order, transversal, F(1, 2), values)
+            assert [x[w] for w in transversal] == values
+            for v in order:
+                assert x[v] == F(1, 2) * sum(a * x[u] for u, a in d.adjacency[v].items())
+
+
+def _route_inputs(name: str):
+    """The (label, digraph, component) inputs of one pinned group of route runs."""
+    if name == "families":
+        for family in sorted(FLOAT_FAMILIES):
+            for n in [*range(2, 150, 8), 150]:
+                d = _float_truncation(family, n)
+                for comp in _strong_components(d):
+                    yield f"{family}:{n}", d, comp
+    elif name == "corollary1-600":
+        d = _float_truncation("corollary1", 600)
+        for comp in _strong_components(d):
+            yield "corollary1:600", d, comp
+    else:
+        for seed in range(6):
+            d = _sparse_strong_digraph(seed, _SPARSE_THRESHOLD + seed * 11)
+            for comp in _strong_components(d):
+                yield f"sparse:{seed}", d, comp
+
+
+def _route_digest(name: str) -> str:
+    """sha256 over each route run's bracket ends (``float.hex``) and vector bytes."""
+    lines = []
+    for label, d, comp in _route_inputs(name):
+        route = _transversal_route(edge_operator(d, comp))
+        if route is None:
+            lines.append(f"{label}:None")
+        else:
+            lo, hi, x = route
+            lines.append(f"{label}:{lo.hex()}:{hi.hex()}:"
+                         f"{hashlib.sha256(x.tobytes()).hexdigest()}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Pinned with numpy's LAPACK eigensolver on x86-64: a refactor of the route
+# must keep every bracket end and vector bit for bit.
+ROUTE_DIGEST_CASES = {
+    "families": "1f97bfbf4701fcda2637788fc5ac302f29c80fc17d8ae8c1f8821152e7051047",
+    "corollary1-600": "9f869084bf504513cad26cc5235f2df9f4532c947d166996d8877442a2532de2",
+    "sparse": "637f335cb96a7a25e695b0904dc91fc9f1eb3804fa07e7e7150ffa3f31273caa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_DIGEST_CASES))
+def test_route_output_is_pinned_bit_for_bit(name):
+    assert _route_digest(name) == ROUTE_DIGEST_CASES[name]
 
 
 class TestExactBrackets:
