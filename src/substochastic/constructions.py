@@ -820,6 +820,13 @@ def _int_list(at: str, values) -> list[int]:
     return [_integer(at, value) for value in values]
 
 
+def _length(at: str, value) -> int:
+    x = _integer(at, value)
+    if x < 1:
+        raise ValueError(f"{at}: length {x} must be >= 1")
+    return x
+
+
 def _one_minus_inverse(lengths: Callable[[int], int]) -> Callable[[int], Fraction]:
     return lambda k: 1 - Fraction(1, lengths(k))
 
@@ -840,14 +847,16 @@ _SEQUENCES = {
     "one-minus-geometric": ({"ratio": "1/2"}, lambda at, ratio: lambda k, r=_number(
         f"{at}.ratio", ratio): 1 - r**k),
 }
-_LENGTHS = {**_SEQUENCES, "list": _SEQUENCES["int-list"], "constant": (
-    {"value": ...}, lambda at, value: lambda k, v=_integer(at, value): v)}
+# a length list or constant is checked here, not by the generator at some n
+_LENGTH_LIST = ({"values": ...}, lambda at, values: [_length(at, v) for v in values])
+_LENGTHS = {**_SEQUENCES, "list": _LENGTH_LIST, "int-list": _LENGTH_LIST, "constant": (
+    {"value": ...}, lambda at, value: lambda k, v=_length(at, value): v)}
 _GAPS = {
     "exp2": ({}, lambda at: GapTarget.exp2()),
     "power": ({"exponent": 2}, lambda at, exponent: GapTarget.power(
         _integer(f"{at}.exponent", exponent))),
     "constant": ({"value": ...}, lambda at, value: GapTarget.constant(
-        _number(f"{at}.value", value))),
+        _positive(f"{at}.value", value))),
 }
 _LIFETIMES = {
     **_LIST,

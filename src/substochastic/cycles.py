@@ -9,13 +9,20 @@ exactly once with its minimal vertex first.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from itertools import compress
 from typing import Iterable, Iterator
 
-from .digraph import WeightedDigraph, strong_components, strongly_connected_components
+from .digraph import (
+    WeightedDigraph,
+    _integer_weights,
+    strong_components,
+    strongly_connected_components,
+)
 from .errors import BudgetExceededError
 from .rational import is_exact_number, safe_log
 
@@ -176,11 +183,14 @@ class _Induced:
         return filter(self.vertices.__contains__, self.adj[v])
 
 
-def _cycle_paths(d: WeightedDigraph, max_length=None):
+def _cycle_paths(d: WeightedDigraph, max_length=None, adj=None):
     """Yield (live_path, weight) over all simple cycles, minimal vertex first.
 
-    Loops come first; then each nontrivial strong component is searched from
-    its minimal vertex, which is removed before the rest is re-split.  The
+    The weight is the product of the cycle's arc weights in ``adj``: by
+    default ``d.adjacency``, else the same arcs in the same order with other
+    weights (the integer numerators of ``_numerators``).  Loops come first;
+    then each nontrivial strong component is searched from its minimal
+    vertex, which is removed before the rest is re-split.  The
     re-split is skipped unless two vertices keep an arc into the rest (a
     vertex with none is a singleton component), and it roots Tarjan in the
     rest's own iteration order, so the nontrivial components, and the
@@ -188,13 +198,14 @@ def _cycle_paths(d: WeightedDigraph, max_length=None):
     """
     if max_length is not None and max_length < 1:
         return
+    if adj is None:
+        adj = d.adjacency
     for v in range(d.order):
-        w = d.arcs.get((v, v))
+        w = adj[v].get(v)
         if w is not None:
             yield [v], w
     if max_length == 1:
         return
-    adj = d.adjacency
     comps = [set(c) for c in strong_components(d) if len(c) >= 2]
     while comps:
         comp = comps.pop()
@@ -206,6 +217,35 @@ def _cycle_paths(d: WeightedDigraph, max_length=None):
         if next(keep, None) is not None and next(keep, None) is not None:
             comps.extend(set(c) for c in strongly_connected_components(_Induced(adj, comp), comp)
                          if len(c) >= 2)
+
+
+def _numerators(d: WeightedDigraph) -> tuple[int, dict[int, dict[int, int]]]:
+    """``(D, adj)`` for an exact ``d``: D is the lcm of its weight denominators
+    and ``adj[u][v]`` the integer D w_uv, in the order of ``d.adjacency``.
+
+    A cycle of length l multiplies to D^l times its weight, so the exact
+    consumers multiply and compare integers and divide once at the end.
+    """
+    rows = _integer_weights(d)
+    den = math.lcm(*(lcm for lcm, _arcs in rows))
+    adj = {}
+    for u, (lcm, arcs) in enumerate(rows):
+        scale = den // lcm
+        adj[u] = {v: b * scale for v, b in arcs}
+    return den, adj
+
+
+def _fraction_numerators(d: WeightedDigraph):
+    """``_numerators(d)`` when every weight of ``d`` is a ``Fraction``, else None.
+
+    Every cycle of such a digraph weighs a ``Fraction``, which one division
+    by D^l rebuilds.  A cycle of ``int`` arcs weighs an ``int`` and float
+    arcs multiply in floating point, so any other digraph multiplies its
+    own weights.
+    """
+    if all(type(w) is Fraction for w in d.arcs.values()):
+        return _numerators(d)
+    return None
 
 
 class CycleStream:
@@ -239,8 +279,9 @@ def enumerate_cycles(
     """
 
     def gen():
-        for path, weight in _cycle_paths(d, max_length):
-            yield Cycle(tuple(path), weight)
+        den, adj = _fraction_numerators(d) or (None, None)
+        for path, weight in _cycle_paths(d, max_length, adj):
+            yield Cycle(tuple(path), weight if den is None else Fraction(weight, den ** len(path)))
 
     return CycleStream(gen(), max_count)
 
@@ -265,20 +306,33 @@ def sup_cycle_gain(
     valid lower bound) rides on the raised :class:`BudgetExceededError`.
     """
     arc_total = len(d.arcs)
+    # Fraction weights are searched as integer numerators over one denominator D
+    den, adj = _fraction_numerators(d) or (None, None)
     # the best so far as (weight, length, log of a float weight, else None);
     # weight 0 is the zero-gain marker, and one Gain is built at the end
     best_w, best_len, best_log = 0, 1, None
+
+    def best():
+        if not best_w:
+            return GAIN_ZERO
+        return Gain(best_w if den is None else Fraction(best_w, den ** best_len), best_len)
+
     seen = 0
-    for path, weight in _cycle_paths(d, max_length):
+    for path, weight in _cycle_paths(d, max_length, adj):
         length = len(path)
         if proper_only and length == arc_total:
             continue
         if max_count is not None and seen >= max_count:
             raise BudgetExceededError(
                 f"cycle budget {max_count} exhausted; partial max gain attached",
-                partial=Gain(best_w, best_len) if best_w else GAIN_ZERO,
+                partial=best(),
             )
         seen += 1
+        if den is not None:
+            # (a / D^l)^m < (b / D^m)^l iff a^m < b^l: D cancels
+            if not best_w or best_w ** length < weight ** best_len:
+                best_w, best_len = weight, length
+            continue
         if not weight:  # a float product that underflowed is the zero gain
             continue
         if best_log is not None and type(weight) is float:
@@ -293,7 +347,7 @@ def sup_cycle_gain(
                 continue
         best_w, best_len = weight, length
         best_log = math.log(weight) if type(weight) is float else None
-    return Gain(best_w, best_len) if best_w else GAIN_ZERO
+    return best()
 
 
 # ---------------------------------------------------------------------------
@@ -308,40 +362,90 @@ def _succ_sets(d: WeightedDigraph) -> dict[int, set[int]]:
     return succ
 
 
-def _shortest_cycle(succ: dict[int, set[int]], alive: set[int]) -> list[int] | None:
-    """Vertex list of a shortest cycle within ``alive``, or None if acyclic."""
-    for v in sorted(alive):
-        if v in succ[v]:
-            return [v]
-    best: list[int] | None = None
-    for s in sorted(alive):
-        if best is not None and len(best) == 2:
+def _bfs_cycle(succ, alive: set[int], s: int, limit: int) -> tuple[list[int] | None, int]:
+    """``(cycle, reached)``: the cycle a breadth-first search from ``s`` within
+    ``alive`` closes first, if it has at most ``limit`` vertices, else None,
+    and the number of vertices the search reached.
+
+    The search closes a cycle at the first vertex it visits with an arc back
+    to ``s``, which is a shortest cycle through ``s``; the cycle is listed
+    from ``s``.  Levels past ``limit - 1`` are never built.
+    """
+    parent = {s: None}
+    level = [s]
+    for depth in range(limit):
+        deeper = depth + 1 < limit
+        below = []
+        for u in level:
+            if s in succ[u]:
+                cyc = [u]
+                while (u := parent[u]) is not None:
+                    cyc.append(u)
+                cyc.reverse()
+                return cyc, len(parent)
+            if deeper:
+                for w in succ[u]:
+                    if w in alive and w not in parent:
+                        parent[w] = u
+                        below.append(w)
+        if not below:
             break
-        parent = {s: None}
-        queue = deque([s])
-        found = None
-        while queue:
-            u = queue.popleft()
-            for w in succ[u]:
-                if w not in alive:
-                    continue
-                if w == s:
-                    found = u
-                    queue.clear()
+        level = below
+    return None, len(parent)
+
+
+def _shortest_cycles(succ, alive: set[int]) -> Iterator[list[int]]:
+    """Yield a shortest cycle of the digraph induced on ``alive``, again after each
+    time the caller removes vertices from ``alive``, until none is left.
+
+    Each cycle is the one that the breadth-first search (``_bfs_cycle``) from
+    the first start, in increasing order, with a cycle of the girth g
+    closes.  Removing vertices never shortens a cycle, so the starts before
+    that one still have none of length g, and while a g-cycle remains the
+    next answer is the first start at or after the last one whose search,
+    cut off at g, closes one.  When none does, one scan of all starts finds
+    the new girth and its first start, stopping at the first cycle of length
+    g + 1.  Until the scan finds a cycle, its searches count the vertices
+    they reach; once that count reaches twice the number alive, one Kahn
+    peel decides whether any cycle is left (the acyclic exit).  So an
+    acyclic rest costs O(arcs) rather than a search from every start, and a
+    small one is settled by its few searches alone.  ``alive`` may only
+    shrink between yields.
+    """
+    order = sorted(alive)
+    for s in order:  # the girth is 1 while a loop is left
+        while s in alive and s in succ[s]:
+            yield [s]
+    girth, i = 1, len(order)
+    while True:
+        while i < len(order):
+            s = order[i]
+            if s in alive and (cyc := _bfs_cycle(succ, alive, s, girth)[0]) is not None:
+                yield cyc
+            else:
+                i += 1
+        # the girth is now above ``girth``: the first start with a shortest cycle
+        best, limit = None, len(alive)
+        # vertices reached by searches that closed nothing; one peel costs
+        # about as much as searches that reach 2 |alive| vertices
+        spent, peel_at = 0, 2 * len(alive)
+        for j, s in enumerate(order):
+            if s not in alive:
+                continue
+            cyc, reached = _bfs_cycle(succ, alive, s, limit)
+            if cyc is not None:
+                best, limit = (j, cyc), len(cyc) - 1
+                if len(cyc) == girth + 1:
                     break
-                if w not in parent:
-                    parent[w] = u
-                    queue.append(w)
-            if found is not None:
-                break
-        if found is not None:
-            cyc = [found]
-            while parent[cyc[-1]] is not None:
-                cyc.append(parent[cyc[-1]])
-            cyc.reverse()
-            if best is None or len(cyc) < len(best):
-                best = cyc
-    return best
+            elif best is None and spent < peel_at:
+                spent += reached
+                if spent >= peel_at and peel_transversal(succ, alive, 0) is not None:
+                    return
+        if best is None:  # every search closed nothing: acyclic
+            return
+        i, cyc = best
+        girth = len(cyc)
+        yield cyc
 
 
 def peel_transversal(succ, alive: Iterable[int], max_size: int) -> tuple[list[int], list[int]] | None:
@@ -369,7 +473,7 @@ def peel_transversal(succ, alive: Iterable[int], max_size: int) -> tuple[list[in
                 k += 1
                 preds[w].append(u)
         out_deg[u] = k
-    in_deg = None  # in-degrees in the rest, counted once W is first needed
+    in_deg = None  # in-degrees in the rest, in out_deg's order, once W is first needed
     ready = [v for v, k in out_deg.items() if k == 0]
     order: list[int] = []
     chosen: list[int] = []
@@ -381,10 +485,14 @@ def peel_transversal(succ, alive: Iterable[int], max_size: int) -> tuple[list[in
             if len(chosen) == max_size:
                 return None
             if in_deg is None:
-                in_deg = {u: sum(p in out_deg for p in preds[u]) for u in out_deg}
-            # a vertex with a loop never peels, so it is still in the rest
-            v = loops.pop() if loops else max(
-                out_deg, key=lambda u: (in_deg[u] * out_deg[u], -u))
+                # so far only vertices without a successor in the rest peeled,
+                # so every predecessor of a vertex in the rest is in it
+                in_deg = {u: len(preds[u]) for u in out_deg}
+            if loops:  # a vertex with a loop never peels, so it is still in the rest
+                v = loops.pop()
+            else:
+                products = list(map(operator.mul, in_deg.values(), out_deg.values()))
+                v = min(compress(out_deg, map(max(products).__eq__, products)))
             chosen.append(v)
         del out_deg[v]
         for p in preds[v]:
@@ -393,8 +501,9 @@ def peel_transversal(succ, alive: Iterable[int], max_size: int) -> tuple[list[in
                 if out_deg[p] == 0:
                     ready.append(p)
         if in_deg is not None:
+            del in_deg[v]
             for s in succ[v]:
-                if s in out_deg:
+                if s in in_deg:
                     in_deg[s] -= 1
     return order, chosen
 
@@ -402,7 +511,7 @@ def peel_transversal(succ, alive: Iterable[int], max_size: int) -> tuple[list[in
 def _greedy_packing(succ: dict[int, set[int]], alive: set[int]) -> Iterator[list[int]]:
     """Greedy shortest-first vertex-disjoint cycles within ``alive``."""
     alive = set(alive)
-    while (cyc := _shortest_cycle(succ, alive)) is not None:
+    for cyc in _shortest_cycles(succ, alive):
         yield cyc
         alive.difference_update(cyc)
 
@@ -486,17 +595,23 @@ def min_cycle_transversal(d: WeightedDigraph, budget: int = 200_000) -> Transver
     return res
 
 
+def _greedy_transversal(d: WeightedDigraph, succ: dict[int, set[int]]) -> set[int]:
+    """The search's first incumbent: hit each shortest cycle left at its vertex of
+    largest degree (out plus in; the first on ties), until none is left."""
+    degree = Counter(v for arc in d.arcs for v in arc)
+    alive = set(range(d.order))
+    greedy: set[int] = set()
+    for cyc in _shortest_cycles(succ, alive):
+        v = max(cyc, key=degree.__getitem__)
+        greedy.add(v)
+        alive.discard(v)
+    return greedy
+
+
 def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResult, int]:
     succ = _succ_sets(d)
     all_vs = set(range(d.order))
-
-    # greedy initial upper bound: hit shortest cycles at maximum-degree vertices
-    degree = Counter(v for arc in d.arcs for v in arc)  # out-degree plus in-degree
-    greedy: set[int] = set()
-    while (cyc := _shortest_cycle(succ, all_vs - greedy)) is not None:
-        greedy.add(max(cyc, key=degree.__getitem__))
-
-    best = set(greedy)
+    best = _greedy_transversal(d, succ)
     nodes = 0
     exhausted = False
 
@@ -508,7 +623,7 @@ def _branch_and_bound(d: WeightedDigraph, budget: int) -> tuple[TransversalResul
         if nodes > budget:
             exhausted = True
             return
-        cyc = _shortest_cycle(succ, all_vs - removed)
+        cyc = next(_shortest_cycles(succ, all_vs - removed), None)
         if cyc is None:
             best = set(removed)
             return

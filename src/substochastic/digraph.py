@@ -8,6 +8,7 @@ a digraph whose weights are all exact drives the exact-arithmetic code paths.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -170,6 +171,24 @@ def float_weight(arc: Arc, w) -> float:
         return x
     sci = f"{(Decimal(w.numerator) / w.denominator).normalize():e}".replace("e+", "e")
     raise ValueError(f"arc {arc[0] + 1}->{arc[1] + 1} has weight {sci}, outside the float range")
+
+
+def _integer_weights(d: WeightedDigraph) -> tuple:
+    """Per vertex i, ``(L_i, ((j, L_i w_ij), ...))``, L_i the lcm of its out-weight denominators.
+
+    The one place an exact weight becomes an integer (a float enters as its
+    exact binary rational), memoised on ``d``; the arcs keep the order of
+    ``d.adjacency[i]``.
+    """
+    def compute():
+        out = []
+        for i in range(d.order):
+            arcs = [(j, *w.as_integer_ratio()) for j, w in d.adjacency[i].items()]
+            lcm = math.lcm(*(den for _j, _num, den in arcs))
+            out.append((lcm, tuple((j, num * (lcm // den)) for j, num, den in arcs)))
+        return tuple(out)
+
+    return d.memo("integer_weights", compute)
 
 
 def _json_int(x, what: str) -> int:

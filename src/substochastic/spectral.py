@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cycles import enumerate_cycles, peel_transversal
-from .digraph import WeightedDigraph, float_weight, strong_components
+from .cycles import _cycle_paths, _numerators, peel_transversal
+from .digraph import WeightedDigraph, _integer_weights, float_weight, strong_components
 from .errors import BudgetExceededError, SpectralRadiusError
 from .families import TruncationFamily, truncate
 from .rational import charpoly_exact, det_exact, inverse_exact, solve_exact
@@ -486,19 +486,6 @@ def exact_shifted(d: WeightedDigraph, z=1) -> tuple[list[list[int]], list[int]]:
     return rows, scales
 
 
-def _integer_weights(d: WeightedDigraph) -> tuple:
-    """Per vertex i, ``(L_i, ((j, L_i w_ij), ...))``, L_i the lcm of its out-weight denominators."""
-    def compute():
-        out = []
-        for i in range(d.order):
-            arcs = [(j, *w.as_integer_ratio()) for j, w in d.adjacency[i].items()]
-            lcm = math.lcm(*(den for _j, _num, den in arcs))
-            out.append((lcm, tuple((j, num * (lcm // den)) for j, num, den in arcs)))
-        return tuple(out)
-
-    return d.memo("integer_weights", compute)
-
-
 def float_shifted(d: WeightedDigraph) -> np.ndarray:
     """I - A as a dense float array."""
     return np.eye(d.order) - edge_operator(d).toarray()
@@ -533,24 +520,28 @@ def coates_charpoly(d: WeightedDigraph, budget: int = 2_000_000) -> list:
 
     Each union of vertex-disjoint cycles U contributes
     (-1)^{count(U)} weight(U) z^{total_length(U)}.  Exact when the weights
-    are rational.  Exhausting the union budget aborts; partial sums are not
-    valid polynomials and are never returned.
+    are rational: then the cycles are weighed in the integer numerators of
+    one denominator D (``cycles._numerators``), so coefficient k is an
+    integer sum over D^k, divided once.  Exhausting the cycle or union
+    budget aborts; partial sums are not valid polynomials and are never
+    returned.
     """
-    cycles = []
-    stream = enumerate_cycles(d, max_count=budget)
-    for c in stream:
-        mask = 0
-        for v in c.vertices:
-            mask |= 1 << v
-        cycles.append((mask, c.weight, c.length))
-    if stream.truncated:
-        raise BudgetExceededError(
-            f"cycle enumeration exceeded budget {budget} before union assembly"
-        )
-
     exact = d.is_exact
-    coeffs = [Fraction(0) if exact else 0.0] * (d.order + 1)
-    coeffs[0] = Fraction(1) if exact else 1.0
+    den, adj = _numerators(d) if exact else (None, None)
+    cycles = []
+    for path, weight in _cycle_paths(d, None, adj):
+        if len(cycles) == budget:
+            raise BudgetExceededError(
+                f"cycle enumeration exceeded budget {budget} before union assembly"
+            )
+        mask = 0
+        for v in path:
+            mask |= 1 << v
+        cycles.append((mask, weight, len(path)))
+
+    one = 1 if exact else 1.0
+    coeffs = [0 if exact else 0.0] * (d.order + 1)
+    coeffs[0] = one
     m = len(cycles)
     visited = 0
 
@@ -572,7 +563,9 @@ def coates_charpoly(d: WeightedDigraph, budget: int = 2_000_000) -> list:
             coeffs[l2] += sign * w2
             rec(j + 1, cmask | mask, w2, l2, count + 1)
 
-    rec(0, 0, Fraction(1) if exact else 1.0, 0, 0)
+    rec(0, 0, one, 0, 0)
+    if exact:
+        coeffs = [Fraction(c, den**k) for k, c in enumerate(coeffs)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's algorithmic code paths:
 determinants go through Leibniz permutation sums, cycle sets through a naive
 path search, acyclicity through Kahn peeling, and spectra through numpy's
-dense eigensolver.  Thirteen fast paths keep the code they replaced as an
+dense eigensolver.  Fifteen fast paths keep the code they replaced as an
 oracle: exact Perron brackets (the all-ones Fraction-quotient iteration),
 float Perron brackets (the power loop on I + A with its dense-eig fallback,
 without the transversal route), the minimum cycle transversal (the branch
@@ -16,11 +16,16 @@ elimination characteristic polynomial (exact determinants of I - zA at
 z = 0..n, interpolated in integers, not residues modulo word-size primes), the
 check of a family's declared facts (every cycle of every truncation, not
 one peel and one length search on the last), the supremum of cycle gains
-(one ``Gain`` per cycle, not a running weight, length and log), the
+(one ``Gain`` per cycle of Johnson's search, with Fraction products, not a
+running weight, length and log over integer numerators), the
 argmax conjecture scan (one Kahn peel per k-subset, not a pruned search of
 the transversals), Tarjan's strong components (with an on-stack set and a
-``next`` call per arc) and the float arc operator (one pass over the arcs
-per call, not slices of memoised arc arrays).
+``next`` call per arc), the float arc operator (one pass over the arcs
+per call, not slices of memoised arc arrays), the shortest cycle (a
+breadth-first search from every vertex on each call, not a scan that
+resumes after removals) and the Coates assembly of det(I - zA) (Fraction
+products of ``oracle_cycles``, not integer numerators over one
+denominator).
 """
 
 import functools
@@ -29,7 +34,7 @@ import math
 import random
 import sys
 import threading
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
 from fractions import Fraction as F
 from typing import Iterator
@@ -43,13 +48,11 @@ from substochastic.cycles import (
     GAIN_ZERO,
     Gain,
     TransversalResult,
-    _cycle_paths,
-    _shortest_cycle,
     _succ_sets,
     is_cycle_transversal,
     min_cycle_transversal,
 )
-from substochastic.digraph import float_weight
+from substochastic.digraph import _integer_weights, float_weight
 from substochastic.errors import BudgetExceededError
 from substochastic.families import family_to_float
 from substochastic.inequalities import (
@@ -61,7 +64,6 @@ from substochastic.inequalities import (
 from substochastic.rational import det_exact, interpolate_exact
 from substochastic.spectral import (
     _SPARSE_THRESHOLD,
-    _integer_weights,
     EdgeOperator,
     _max_over_components,
     exact_shifted,
@@ -260,14 +262,17 @@ def oracle_sup_cycle_gain(
 ) -> Gain:
     """``sup_cycle_gain`` as it was with one ``Gain`` per cycle, compared by ``Gain.__lt__``.
 
-    The first of equal gains is kept, so a tie between cycles of different
-    weight and length settles on the earlier one.
+    The cycles and their weights (``Fraction`` products) come from
+    ``oracle_cycles``, filtered by length.  The first of equal gains is kept,
+    so a tie between cycles of different weight and length settles on the
+    earlier one.
     """
     arc_total = len(d.arcs)
     best = GAIN_ZERO
     seen = 0
-    for path, weight in _cycle_paths(d, max_length):
-        if proper_only and len(path) == arc_total:
+    for path, weight in oracle_cycles(d):
+        if (max_length is not None and len(path) > max_length) or (
+                proper_only and len(path) == arc_total):
             continue
         if max_count is not None and seen >= max_count:
             raise BudgetExceededError(
@@ -279,6 +284,33 @@ def oracle_sup_cycle_gain(
         if best < g:
             best = g
     return best
+
+
+def oracle_coates_charpoly(d: WeightedDigraph) -> list:
+    """det(I - zA) assembled cycle by cycle as it was before the integer numerators.
+
+    The cycles and their weights (``Fraction`` or float products) come from
+    ``oracle_cycles``, and each union of vertex-disjoint cycles adds its
+    signed weight product to its coefficient, starting from ``Fraction`` 0
+    and 1 on exact digraphs.
+    """
+    cycles = [(frozenset(vs), w, len(vs)) for vs, w in oracle_cycles(d)]
+    exact = d.is_exact
+    coeffs = [F(0) if exact else 0.0] * (d.order + 1)
+    coeffs[0] = F(1) if exact else 1.0
+
+    def rec(i, used, weight, length, count):
+        for j in range(i, len(cycles)):
+            vs, w, k = cycles[j]
+            if vs & used:
+                continue
+            coeffs[length + k] += (-1 if count % 2 == 0 else 1) * (weight * w)
+            rec(j + 1, used | vs, weight * w, length + k, count + 1)
+
+    rec(0, frozenset(), F(1) if exact else 1.0, 0, 0)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def oracle_validate_metadata(family, n_max: int) -> list[str]:
@@ -613,7 +645,7 @@ def oracle_min_cycle_transversal(
     # greedy initial upper bound: hit shortest cycles at maximum-degree vertices
     greedy: set[int] = set()
     while True:
-        cyc = _shortest_cycle(succ, all_vs - greedy)
+        cyc = oracle_shortest_cycle(succ, all_vs - greedy)
         if cyc is None:
             break
         greedy.add(max(cyc, key=lambda v: len(succ[v]) + sum(v in succ[u] for u in all_vs)))
@@ -630,7 +662,7 @@ def oracle_min_cycle_transversal(
         if nodes > budget:
             exhausted = True
             return
-        cyc = _shortest_cycle(succ, all_vs - removed)
+        cyc = oracle_shortest_cycle(succ, all_vs - removed)
         if cyc is None:
             best = set(removed)
             return
@@ -648,7 +680,7 @@ def oracle_min_cycle_transversal(
 
     rec(set(), frozenset())
 
-    assert _shortest_cycle(succ, all_vs - best) is None, "transversal re-verification failed"
+    assert oracle_shortest_cycle(succ, all_vs - best) is None, "transversal re-verification failed"
     result = TransversalResult(frozenset(best), len(best), "upper-bound" if exhausted else "exact")
     return result, nodes
 
@@ -675,11 +707,52 @@ def oracle_scan_argmax_conjecture(d: WeightedDigraph) -> ConjectureRecord:
     return record
 
 
+def oracle_shortest_cycle(succ, alive: set[int]) -> list[int] | None:
+    """Vertex list of a shortest cycle within ``alive``, or None if acyclic.
+
+    The search as it was before it resumed between calls: the smallest
+    vertex with a loop, else a full breadth-first search from every vertex
+    in increasing order, keeping the first shortest cycle found.
+    """
+    for v in sorted(alive):
+        if v in succ[v]:
+            return [v]
+    best: list[int] | None = None
+    for s in sorted(alive):
+        if best is not None and len(best) == 2:
+            break
+        parent = {s: None}
+        queue = deque([s])
+        found = None
+        while queue:
+            u = queue.popleft()
+            for w in succ[u]:
+                if w not in alive:
+                    continue
+                if w == s:
+                    found = u
+                    queue.clear()
+                    break
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+            if found is not None:
+                break
+        if found is not None:
+            cyc = [found]
+            while parent[cyc[-1]] is not None:
+                cyc.append(parent[cyc[-1]])
+            cyc.reverse()
+            if best is None or len(cyc) < len(best):
+                best = cyc
+    return best
+
+
 def _packing_count(succ, alive: set[int]) -> int:
     alive = set(alive)
     count = 0
     while True:
-        cyc = _shortest_cycle(succ, alive)
+        cyc = oracle_shortest_cycle(succ, alive)
         if cyc is None:
             return count
         count += 1

@@ -538,6 +538,19 @@ class TestBoundaryErrors:
         self.assert_one_line_error(proc)
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("family, params, message", [
+        ("corollary1", '{"g": {"kind": "constant", "value": "-1"}}',
+         "error: corollary1 params.g.value: '-1' is not positive"),
+        ("prop1", '{"lengths": [0]}', "error: prop1 params.lengths: length 0 must be >= 1"),
+        ("theorem2-fast", '{"lengths": [0]}',
+         "error: theorem2-fast params.lengths: length 0 must be >= 1"),
+    ], ids=["gap-constant", "prop1-lengths", "theorem2-fast-lengths"])
+    def test_values_a_generator_would_reject_are_named_at_build_time(self, family, params,
+                                                                    message):
+        proc = run_cli(["construct", family, "--params", params, "--emit-truncation", "3"])
+        self.assert_one_line_error(proc)
+        assert proc.stderr.strip() == message
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_declared_lambda(self, value):
         # a declared spectral limit is a Perron radius of a family with cycles

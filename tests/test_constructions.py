@@ -587,6 +587,28 @@ def test_a_builder_range_error_names_its_path_once(name, params, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("corollary1", {"g": {"kind": "constant", "value": "-1"}},
+     "corollary1 params.g.value: '-1' is not positive"),
+    ("theorem2-fast", {"g": {"kind": "constant", "value": 0}},
+     "theorem2-fast params.g.value: 0 is not positive"),
+    ("prop1", {"lengths": [0]}, "prop1 params.lengths: length 0 must be >= 1"),
+    ("prop1", {"lengths": [3, -2]}, "prop1 params.lengths: length -2 must be >= 1"),
+    ("corollary1", {"lengths": {"kind": "int-list", "values": [0, 2]}},
+     "corollary1 params.lengths: length 0 must be >= 1"),
+    ("theorem2-fast", {"lengths": {"kind": "constant", "value": "0"}},
+     "theorem2-fast params.lengths: length 0 must be >= 1"),
+    ("prop1", {"targets": {"kind": "one-minus-inverse-length", "lengths": [0]}},
+     "prop1 params.targets.lengths: length 0 must be >= 1"),
+], ids=["gap-constant", "gap-constant-zero", "prop1-list", "prop1-later-entry", "int-list",
+        "constant", "nested"])
+def test_a_value_the_generator_would_reject_fails_at_build_time(name, params, message):
+    # before any truncation is built, not as "generator failed at n=..."
+    with pytest.raises(ValueError) as info:
+        family_from_config(name, params)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("value", ["\u0663/\u0664", "1_0/2_0", "1/0", "3 / 4", "0x10", "inf",
                                    True])
 def test_a_parameter_outside_the_weight_grammar_is_rejected(value):

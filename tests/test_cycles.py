@@ -25,7 +25,8 @@ from substochastic.constructions import (
     f_geometric,
     family_from_config,
 )
-from substochastic.cycles import _cycle_paths, _greedy_packing, _succ_sets
+from substochastic.cycles import _cycle_paths, _greedy_packing, _shortest_cycles, _succ_sets
+from substochastic.spectral import coates_charpoly
 from substochastic.families import family_to_float
 from substochastic.inequalities import instance_stream, random_strong_digraph
 
@@ -35,7 +36,9 @@ from conftest import (
     brute_min_fvs,
     k3,
     loop,
+    oracle_coates_charpoly,
     oracle_cycles,
+    oracle_shortest_cycle,
     oracle_sup_cycle_gain,
     seeded_digraph,
     triangle,
@@ -418,6 +421,104 @@ class TestPacking:
             assert not (seen & set(c)) and len(set(c)) == len(c)
             seen |= set(c)
         assert len(cycles) <= min_cycle_transversal(d).size
+
+
+def arbitrary_digraph(rng: random.Random, order: int, weight=lambda rng: F(1, 2)) -> WeightedDigraph:
+    """Arcs drawn with one density from sparse (long shortest cycles) to dense,
+    loops on about a tenth of the vertices; not necessarily strongly connected."""
+    density = rng.uniform(0.05, 0.5)
+    return WeightedDigraph(order, {
+        (u, v): weight(rng) for u in range(order) for v in range(order)
+        if rng.random() < (0.1 if u == v else density)})
+
+
+# after a cycle is yielded: one of its vertices goes (the greedy incumbent),
+# all of it (the packing), or any vertex still alive, on the cycle or not
+REMOVALS = {
+    "one-vertex": lambda rng, cyc, alive: {rng.choice(cyc)},
+    "whole-cycle": lambda rng, cyc, alive: set(cyc),
+    "any-vertex": lambda rng, cyc, alive: {rng.choice(sorted(alive))},
+}
+
+
+class TestResumableScan:
+    """``_shortest_cycles`` against a search from every start on each call
+    (``conftest.oracle_shortest_cycle``), on the same set after every removal."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 14), st.sampled_from(sorted(REMOVALS)),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_each_cycle_is_the_oracles_after_every_removal(self, seed, order, removal, sets):
+        rng = random.Random(f"scan:{seed}")
+        d = arbitrary_digraph(rng, order)
+        succ = _succ_sets(d) if sets else d.adjacency  # sets, or dicts in arc order
+        alive = set(range(order))
+        scan = _shortest_cycles(succ, alive)
+        while True:
+            want = oracle_shortest_cycle(succ, alive)
+            assert next(scan, None) == want
+            if want is None:
+                break
+            alive -= REMOVALS[removal](rng, want, alive)
+
+    @pytest.mark.parametrize("name, n", [("corollary1", 120), ("prop1", 120), ("example1", 60)])
+    def test_family_truncations_one_vertex_at_a_time(self, name, n):
+        d = truncate(family_from_config(name), n)
+        succ = _succ_sets(d)
+        alive = set(range(n))
+        for cyc in _shortest_cycles(succ, alive):
+            assert cyc == oracle_shortest_cycle(succ, alive)
+            alive.discard(max(cyc))
+        assert oracle_shortest_cycle(succ, alive) is None
+
+    def test_empty_and_acyclic_sets_yield_nothing(self):
+        assert list(_shortest_cycles({}, set())) == []
+        path = {0: {1}, 1: {2}, 2: set()}
+        assert list(_shortest_cycles(path, {0, 1, 2})) == []
+
+
+# every weight an int, a Fraction, or a mix of the exact and float kinds: a
+# cycle's weight is an int only if all its arcs are, a Fraction if any is
+WEIGHT_KINDS = {
+    "fraction": lambda rng: F(rng.randint(1, 9), rng.randint(1, 40)),
+    "int": lambda rng: rng.randint(1, 3),
+    "int-and-fraction": lambda rng: rng.choice([rng.randint(1, 3), F(rng.randint(1, 9), 7)]),
+    "float": lambda rng: rng.uniform(0.05, 1.0),
+    "float-and-fraction": lambda rng: rng.choice([rng.uniform(0.05, 1.0), F(1, rng.randint(1, 9))]),
+}
+
+
+class TestIntegerNumerators:
+    """Exact cycle weights searched as integers over one denominator, against
+    the Fraction products of ``oracle_cycles``: same values and types."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.sampled_from(sorted(WEIGHT_KINDS)))
+    @settings(max_examples=120, deadline=None)
+    def test_weights_gains_and_coates_as_the_oracles(self, seed, order, kind):
+        rng = random.Random(f"numerators:{seed}")
+        d = arbitrary_digraph(rng, order, WEIGHT_KINDS[kind])
+        assert_matches_johnson(d)
+        count = len(oracle_cycles(d))
+        for proper_only in (True, False):
+            for max_count in (None, *range(count + 1)):
+                kwargs = dict(proper_only=proper_only, max_count=max_count)
+                kind_got, got = gain_search(sup_cycle_gain, d, **kwargs)
+                kind_want, want = gain_search(oracle_sup_cycle_gain, d, **kwargs)
+                assert (kind_got, type(got.weight), got.weight, got.length) == (
+                    kind_want, type(want.weight), want.weight, want.length)
+        got, want = coates_charpoly(d), oracle_coates_charpoly(d)
+        assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_family_coates_as_the_oracle(self, name):
+        d = truncate(family_from_config(name), 12)
+        got, want = coates_charpoly(d), oracle_coates_charpoly(d)
+        assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
+
+    def test_a_cycle_of_int_arcs_weighs_an_int(self):
+        d = WeightedDigraph(3, {(0, 1): 2, (1, 0): 3, (1, 2): F(1, 2), (2, 1): F(1, 3)})
+        assert [(c.vertices, type(c.weight), c.weight) for c in enumerate_cycles(d)] == [
+            ((0, 1), int, 6), ((1, 2), F, F(1, 6))]
 
 
 class TestGainBridging:

@@ -83,6 +83,39 @@ def test_larger_random_matches_oracle(order, seed):
 LARGE_POOL_NODES = [218, 58, 67, 135, 362, 430, 196, 72, 343, 74]
 
 
+# breadth-first searches (``cycles._bfs_cycle`` calls) of two large searches
+# that resume the shortest-cycle scan: the greedy incumbent of corollary1 at
+# n = 1600 (56 vertices) and the whole transversal search of example1 with
+# the power-law lifetime at n = 3000 (the hub alone).  A scan that went back
+# to the first start after each cycle made 29,652 searches in the first (and
+# still 3 in the second); one without the acyclic exit made 3,143 and 2,999.
+GREEDY_SEARCHES_COROLLARY1_1600 = 1932
+SEARCHES_EXAMPLE1_POWER_3000 = 3
+
+
+@pytest.fixture
+def searches(monkeypatch) -> list:
+    """The start of every breadth-first search of the shortest-cycle scan, in order."""
+    starts = []
+    search = cycles._bfs_cycle
+    monkeypatch.setattr(cycles, "_bfs_cycle",
+                        lambda succ, alive, s, limit: starts.append(s) or search(succ, alive, s, limit))
+    return starts
+
+
+def test_greedy_incumbent_search_count_is_pinned(searches):
+    d = truncate(family_from_config("corollary1"), 1600)
+    greedy = cycles._greedy_transversal(d, _succ_sets(d))
+    assert (len(greedy), len(searches)) == (56, GREEDY_SEARCHES_COROLLARY1_1600)
+
+
+def test_example1_power_search_count_is_pinned(searches):
+    fam = family_from_config("example1", {"a": "1/2", "f": {"kind": "power", "epsilon": 0.5}})
+    res = min_cycle_transversal(truncate(fam, 3000))
+    assert (res.vertices, res.optimality) == (frozenset({0}), "exact")
+    assert len(searches) == SEARCHES_EXAMPLE1_POWER_3000
+
+
 def test_a_result_that_leaves_a_cycle_raises(monkeypatch):
     # an explicit check, not an assert, so that ``python -O`` keeps it
     monkeypatch.setattr(cycles, "peel_transversal", lambda succ, alive, max_size: None)
