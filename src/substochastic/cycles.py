@@ -220,8 +220,9 @@ def _cycle_paths(d: WeightedDigraph, max_length=None, adj=None):
 
 
 def _numerators(d: WeightedDigraph) -> tuple[int, dict[int, dict[int, int]]]:
-    """``(D, adj)`` for an exact ``d``: D is the lcm of its weight denominators
-    and ``adj[u][v]`` the integer D w_uv, in the order of ``d.adjacency``.
+    """``(D, adj)``: D is the lcm of the weight denominators of ``d`` (a float
+    weight's exact binary rational) and ``adj[u][v]`` the integer D w_uv, in
+    the order of ``d.adjacency``.
 
     A cycle of length l multiplies to D^l times its weight, so the exact
     consumers multiply and compare integers and divide once at the end.
@@ -233,19 +234,6 @@ def _numerators(d: WeightedDigraph) -> tuple[int, dict[int, dict[int, int]]]:
         scale = den // lcm
         adj[u] = {v: b * scale for v, b in arcs}
     return den, adj
-
-
-def _fraction_numerators(d: WeightedDigraph):
-    """``_numerators(d)`` when every weight of ``d`` is a ``Fraction``, else None.
-
-    Every cycle of such a digraph weighs a ``Fraction``, which one division
-    by D^l rebuilds.  A cycle of ``int`` arcs weighs an ``int`` and float
-    arcs multiply in floating point, so any other digraph multiplies its
-    own weights.
-    """
-    if all(type(w) is Fraction for w in d.arcs.values()):
-        return _numerators(d)
-    return None
 
 
 class CycleStream:
@@ -279,7 +267,7 @@ def enumerate_cycles(
     """
 
     def gen():
-        den, adj = _fraction_numerators(d) or (None, None)
+        den, adj = _numerators(d) if d.is_exact else (None, None)
         for path, weight in _cycle_paths(d, max_length, adj):
             yield Cycle(tuple(path), weight if den is None else Fraction(weight, den ** len(path)))
 
@@ -306,16 +294,17 @@ def sup_cycle_gain(
     valid lower bound) rides on the raised :class:`BudgetExceededError`.
     """
     arc_total = len(d.arcs)
-    # Fraction weights are searched as integer numerators over one denominator D
-    den, adj = _fraction_numerators(d) or (None, None)
-    # the best so far as (weight, length, log of a float weight, else None);
-    # weight 0 is the zero-gain marker, and one Gain is built at the end
-    best_w, best_len, best_log = 0, 1, None
+    exact = d.is_exact
+    # an exact d is searched as integer numerators over one denominator D
+    den, adj = _numerators(d) if exact else (1, None)
+    # the best so far as (weight, length, and on a float d its log, -inf before
+    # the first); weight 0 is the zero-gain marker, and one Gain is built at the end
+    best_w, best_len, best_log = 0, 1, -math.inf
 
     def best():
         if not best_w:
             return GAIN_ZERO
-        return Gain(best_w if den is None else Fraction(best_w, den ** best_len), best_len)
+        return Gain(Fraction(best_w, den ** best_len) if exact else best_w, best_len)
 
     seen = 0
     for path, weight in _cycle_paths(d, max_length, adj):
@@ -328,25 +317,14 @@ def sup_cycle_gain(
                 partial=best(),
             )
         seen += 1
-        if den is not None:
+        if exact:
             # (a / D^l)^m < (b / D^m)^l iff a^m < b^l: D cancels
             if not best_w or best_w ** length < weight ** best_len:
                 best_w, best_len = weight, length
-            continue
-        if not weight:  # a float product that underflowed is the zero gain
-            continue
-        if best_log is not None and type(weight) is float:
-            # Gain's float comparison, with the best's log taken once
-            log_w = math.log(weight)
+        elif weight:  # a float product that underflowed is the zero gain
+            log_w = safe_log(weight)
             if length * best_log < best_len * log_w:
                 best_w, best_len, best_log = weight, length, log_w
-            continue
-        if best_w:
-            lhs, rhs = _cross(best_w, best_len, weight, length)
-            if not lhs < rhs:
-                continue
-        best_w, best_len = weight, length
-        best_log = math.log(weight) if type(weight) is float else None
     return best()
 
 

@@ -1,8 +1,12 @@
 """Finite weighted digraphs, weighting classes, and JSON I/O.
 
-Vertices are 0-based internally; the JSON interchange format is 1-based.
-Weights are positive and either exact (``int``/``Fraction``) or ``float``;
-a digraph whose weights are all exact drives the exact-arithmetic code paths.
+Vertices are 0-based internally; the JSON interchange format is 1-based, and
+so is every arc an error message names.  Weights are positive ``int``,
+``Fraction`` or ``float`` values.  A digraph is exact iff every weight is an
+``int`` or a ``Fraction``: ``is_exact`` is the one arithmetic decision, and no
+layer looks at the types of single weights.  An exact digraph's cycles weigh
+``Fraction``s, as its determinant coefficients do; a float digraph's
+determinant coefficients are exact ones rounded once.
 """
 
 from __future__ import annotations
@@ -63,9 +67,9 @@ class WeightedDigraph:
             raise ValueError("order must be nonnegative")
         for (u, v), w in self.arcs.items():
             if not (0 <= u < self.order and 0 <= v < self.order):
-                raise ValueError(f"arc ({u},{v}) outside vertex range [0,{self.order})")
+                raise ValueError(f"arc {u + 1}->{v + 1} outside vertex range [1,{self.order}]")
             if not w > 0:
-                raise ValueError(f"arc ({u},{v}) has nonpositive weight {w!r}")
+                raise ValueError(f"arc {u + 1}->{v + 1} has nonpositive weight {_shown(w)}")
 
     # -- basic views --------------------------------------------------------
 
@@ -130,7 +134,13 @@ class WeightedDigraph:
 
     @staticmethod
     def from_json_dict(obj: Mapping, mode: str = "exact") -> "WeightedDigraph":
-        """Parse ``{"order": n, "arcs": [[u, v, w], ...]}``; schema errors raise ValueError."""
+        """Parse ``{"order": n, "arcs": [[u, v, w], ...]}``; schema errors raise ValueError.
+
+        Every weight is parsed exactly; ``mode="float"`` then rounds the
+        digraph through ``to_float``.
+        """
+        if mode not in ("exact", "float"):
+            raise ValueError(f"unknown arithmetic mode {mode!r}")
         if not isinstance(obj, Mapping):
             raise ValueError("digraph JSON must be an object")
         unknown = sorted(set(obj) - {"order", "arcs"}, key=str)
@@ -149,8 +159,9 @@ class WeightedDigraph:
             key = (_json_int(u, "arc endpoint") - 1, _json_int(v, "arc endpoint") - 1)
             if key in arcs:
                 raise ValueError(f"duplicate arc {u}->{v}")
-            arcs[key] = parse_weight(str(w), mode)
-        return WeightedDigraph(order, arcs)
+            arcs[key] = parse_weight(str(w))
+        d = WeightedDigraph(order, arcs)
+        return d.to_float() if mode == "float" else d
 
     @staticmethod
     def from_json(text: str, mode: str = "exact") -> "WeightedDigraph":
@@ -160,8 +171,8 @@ class WeightedDigraph:
 def float_weight(arc: Arc, w) -> float:
     """The weight ``w`` of ``arc`` as a float.
 
-    An exact weight that overflows a float or rounds to 0 raises ValueError
-    naming the 1-based arc and the weight in scientific notation.
+    The one place an exact weight is refused as a float: one that overflows
+    or rounds to 0 raises ValueError naming the 1-based arc and the weight.
     """
     try:
         x = float(w)
@@ -169,8 +180,20 @@ def float_weight(arc: Arc, w) -> float:
         x = 0.0
     if x:  # weights are positive: 0.0 is an underflow
         return x
-    sci = f"{(Decimal(w.numerator) / w.denominator).normalize():e}".replace("e+", "e")
-    raise ValueError(f"arc {arc[0] + 1}->{arc[1] + 1} has weight {sci}, outside the float range")
+    raise ValueError(f"arc {arc[0] + 1}->{arc[1] + 1} has weight {_shown(w)}, "
+                     "outside the float range")
+
+
+def _shown(w) -> str:
+    """``w`` in the weight grammar, or in scientific notation past 24 characters.
+
+    A float's repr is never longer, and a weight outside the float range always is.
+    """
+    text = weight_to_str(w)
+    if len(text) <= 24:
+        return text
+    num, den = w.as_integer_ratio()
+    return f"{(Decimal(num) / den).normalize():e}".replace("e+", "e")
 
 
 def _integer_weights(d: WeightedDigraph) -> tuple:

@@ -33,27 +33,14 @@ _WEIGHT = re.compile(
     r"\s*[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*")
 
 
-def parse_weight(text: str, mode: str = "exact"):
-    """Parse a weight string, either a decimal like ``"0.25"`` or ``"3/4"``.
+def parse_weight(text: str) -> Fraction:
+    """Parse a weight string, either a decimal like ``"0.25"`` or ``"3/4"``, exactly.
 
-    Text outside that grammar (``_WEIGHT``) raises ValueError naming it.  In
-    ``exact`` mode the result is a Fraction; in ``float`` mode a float, and
-    a nonzero weight that overflows or rounds to zero raises ValueError.
+    Text outside that grammar (``_WEIGHT``) raises ValueError naming it.
     """
     if not _WEIGHT.fullmatch(text):
         raise ValueError(f"weight {text!r} is not a decimal or p/q with q > 0")
-    value = Fraction(text.strip())
-    if mode == "exact":
-        return value
-    if mode == "float":
-        try:
-            as_float = float(value)
-        except OverflowError:
-            as_float = None
-        if value and not as_float:
-            raise ValueError(f"weight {text.strip()} is outside the float range")
-        return as_float
-    raise ValueError(f"unknown arithmetic mode {mode!r}")
+    return Fraction(text.strip())
 
 
 def weight_to_str(w) -> str:
@@ -66,6 +53,8 @@ def weight_to_str(w) -> str:
 
 def safe_log(x) -> float:
     """log of a positive number that may be a Fraction too large for float()."""
+    if type(x) is float:  # the common case, before the slower isinstance test of an ABC
+        return math.log(x)
     if isinstance(x, Fraction):
         return math.log(x.numerator) - math.log(x.denominator)
     return math.log(x)

@@ -519,15 +519,15 @@ def coates_charpoly(d: WeightedDigraph, budget: int = 2_000_000) -> list:
     """Coefficients (ascending in z) of det(I - zA) assembled cycle by cycle.
 
     Each union of vertex-disjoint cycles U contributes
-    (-1)^{count(U)} weight(U) z^{total_length(U)}.  Exact when the weights
-    are rational: then the cycles are weighed in the integer numerators of
-    one denominator D (``cycles._numerators``), so coefficient k is an
-    integer sum over D^k, divided once.  Exhausting the cycle or union
-    budget aborts; partial sums are not valid polynomials and are never
-    returned.
+    (-1)^{count(U)} weight(U) z^{total_length(U)}.  The cycles are weighed
+    in the integer numerators of one denominator D (``cycles._numerators``;
+    a float weight enters as its exact binary rational), so coefficient k is
+    an integer sum over D^k, divided once: exact, and rounded once to a
+    float on a float digraph, as ``charpoly``'s elimination is.  Exhausting
+    the cycle or union budget aborts; partial sums are not valid polynomials
+    and are never returned.
     """
-    exact = d.is_exact
-    den, adj = _numerators(d) if exact else (None, None)
+    den, adj = _numerators(d)
     cycles = []
     for path, weight in _cycle_paths(d, None, adj):
         if len(cycles) == budget:
@@ -539,9 +539,7 @@ def coates_charpoly(d: WeightedDigraph, budget: int = 2_000_000) -> list:
             mask |= 1 << v
         cycles.append((mask, weight, len(path)))
 
-    one = 1 if exact else 1.0
-    coeffs = [0 if exact else 0.0] * (d.order + 1)
-    coeffs[0] = one
+    coeffs = [1] + [0] * d.order
     m = len(cycles)
     visited = 0
 
@@ -563,12 +561,11 @@ def coates_charpoly(d: WeightedDigraph, budget: int = 2_000_000) -> list:
             coeffs[l2] += sign * w2
             rec(j + 1, cmask | mask, w2, l2, count + 1)
 
-    rec(0, 0, one, 0, 0)
-    if exact:
-        coeffs = [Fraction(c, den**k) for k, c in enumerate(coeffs)]
+    rec(0, 0, 1, 0, 0)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return coeffs
+    coeffs = [Fraction(c, den**k) for k, c in enumerate(coeffs)]
+    return coeffs if d.is_exact else [float(c) for c in coeffs]
 
 
 def charpoly(d: WeightedDigraph, method: str = "elimination", budget: int = 2_000_000) -> list:
@@ -576,11 +573,12 @@ def charpoly(d: WeightedDigraph, method: str = "elimination", budget: int = 2_00
 
     The elimination route reduces the integer rows of I - zA to Hessenberg
     form modulo word-size primes and reconstructs the exact coefficients by
-    the Chinese remainder theorem (:func:`rational.charpoly_exact`); float
-    weights are lifted to their exact binary rationals first, so both routes
-    are exact and the two methods are independent of each other.  The
-    coefficients are memoised on ``d`` per method (and per budget for Coates,
-    whose budget can fail a call).
+    the Chinese remainder theorem (:func:`rational.charpoly_exact`).  Both
+    routes lift float weights to their exact binary rationals and round each
+    exact coefficient once, so they agree bit for bit in either arithmetic
+    while sharing no step past the integer weights.  The coefficients are
+    memoised on ``d`` per method (and per budget for Coates, whose budget
+    can fail a call).
     """
     if method == "coates":
         return list(d.memo(("charpoly", method, budget),

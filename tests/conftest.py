@@ -61,7 +61,7 @@ from substochastic.inequalities import (
     instance_stream,
     random_strong_digraph,
 )
-from substochastic.rational import det_exact, interpolate_exact
+from substochastic.rational import det_exact, interpolate_exact, safe_log
 from substochastic.spectral import (
     _SPARSE_THRESHOLD,
     EdgeOperator,
@@ -120,14 +120,23 @@ def brute_cycles(d: WeightedDigraph, max_length=None) -> set[tuple[int, ...]]:
     return found
 
 
+def lifted(d: WeightedDigraph) -> WeightedDigraph:
+    """The same digraph with every weight as its exact rational (a float's binary one)."""
+    return WeightedDigraph(d.order, {a: F(w) for a, w in d.arcs.items()})
+
+
 def oracle_cycles(d: WeightedDigraph) -> list[tuple[tuple[int, ...], object]]:
     """Every simple cycle as ``(vertices, weight)``, in the order the library yields them.
 
     Loops first, then Johnson's blocked search (SIAM J. Comput. 4(1), 1975)
     from the minimal vertex of each nontrivial strong component, which is
     removed before the rest is re-split: the unbounded enumeration as it was
-    before the lock search took it over.
+    before the lock search took it over.  The weights are ``Fraction``
+    products on an exact digraph, ``int`` arcs included, and products of
+    the weights as they are otherwise.
     """
+    if d.is_exact:
+        d = lifted(d)
     out = [((v,), d.arcs[(v, v)]) for v in range(d.order) if (v, v) in d.arcs]
     adj = {v: [] for v in range(d.order)}
     for (u, v), w in d.arcs.items():
@@ -262,10 +271,11 @@ def oracle_sup_cycle_gain(
 ) -> Gain:
     """``sup_cycle_gain`` as it was with one ``Gain`` per cycle, compared by ``Gain.__lt__``.
 
-    The cycles and their weights (``Fraction`` products) come from
-    ``oracle_cycles``, filtered by length.  The first of equal gains is kept,
-    so a tie between cycles of different weight and length settles on the
-    earlier one.
+    The cycles and their weights come from ``oracle_cycles``, filtered by
+    length.  A float digraph's gains compare by logs instead, each weight's
+    log against the best's; an underflowed weight 0.0 never wins.  The
+    first of equal gains is kept, so a tie between cycles of different
+    weight and length settles on the earlier one.
     """
     arc_total = len(d.arcs)
     best = GAIN_ZERO
@@ -281,7 +291,11 @@ def oracle_sup_cycle_gain(
             )
         seen += 1
         g = Gain(weight, len(path))
-        if best < g:
+        if d.is_exact:
+            if best < g:
+                best = g
+        elif weight and (best is GAIN_ZERO or best.length * safe_log(weight)
+                         > g.length * safe_log(best.weight)):
             best = g
     return best
 
@@ -289,15 +303,15 @@ def oracle_sup_cycle_gain(
 def oracle_coates_charpoly(d: WeightedDigraph) -> list:
     """det(I - zA) assembled cycle by cycle as it was before the integer numerators.
 
-    The cycles and their weights (``Fraction`` or float products) come from
-    ``oracle_cycles``, and each union of vertex-disjoint cycles adds its
-    signed weight product to its coefficient, starting from ``Fraction`` 0
-    and 1 on exact digraphs.
+    The cycles and their ``Fraction`` weights come from ``oracle_cycles`` of
+    the exact lift of ``d``, and each union of vertex-disjoint cycles adds
+    its signed weight product to its coefficient, starting from ``Fraction``
+    0 and 1.  A float digraph's coefficients are then rounded once.
     """
+    if not d.is_exact:
+        return [float(c) for c in oracle_coates_charpoly(lifted(d))]
     cycles = [(frozenset(vs), w, len(vs)) for vs, w in oracle_cycles(d)]
-    exact = d.is_exact
-    coeffs = [F(0) if exact else 0.0] * (d.order + 1)
-    coeffs[0] = F(1) if exact else 1.0
+    coeffs = [F(1)] + [F(0)] * d.order
 
     def rec(i, used, weight, length, count):
         for j in range(i, len(cycles)):
@@ -307,7 +321,7 @@ def oracle_coates_charpoly(d: WeightedDigraph) -> list:
             coeffs[length + k] += (-1 if count % 2 == 0 else 1) * (weight * w)
             rec(j + 1, used | vs, weight * w, length + k, count + 1)
 
-    rec(0, frozenset(), F(1) if exact else 1.0, 0, 0)
+    rec(0, frozenset(), F(1), 0, 0)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

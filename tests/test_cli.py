@@ -393,8 +393,8 @@ class TestBoundaryErrors:
     @pytest.mark.parametrize(
         "weight,mode,message",
         [
-            ("1e400", "float", "weight 1e400 is outside the float range"),
-            ("1e-400", "float", "weight 1e-400 is outside the float range"),
+            ("1e400", "float", "arc 1->2 has weight 1e400, outside the float range"),
+            ("1e-400", "float", "arc 1->2 has weight 1e-400, outside the float range"),
             ("1e400", "exact", "arc 1->2 has weight 1e400, outside the float range"),
             ("1e-400", "exact", "arc 1->2 has weight 1e-400, outside the float range"),
         ],
@@ -406,6 +406,24 @@ class TestBoundaryErrors:
         proc = run_cli(["spectral", "perron", "--digraph", str(path), "--mode", mode])
         self.assert_one_line_error(proc)
         assert message in proc.stderr
+
+    @pytest.mark.parametrize(
+        "arcs, mode, message",
+        [
+            ([[1, 2, "-1/2"], [2, 1, "1/2"]], "exact", "arc 1->2 has nonpositive weight -1/2"),
+            ([[1, 3, "1/2"], [2, 1, "1/2"]], "exact", "arc 1->3 outside vertex range [1,2]"),
+            ([[1, 2, "-1e400"], [2, 1, "1/2"]], "float", "arc 1->2 has nonpositive weight -1e400"),
+        ],
+        ids=["nonpositive", "endpoint", "huge-nonpositive"],
+    )
+    def test_digraph_errors_name_the_arc_one_based(self, tmp_path, arcs, mode, message):
+        # the arc 1-based as in the JSON, the weight in the weight grammar,
+        # and a huge one in scientific form
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"order": 2, "arcs": arcs}))
+        proc = run_cli(["spectral", "perron", "--digraph", str(path), "--mode", mode])
+        self.assert_one_line_error(proc)
+        assert proc.stderr == f"error: {message}\n"
 
     def test_power_iteration_not_converging(self, tmp_path):
         # this bracket keeps a spread of a few ulps, far above a tolerance of 1e-18

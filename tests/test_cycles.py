@@ -35,6 +35,7 @@ from conftest import (
     brute_is_acyclic,
     brute_min_fvs,
     k3,
+    lifted,
     loop,
     oracle_coates_charpoly,
     oracle_cycles,
@@ -477,8 +478,8 @@ class TestResumableScan:
         assert list(_shortest_cycles(path, {0, 1, 2})) == []
 
 
-# every weight an int, a Fraction, or a mix of the exact and float kinds: a
-# cycle's weight is an int only if all its arcs are, a Fraction if any is
+# every weight an int, a Fraction, or a mix of the exact and float kinds: every
+# cycle of an exact digraph weighs a Fraction, whatever its arcs are
 WEIGHT_KINDS = {
     "fraction": lambda rng: F(rng.randint(1, 9), rng.randint(1, 40)),
     "int": lambda rng: rng.randint(1, 3),
@@ -509,16 +510,36 @@ class TestIntegerNumerators:
         got, want = coates_charpoly(d), oracle_coates_charpoly(d)
         assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
 
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.sampled_from(sorted(WEIGHT_KINDS)))
+    @settings(max_examples=120, deadline=None)
+    def test_an_exact_digraph_computes_as_its_fraction_lift(self, seed, order, kind):
+        # an exact digraph's cycle weights, gains and Coates coefficients are
+        # its all-Fraction lift's, as Fractions; a float digraph's Coates
+        # coefficients are its lift's, rounded once
+        rng = random.Random(f"lift:{seed}")
+        d = arbitrary_digraph(rng, order, WEIGHT_KINDS[kind])
+        lift = lifted(d)
+        coates, want = coates_charpoly(d), coates_charpoly(lift)
+        if not d.is_exact:
+            assert [c.hex() for c in coates] == [float(c).hex() for c in want]
+            return
+        assert [(type(c), c) for c in coates] == [(F, c) for c in want]
+        cycles = [(c.vertices, type(c.weight), c.weight) for c in enumerate_cycles(d)]
+        assert cycles == [(c.vertices, F, c.weight) for c in enumerate_cycles(lift)]
+        for proper_only in (True, False):
+            for max_count in (None, *range(len(cycles) + 1)):
+                kwargs = dict(proper_only=proper_only, max_count=max_count)
+                kind_got, got = gain_search(sup_cycle_gain, d, **kwargs)
+                kind_want, want = gain_search(sup_cycle_gain, lift, **kwargs)
+                assert got is GAIN_ZERO or type(got.weight) is F
+                assert (kind_got, type(got.weight), got.weight, got.length) == (
+                    kind_want, type(want.weight), want.weight, want.length)
+
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_family_coates_as_the_oracle(self, name):
         d = truncate(family_from_config(name), 12)
         got, want = coates_charpoly(d), oracle_coates_charpoly(d)
         assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
-
-    def test_a_cycle_of_int_arcs_weighs_an_int(self):
-        d = WeightedDigraph(3, {(0, 1): 2, (1, 0): 3, (1, 2): F(1, 2), (2, 1): F(1, 3)})
-        assert [(c.vertices, type(c.weight), c.weight) for c in enumerate_cycles(d)] == [
-            ((0, 1), int, 6), ((1, 2), F, F(1, 6))]
 
 
 class TestGainBridging:

@@ -150,11 +150,26 @@ class TestJsonInterchange:
         assert isinstance(d.arcs[(0, 0)], float)
         assert not d.is_exact
 
-    @pytest.mark.parametrize("weight", ["1e400", "-1e400", "1e-400"])
-    def test_float_mode_rejects_a_weight_outside_the_float_range(self, weight):
+    @pytest.mark.parametrize("weight, message", [
+        ("1e400", "arc 1->1 has weight 1e400, outside the float range"),
+        ("-1e400", "arc 1->1 has nonpositive weight -1e400"),
+        ("1e-400", "arc 1->1 has weight 1e-400, outside the float range"),
+    ])
+    def test_float_mode_rejects_a_weight_outside_the_float_range(self, weight, message):
         obj = {"order": 1, "arcs": [[1, 1, weight]]}
-        with pytest.raises(ValueError, match=f"weight {weight} is outside the float range"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             WeightedDigraph.from_json_dict(obj, mode="float")
+
+    @pytest.mark.parametrize("arcs, message", [
+        ({(0, 1): F(-1, 2)}, "arc 1->2 has nonpositive weight -1/2"),
+        ({(1, 0): -0.25}, "arc 2->1 has nonpositive weight -0.25"),
+        ({(0, 1): F(-10**400)}, "arc 1->2 has nonpositive weight -1e400"),
+        ({(0, 2): F(1, 2)}, r"arc 1->3 outside vertex range \[1,2\]"),
+        ({(-1, 0): F(1, 2)}, r"arc 0->1 outside vertex range \[1,2\]"),
+    ], ids=["fraction", "float", "huge", "past-the-order", "negative-index"])
+    def test_construction_errors_name_the_arc_one_based(self, arcs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightedDigraph(2, arcs)
 
     @pytest.mark.parametrize("text, value", [
         ("3/4", F(3, 4)), (" 3/4\n", F(3, 4)), ("+1/2", F(1, 2)), ("0.25", F(1, 4)),

@@ -17,9 +17,9 @@ from substochastic.constructions import (
     f_power,
     power_series_sum,
 )
+from substochastic.digraph import WeightedDigraph
 from substochastic.errors import FamilyDefinitionError
 from substochastic.inequalities import random_strong_digraph, run_suite
-from substochastic.rational import parse_weight
 from substochastic.spectral import perron_ladder
 from substochastic.sweeps import fit_decay
 
@@ -40,8 +40,8 @@ CHECKS = [
     (lambda: run_suite("bogus", count=1), ValueError, "unknown suite 'bogus'"),
     (lambda: run_suite("zeta", count=1, mode="float"), ValueError,
      "the zeta suite is exact-only"),
-    (lambda: parse_weight("1/2", mode="decimal"), ValueError,
-     "unknown arithmetic mode 'decimal'"),
+    (lambda: WeightedDigraph.from_json_dict({"order": 2, "arcs": []}, mode="decimal"),
+     ValueError, "unknown arithmetic mode 'decimal'"),
     (lambda: perron_ladder(build_example1(f=f_geometric()), [3], mode="witness"), ValueError,
      "family example1 declares no witness submatrix"),
     (lambda: perron_ladder(build_example1(f=f_geometric()), [3], mode="top"), ValueError,

@@ -66,6 +66,7 @@ from conftest import (
     eig_radius,
     k3,
     leibniz_det,
+    lifted,
     loop,
     oracle_collatz_wielandt_brackets,
     oracle_det,
@@ -689,11 +690,6 @@ EXACT_ROW_DIGRAPHS = [d for d in INTEGER_ROW_DIGRAPHS if d.is_exact]
 SAMPLES = [0, 1, 2, F(1, 3), F(-5, 2)]
 
 
-def _lift(d: WeightedDigraph) -> WeightedDigraph:
-    """The same digraph with every weight as its exact rational."""
-    return WeightedDigraph(d.order, {a: F(w) for a, w in d.arcs.items()})
-
-
 def _zeta_records(monkeypatch, d, v, samples):
     """(inequality, lhs, rhs, margin) of every comparison ``check_zeta_identity`` records."""
     seen = []
@@ -744,10 +740,9 @@ class TestIntegerRows:
 
     @pytest.mark.parametrize("d", INTEGER_ROW_DIGRAPHS, ids=lambda d: f"order{d.order}")
     def test_elimination_matches_coates_and_leibniz(self, d):
-        lifted = _lift(d)
         coeffs = charpoly(d, "elimination")
-        exact = charpoly(lifted, "elimination")
-        assert exact == coates_charpoly(lifted)
+        exact = charpoly(lifted(d), "elimination")
+        assert exact == coates_charpoly(lifted(d))
         if d.is_exact:
             assert coeffs == exact
         else:  # float digraphs get the exact coefficients rounded once
@@ -937,9 +932,30 @@ def _assert_charpoly_as_the_oracles(d: WeightedDigraph) -> list:
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
     if d.order <= 8:
-        exact = coates_charpoly(_lift(d))
-        assert got == (exact if d.is_exact else [float(c) for c in exact])
+        assert [(type(c), c) for c in coates_charpoly(d)] == [(type(c), c) for c in got]
     return got
+
+
+def _bits(coeffs: list) -> list:
+    """Each coefficient's repr: it names the type, and a float's tells its every bit."""
+    return list(map(repr, coeffs))
+
+
+class TestFloatCoates:
+    """Coates and elimination round the same exact coefficients of a float
+    digraph once each, so they agree bit for bit."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_instance_stream(self, seed):
+        (_, d), = instance_stream(seed, 1, 8, mode="float")
+        assert _bits(coates_charpoly(d)) == _bits(charpoly(d))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_family_truncations(self, name, n):
+        d = truncate(family_to_float(family_from_config(name)), n)
+        assert _bits(coates_charpoly(d)) == _bits(charpoly(d))
 
 
 class TestModularCharpoly:
