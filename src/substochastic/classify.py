@@ -225,9 +225,7 @@ def classify_recurrence(
             and Fraction(lam_exact) == 1
         )
         if ones_applicable:
-            cert_ok, strict = verify_pruitt(
-                d, [Fraction(1) if d.is_exact else 1.0] * d.order, 1
-            )
+            cert_ok, strict = verify_pruitt(d, [1] * d.order, 1)
             if cert_ok:
                 strict_v = facts.pruitt_strict_vertex if facts.pruitt_strict_vertex is not None else strict
                 return RecurrenceVerdict(

@@ -21,7 +21,7 @@ from .cycles import (
     min_cycle_transversal,
     sup_cycle_gain,
 )
-from .digraph import WeightedDigraph
+from .digraph import _MODES, WeightedDigraph
 from .families import family_gain, family_to_float, truncate
 from .inequalities import SUITES, run_suite
 from .rational import weight_to_str
@@ -50,14 +50,17 @@ def _emit(text: str, out_path: str | None):
         os.close(devnull)
 
 
+def _read(path: str) -> str:
+    """The text of the file ``path``, or of stdin for '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
 def _load_digraph(args) -> WeightedDigraph:
     if args.digraph:
-        if args.digraph == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.digraph) as fh:
-                text = fh.read()
-        return WeightedDigraph.from_json(text, mode=args.mode)
+        return WeightedDigraph.from_json(_read(args.digraph), mode=args.mode)
     if not args.family:
         args._parser.error("provide --digraph FILE or --family NAME --n N")
     if args.n is None:
@@ -114,6 +117,8 @@ def _cmd_fvs(args) -> int:
 
 def _cmd_omega(args) -> int:
     if args.family and args.n is not None:
+        if args.improper:  # a family's omega counts every cycle of length <= n
+            raise ValueError("--improper applies to --digraph only, not to --family")
         g = family_gain(_load_family(args), args.n)
     else:
         g = sup_cycle_gain(_load_digraph(args), max_length=args.n, proper_only=not args.improper)
@@ -208,11 +213,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            text = fh.read()
+    text = _read(args.input)
     x_col, y_col = 0, 1
     pairs, header = [], None
     for row, line in enumerate(text.splitlines(), 1):
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     out, mode, family, params, digraph = (
         argparse.ArgumentParser(add_help=False) for _ in range(5))
     out.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    mode.add_argument("--mode", choices=("exact", "float"), default="exact",
+    mode.add_argument("--mode", choices=_MODES, default="exact",
                       help="arithmetic mode for weights")
     family.add_argument("--family", choices=BUILTIN_FAMILIES, help="built-in family name")
     params.add_argument("--params", help="family parameters as a JSON object")
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "sweep", _cmd_sweep, [out, params], help="per-n ladder/gain sweep over a family")
     p.add_argument("--family", choices=BUILTIN_FAMILIES, required=True)
     p.add_argument("--n-grid", required=True, help="comma-separated strictly increasing orders")
-    p.add_argument("--mode", choices=("exact", "float"), default="float")
+    p.add_argument("--mode", choices=_MODES, default="float")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--no-fvs", action="store_true", help="skip the transversal column")
 

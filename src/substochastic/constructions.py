@@ -87,27 +87,6 @@ class _Memo1:
         return values[k - 1]
 
 
-class _MemoN:
-    """``compute(n)`` memoised per argument, safe to share across threads.
-
-    Values are stored under the memo's lock and read without it; ``compute``
-    never calls its own memo, so the lock is never re-entered.  Errors are
-    not stored.
-    """
-
-    def __init__(self, compute: Callable[[int], object]):
-        self.compute = compute
-        self.values: dict = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, n: int):
-        if n not in self.values:
-            with self._lock:
-                if n not in self.values:
-                    self.values[n] = self.compute(n)
-        return self.values[n]
-
-
 # ---------------------------------------------------------------------------
 # Epsilon schedules and gap targets
 # ---------------------------------------------------------------------------
@@ -485,7 +464,7 @@ def build_prop1(cycle_lengths, targets, declared_lambda=None) -> TruncationFamil
     )
     return TruncationFamily(
         "prop1", chain.generator, facts,
-        omega_window=window, witness_submatrix=_MemoN(witness),
+        omega_window=window, witness_submatrix=functools.cache(witness),
         extras={"bead_gain": bead_gain, "chain": chain},
     )
 
@@ -616,9 +595,9 @@ class _LongCycleSchedule:
         self.eps = eps
         #: l_k; l_1 = 1 is the loop at vertex 1
         self.length = _Memo1(self._select)
-        self._ln_bounds = _MemoN(self._growth_ln_bounds)
+        self._ln_bounds = _Memo1(self._growth_ln_bounds)
 
-    def _growth_ln_bounds(self, j: int) -> tuple[Fraction, Fraction]:
+    def _growth_ln_bounds(self, j: int, _prev: list) -> tuple[Fraction, Fraction]:
         """A lower bound on ln((1-e)/(1-2e)) and an upper one on ln(2^j (1-e)/e), e = eps_j."""
         e = self.eps(j)
         return ln_bounds((1 - e) / (1 - 2 * e))[0], ln_bounds(2**j * (1 - e) / e)[1]

@@ -171,18 +171,6 @@ def _bounded_paths(adj, comp, start, bound):
                 back = parent_back
 
 
-class _Induced:
-    """The successors in ``adj`` that lie in ``vertices``, read through ``get``
-    as ``strongly_connected_components`` reads its ``succ``."""
-
-    def __init__(self, adj, vertices):
-        self.adj = adj
-        self.vertices = vertices
-
-    def get(self, v, default=()):
-        return filter(self.vertices.__contains__, self.adj[v])
-
-
 def _cycle_paths(d: WeightedDigraph, max_length=None, adj=None):
     """Yield (live_path, weight) over all simple cycles, minimal vertex first.
 
@@ -215,8 +203,9 @@ def _cycle_paths(d: WeightedDigraph, max_length=None, adj=None):
         comp.discard(start)
         keep = (v for v in comp if not comp.isdisjoint(adj[v]))
         if next(keep, None) is not None and next(keep, None) is not None:
-            comps.extend(set(c) for c in strongly_connected_components(_Induced(adj, comp), comp)
-                         if len(c) >= 2)
+            # Tarjan's pass reads each vertex's successors once, so a lazy filter serves
+            succ = {v: filter(comp.__contains__, adj[v]) for v in comp}
+            comps.extend(set(c) for c in strongly_connected_components(succ, comp) if len(c) >= 2)
 
 
 def _numerators(d: WeightedDigraph) -> tuple[int, dict[int, dict[int, int]]]:

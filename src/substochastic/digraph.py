@@ -26,6 +26,15 @@ from .rational import is_exact_number, parse_weight, weight_to_str
 
 Arc = tuple[int, int]
 
+#: the arithmetic modes a caller may ask for: weights as given, or as floats
+_MODES = ("exact", "float")
+
+
+def _check_mode(mode: str):
+    """Raise ValueError naming ``mode`` unless it is one of ``_MODES``."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown arithmetic mode {mode!r}")
+
 
 class Tag(str, Enum):
     """Weighting classes ordered by how much out-weight slack they certify."""
@@ -139,8 +148,7 @@ class WeightedDigraph:
         Every weight is parsed exactly; ``mode="float"`` then rounds the
         digraph through ``to_float``.
         """
-        if mode not in ("exact", "float"):
-            raise ValueError(f"unknown arithmetic mode {mode!r}")
+        _check_mode(mode)
         if not isinstance(obj, Mapping):
             raise ValueError("digraph JSON must be an object")
         unknown = sorted(set(obj) - {"order", "arcs"}, key=str)

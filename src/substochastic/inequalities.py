@@ -15,6 +15,7 @@ findings to report, not failures.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .cycles import (
     is_cycle_transversal,
     min_cycle_transversal,
 )
-from .digraph import WeightedDigraph, strongly_connected_components
+from .digraph import WeightedDigraph, _check_mode, strongly_connected_components
 from .errors import BudgetExceededError
 from .spectral import (
     charpoly,
@@ -180,6 +181,7 @@ def instance_stream(
     seed: int, count: int, order_max: int, weighting: str = "truthly", mode: str = "exact"
 ) -> Iterable[tuple[int, WeightedDigraph]]:
     """Deterministic instances, each from its own generator seeded by ``f"{seed}:{i}"``."""
+    _check_mode(mode)
     for i in range(count):
         rng = random.Random(f"{seed}:{i}")
         order = rng.randint(2, max(2, order_max))
@@ -232,11 +234,10 @@ def check_trace_bounds(d: WeightedDigraph) -> InequalityReport:
     trace = sum(diag)
     det = det_i_minus(d)
     n = d.order
-    one = Fraction(1) if d.is_exact else 1.0
-    rep.record(fp, "1/(1-radius)<=trace", one / (1 - hi), trace)
+    rep.record(fp, "1/(1-radius)<=trace", 1 / (1 - hi), trace)
     rep.record(fp, "trace<=n/det", trace, n / det)
-    rep.record(fp, "1/(n(1-radius))<=max_diag", one / (n * (1 - hi)), max(diag))
-    rep.record(fp, "max_diag<=1/det", max(diag), one / det)
+    rep.record(fp, "1/(n(1-radius))<=max_diag", 1 / (n * (1 - hi)), max(diag))
+    rep.record(fp, "max_diag<=1/det", max(diag), 1 / det)
     return rep
 
 
@@ -266,17 +267,15 @@ def check_transversal_product(d: WeightedDigraph, w) -> InequalityReport:
     vs = _verified_transversal(d, w)
     diag = resolvent_diagonal(d)
     det = det_i_minus(d)
-    prod = Fraction(1) if d.is_exact else 1.0
-    for x in vs:
-        prod *= diag[x]
-    rep.record(fp, "1/det<=prod", (Fraction(1) if d.is_exact else 1.0) / det, prod)
+    prod = math.prod(diag[x] for x in vs)
+    rep.record(fp, "1/det<=prod", 1 / det, prod)
     rep.record(fp, "max_diag<=prod", max(diag), prod)
     return rep
 
 
 def _elementary_symmetric(values: Sequence) -> list:
     # sigma_0..sigma_len(values) via the stable DP over prefix polynomials
-    coeffs = [Fraction(1) if isinstance(values[0], Fraction) else 1.0]
+    coeffs = [1]
     for v in values:
         coeffs = [c + (coeffs[i - 1] * v if i >= 1 else 0) for i, c in enumerate(coeffs + [0])]
     return coeffs
@@ -427,6 +426,7 @@ def run_suite(
 
     ``sigma_k`` is read by the sigma-k suite only; any other suite rejects it.
     """
+    _check_mode(mode)
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
     if suite == "zeta" and mode != "exact":

@@ -675,8 +675,6 @@ def perron_ladder(
       * ``witness``: Perron root of the family's declared order-n witness
         submatrix, a certified lower bound on the supremum.
     """
-    from itertools import combinations
-
     spectrum = TruncationSpectrum()
     ns = sorted(set(n_values))
     for n in ns:
@@ -692,7 +690,7 @@ def perron_ladder(
                     f"sup_exact would enumerate {math.comb(host.order, n)} subsets"
                 )
             value = 0.0
-            for subset in combinations(range(host.order), n):
+            for subset in itertools.combinations(range(host.order), n):
                 value = max(value, perron_root(host.induced(subset)))
         elif mode == "witness":
             if family.witness_submatrix is None:

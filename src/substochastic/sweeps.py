@@ -13,6 +13,7 @@ import numpy as np
 
 from .constructions import family_from_config
 from .cycles import min_cycle_transversal
+from .digraph import _check_mode
 from .families import family_gain, family_to_float, truncate
 from .spectral import perron_root
 
@@ -38,6 +39,7 @@ class SweepSpec:
     compute_fvs: bool = True
 
     def __post_init__(self):
+        _check_mode(self.mode)
         if not self.n_grid:
             raise ValueError("n_grid must name at least one order")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):

@@ -446,6 +446,13 @@ class TestBoundaryErrors:
         assert captured.out == ""
         assert captured.err == "error: sigma_k applies to the sigma-k suite only, not 'ksv'\n"
 
+    def test_improper_with_a_family(self, capsys):
+        # a family's omega counts every cycle of length <= n: --improper was ignored with exit 0
+        assert main(["cycles", "omega", "--family", "prop1", "--n", "3", "--improper"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --improper applies to --digraph only, not to --family\n"
+
     @staticmethod
     def assert_usage_error(proc, message):
         assert proc.returncode == 1 and proc.stdout == ""

@@ -19,9 +19,9 @@ from substochastic.constructions import (
 )
 from substochastic.digraph import WeightedDigraph
 from substochastic.errors import FamilyDefinitionError
-from substochastic.inequalities import random_strong_digraph, run_suite
+from substochastic.inequalities import instance_stream, random_strong_digraph, run_suite
 from substochastic.spectral import perron_ladder
-from substochastic.sweeps import fit_decay
+from substochastic.sweeps import SweepSpec, fit_decay
 
 CHECKS = [
     (lambda: as_sequence([], name="a"), ValueError, "a must not be empty"),
@@ -42,6 +42,14 @@ CHECKS = [
      "the zeta suite is exact-only"),
     (lambda: WeightedDigraph.from_json_dict({"order": 2, "arcs": []}, mode="decimal"),
      ValueError, "unknown arithmetic mode 'decimal'"),
+    (lambda: run_suite("ksv", count=1, mode="Exact"), ValueError,
+     "unknown arithmetic mode 'Exact'"),
+    (lambda: run_suite("zeta", count=1, mode="EXACT"), ValueError,
+     "unknown arithmetic mode 'EXACT'"),
+    (lambda: list(instance_stream(0, 1, 4, mode="rational")), ValueError,
+     "unknown arithmetic mode 'rational'"),
+    (lambda: SweepSpec("example1", n_grid=(5,), mode="Float"), ValueError,
+     "unknown arithmetic mode 'Float'"),
     (lambda: perron_ladder(build_example1(f=f_geometric()), [3], mode="witness"), ValueError,
      "family example1 declares no witness submatrix"),
     (lambda: perron_ladder(build_example1(f=f_geometric()), [3], mode="top"), ValueError,
