@@ -58,14 +58,17 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_digraph(args) -> WeightedDigraph:
+def _load_digraph(args, at_n=truncate):
+    """The --digraph file, or ``at_n(family, n)`` for --family and --n; never both."""
     if args.digraph:
+        if args.family:
+            raise ValueError("--digraph and --family name two inputs: give one of them")
         return WeightedDigraph.from_json(_read(args.digraph), mode=args.mode)
     if not args.family:
         args._parser.error("provide --digraph FILE or --family NAME --n N")
     if args.n is None:
         args._parser.error("--n is required with --family")
-    return truncate(_load_family(args), args.n)
+    return at_n(_load_family(args), args.n)
 
 
 def _load_family(args):
@@ -116,12 +119,14 @@ def _cmd_fvs(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    if args.family and args.n is not None:
+    def family_omega(fam, n):
         if args.improper:  # a family's omega counts every cycle of length <= n
             raise ValueError("--improper applies to --digraph only, not to --family")
-        g = family_gain(_load_family(args), args.n)
-    else:
-        g = sup_cycle_gain(_load_digraph(args), max_length=args.n, proper_only=not args.improper)
+        return family_gain(fam, n)
+
+    loaded = _load_digraph(args, family_omega)
+    g = (sup_cycle_gain(loaded, max_length=args.n, proper_only=not args.improper)
+         if args.digraph else loaded)
     _emit(json.dumps({"omega": _gain_payload(g), "max_length": args.n}, indent=2), args.out)
     return EXIT_OK
 
@@ -209,7 +214,8 @@ def _cmd_sweep(args) -> int:
     )
     rows = run_sweep(spec)
     _emit(sweep_csv(rows) if args.format == "csv" else sweep_json(rows), args.out)
-    return EXIT_OK
+    failed = any(str(cell).startswith("error:") for row in rows for cell in row.values())
+    return EXIT_UNKNOWN if failed else EXIT_OK
 
 
 def _cmd_fit(args) -> int:

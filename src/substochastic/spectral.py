@@ -4,11 +4,12 @@ Every Perron bracket is a Collatz-Wielandt bracket: min_i (Bx)_i/x_i <=
 rho(B) <= max_i (Bx)_i/x_i holds for every positive vector x and
 nonnegative B, so the method that chooses x only decides how narrow the
 bracket is.  Floating-point roots take x from a short power loop on A + I
-(the shift removes periodicity); a component that loop does not settle gets
-x from the first-return equation over a greedy cycle transversal, checked
-by one quotient evaluation, and otherwise goes back to the loop, which
-raises when it runs out of steps.  Exact rational brackets run the power
-iteration over integers from a float-seeded vector.
+(the shift removes periodicity).  A component that loop does not settle in
+256 steps, or whose bracket contracts during a 48-step probe too slowly to
+settle in 512, gets x from the first-return equation over a greedy cycle
+transversal, checked by one quotient evaluation, and otherwise goes back to
+the loop, which raises when it runs out of steps.  Exact rational brackets
+run the power iteration over integers from a float-seeded vector.
 """
 
 from __future__ import annotations
@@ -34,14 +35,20 @@ BRACKET_WIDTH = Fraction(1, 10**18)
 
 # Power steps taken before the transversal route is tried.  Components that
 # converge within them keep the power loop's bracket bit for bit: example2's
-# star needs 34-35 steps at every n and the CLI's default example1 108.  On
-# small components the route (about 0.7 ms of Python) costs as much as
-# another 128 dense steps: over the random strong digraphs of order 2-32
-# that certification draws, the 77 components needing 129-192 steps took
-# 55 ms through the route against 17 ms through the rest of the loop, and
-# the break-even lies near 256.  On example2 at n = 10^4 the route alone is
-# about twice as slow as the loop's 35 steps.
+# star needs 34-35 steps at every n and the CLI's default example1 108.  The
+# first _ROUTE_PROBE of them are a probe: the contraction of the bracket
+# width over the probe's last third, extrapolated, gives the step at which
+# the loop would settle.  A component whose step lies beyond twice
+# _ROUTE_PREFIX goes to the route at once: the paper's families close their
+# gaps as n grows (example1 with a power-law lifetime extrapolates to 1459 at
+# n = 100), and there the loop would spend its whole prefix in vain.  The
+# factor of 2 is margin: over the float instance_stream at seeds 0-3999 in
+# all four weightings, the benchmark's certify pool and the seven families
+# at n <= 150, no component that settles in 49-256 steps extrapolates beyond
+# 363.  The route reads only the operator, so an early hand-over changes no
+# bracket.
 _ROUTE_PREFIX = 256
+_ROUTE_PROBE = 48
 
 # Largest greedy transversal W the route accepts.  Each Newton step runs one
 # plain-Python pass over the arcs per vertex of W, so the route costs about
@@ -170,13 +177,15 @@ def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float,
 
     Power steps run on A + I (the shift removes periodicity), densely below
     ``_SPARSE_THRESHOLD`` vertices.  A component not converged after
-    ``_ROUTE_PREFIX`` steps (or ``max_iter``, if fewer) tries the transversal
-    route, which accepts its vector only through one Collatz-Wielandt check.
-    Otherwise the loop resumes, from the route's vector when it has one,
-    for the rest of its steps, and a component it does not settle either
-    raises RuntimeError with the steps run and the last bracket.  Every
-    returned bracket is a Collatz-Wielandt bracket of a positive vector,
-    which bounds rho(A) whatever chose the vector.
+    ``_ROUTE_PREFIX`` steps (or ``max_iter``, if fewer), or after the
+    ``_ROUTE_PROBE`` steps of a probe whose contraction puts its settling
+    beyond twice that, tries the transversal route, which accepts its vector
+    only through one Collatz-Wielandt check.  Otherwise the loop resumes,
+    from the route's vector when it has one, for the rest of its steps, and
+    a component it does not settle either raises RuntimeError with the steps
+    run, the last bracket and what the route gave.  Every returned bracket
+    is a Collatz-Wielandt bracket of a positive vector, which bounds rho(A)
+    whatever chose the vector.
     """
     k = op.shape[0]
     if k < _SPARSE_THRESHOLD:
@@ -186,11 +195,27 @@ def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float,
         step = lambda x: x + op @ x  # noqa: E731
         budget = max_iter
     prefix = min(budget, _ROUTE_PREFIX)
-    lo, hi, x, done = _power_steps(step, np.ones(k), prefix, tol)
+    if prefix > _ROUTE_PROBE:
+        # the probe, its last third run apart to read how fast the width contracts
+        third = _ROUTE_PROBE // 3
+        lo, hi, x, done = _power_steps(step, np.ones(k), _ROUTE_PROBE - third, tol)
+        before = hi - lo
+        if not done:
+            lo, hi, x, done = _power_steps(step, x, third, tol)
+        ran = _ROUTE_PROBE
+        if not done and _settle_step(before, lo, hi, tol) <= 2 * _ROUTE_PREFIX:
+            lo, hi, x, done = _power_steps(step, x, prefix - ran, tol)
+            ran = prefix
+    else:
+        lo, hi, x, done = _power_steps(step, np.ones(k), prefix, tol)
+        ran = prefix
     if done:
         return lo, hi
     route = _transversal_route(op)
-    if route is not None:
+    if route is None:
+        gave = (f"the transversal route gave no vector (it needs a greedy cycle transversal "
+                f"of at most {_ROUTE_MAX_W} vertices and a finite positive Perron vector)")
+    else:
         rlo, rhi, x = route
         if _converged(rlo, rhi, tol):
             # Widen to half the tolerance about the same midpoint.  The float
@@ -200,14 +225,30 @@ def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float,
             # ulps wide would exclude them.
             pad = max(0.0, tol * rhi / 2 - (rhi - rlo)) / 2
             return rlo - pad, rhi + pad
-    if budget > prefix:  # with no steps left, keep the prefix's last bracket
-        lo, hi, _x, done = _power_steps(step, x, budget - prefix, tol)
+        gave = f"the transversal route's bracket [{rlo}, {rhi}] was not certified"
+    if budget > ran:  # with no steps left, keep the last bracket of the loop
+        lo, hi, _x, done = _power_steps(step, x, budget - ran, tol)
         if done:
             return lo, hi
+        ran = budget
     raise RuntimeError(
-        f"power iteration did not reach tolerance {tol} in {budget} steps "
-        f"(bracket [{lo}, {hi}])"
+        f"power iteration did not reach tolerance {tol} in {ran} steps "
+        f"(bracket [{lo}, {hi}]); {gave}"
     )
+
+
+def _settle_step(before: float, lo: float, hi: float, tol: float) -> float:
+    """The step at which the probe's loop would settle, extrapolated; inf if it never would.
+
+    ``before`` is the bracket width a third of the probe before its end and
+    ``[lo, hi]`` the probe's last bracket.  The width is taken to keep
+    contracting at its rate over that third until it meets the tolerance.
+    """
+    window = _ROUTE_PROBE // 3
+    width, target = hi - lo, tol * max(hi, 1e-300)
+    if not (target > 0 and 0 < width < before < math.inf):
+        return math.inf
+    return _ROUTE_PROBE + window * math.log(target / width) / math.log(width / before)
 
 
 def _transversal_route(op: EdgeOperator) -> tuple[float, float, np.ndarray] | None:

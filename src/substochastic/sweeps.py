@@ -49,7 +49,15 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec, progress=None) -> list[dict]:
-    """Per-n ladder rows; deterministic for a fixed spec, errors recorded inline."""
+    """Per-n ladder rows; deterministic for a fixed spec.
+
+    A cell the library cannot compute (ValueError and the ``errors``
+    subclasses, RuntimeError including BudgetExceededError, ArithmeticError)
+    reads ``error:<message>``: ``lambda_n`` when the truncation, the root or
+    the gain fails, ``fvs_size`` when the transversal does.  The row's later
+    cells stay empty and the sweep goes on; any other exception is a bug and
+    propagates.
+    """
     fam = family_from_config(spec.family, spec.params)
     fam = family_to_float(fam) if spec.mode == "float" else fam
     progress = progress if progress is not None else sys.stderr
@@ -66,8 +74,8 @@ def run_sweep(spec: SweepSpec, progress=None) -> list[dict]:
                        gap_to_limit=(float(limit) - lam) if limit is not None else "")
             row["fvs_size"] = (min_cycle_transversal(d, budget=20_000).size
                                if spec.compute_fvs else "")
-        except Exception as exc:  # keep sweeping, record the cell error
-            row.setdefault("lambda_n", f"error:{exc}")
+        except (ValueError, RuntimeError, ArithmeticError) as exc:  # the library's errors
+            row[next(col for col in COLUMNS if col not in row)] = f"error:{exc}"
             for col in COLUMNS:
                 row.setdefault(col, "")
         rows.append(row)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from substochastic.cli import EXIT_ERROR, main
+from substochastic import SweepSpec, family_from_config, perron_ladder, run_sweep, sweep_csv
+from substochastic.cli import EXIT_ERROR, EXIT_UNKNOWN, main
 
 RUN = [sys.executable, "-m", "substochastic.cli"]
 
@@ -164,6 +165,21 @@ class TestSpectralCommands:
         lines = proc.stdout.strip().splitlines()
         assert lines[0] == "n,lambda_n,gap_to_limit"
         assert len(lines) == 4
+
+
+class TestLadderSupExact:
+    def test_matches_the_library_in_process(self, capsys):
+        assert main(["spectral", "ladder", "--family", "example2", "--n-list", "3,2",
+                     "--ladder-mode", "sup_exact"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        spectrum = perron_ladder(family_from_config("example2"), [2, 3], mode="sup_exact")
+        assert spectrum.limit_method == "closed-form"
+        assert lines == ["n,lambda_n,gap_to_limit"] + [
+            f"{n},{value!r},{spectrum.limit_estimate - value!r}"
+            for n, value in sorted(spectrum.values.items())]
+        # the supremum over every order-n subdigraph of the window reaches the leading one
+        leading = perron_ladder(family_from_config("example2"), [2, 3])
+        assert all(spectrum.values[n] >= leading.values[n] for n in (2, 3))
 
 
 class TestClassifyCommand:
@@ -445,6 +461,26 @@ class TestBoundaryErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: sigma_k applies to the sigma-k suite only, not 'ksv'\n"
+
+    @pytest.mark.parametrize("op", [["cycles", "enumerate"], ["cycles", "fvs"], ["cycles", "omega"],
+                                    ["spectral", "perron"], ["spectral", "charpoly"]],
+                             ids=lambda op: "-".join(op))
+    def test_digraph_and_family_together(self, capsys, star_json, op):
+        # cycles omega read the family and the other commands the file, all with exit 0
+        assert main(op + ["--digraph", star_json, "--family", "corollary1", "--n", "12"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --digraph and --family name two inputs: give one of them\n"
+
+    def test_sweep_with_an_error_cell_exits_3(self, capsys):
+        # the partial sums of f reach 1 at index 2: order 3 cannot be built
+        params = '{"f": ["1/2", "1/2"]}'
+        assert main(["sweep", "--family", "example1", "--params", params,
+                     "--n-grid", "2,3", "--no-fvs"]) == EXIT_UNKNOWN
+        rows = run_sweep(SweepSpec("example1", json.loads(params), (2, 3), compute_fvs=False))
+        captured = capsys.readouterr()
+        assert captured.out == sweep_csv(rows)
+        assert "3,error:example1: partial sums of f reach 1 at index 2" in captured.out
 
     def test_improper_with_a_family(self, capsys):
         # a family's omega counts every cycle of length <= n: --improper was ignored with exit 0

@@ -594,6 +594,68 @@ def test_route_output_is_pinned_bit_for_bit(name):
     assert _route_digest(name) == ROUTE_DIGEST_CASES[name]
 
 
+class TestProbeHandOff:
+    """The probe sends a component to the route only when its loop would not settle in time."""
+
+    # Components that settle within _ROUTE_PREFIX steps yet extrapolate late.
+    # Over the float instance_stream at seeds 0-3999, strictly:3302 (settles
+    # at step 232) extrapolates highest, to 363; truthly:1639 (222) and prop2
+    # at n = 13 (249) would be the worst under a least-squares fit and under
+    # an 8-step window.  example1 is the CLI's default family (108 steps).
+    CLOSE_CALLS = {
+        "strictly:3302": lambda: instance_stream(3302, 1, 12, "strictly", "float"),
+        "truthly:1639": lambda: instance_stream(1639, 1, 12, "truthly", "float"),
+        "prop2:13": lambda: [(0, truncate(family_to_float(family_from_config("prop2")), 13))],
+        "example1:100": lambda: [(0, _float_truncation("example1", 100))],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOSE_CALLS))
+    def test_late_settlers_keep_the_loop_bracket(self, monkeypatch, name):
+        [(_i, d)] = self.CLOSE_CALLS[name]()
+        operators: list = []
+        olo, ohi = oracle_collatz_wielandt_brackets(d, operators=operators)
+        assert max(op.matvecs for op in operators) in range(spectral._ROUTE_PROBE + 1,
+                                                            _ROUTE_PREFIX + 1)
+        monkeypatch.setattr(spectral, "_transversal_route", lambda op: pytest.fail("handed off"))
+        assert collatz_wielandt_brackets(d) == (olo, ohi)
+
+    def test_closing_gap_goes_to_the_route_after_the_probe(self, monkeypatch):
+        # example1 with a power-law lifetime extrapolates to about step 1459
+        d = _float_truncation("example1-power", 100)
+        steps, at_route = [], []
+        power_steps, route = spectral._power_steps, spectral._transversal_route
+        monkeypatch.setattr(spectral, "_power_steps",
+                            lambda step, x, count, tol: steps.append(count)
+                            or power_steps(step, x, count, tol))
+        monkeypatch.setattr(spectral, "_transversal_route",
+                            lambda op: at_route.append(sum(steps)) or route(op))
+        lo, hi = collatz_wielandt_brackets(d)
+        assert at_route == [spectral._ROUTE_PROBE] and sum(steps) == spectral._ROUTE_PROBE
+        olo, ohi = oracle_collatz_wielandt_brackets(d)
+        assert max(lo, olo) <= min(hi, ohi)
+        assert hi - lo <= 1e-12 * hi
+
+    def test_failure_says_the_route_gave_no_vector(self):
+        rng = random.Random(7)
+        order = _ROUTE_MAX_W + 8
+        d = WeightedDigraph(order, {(u, v): rng.uniform(0.1, 1.0)
+                                    for u in range(order) for v in range(order)})
+        with pytest.raises(RuntimeError, match=(
+                r"did not reach tolerance 1e-12 in 1 steps \(bracket \[.+\]\); "
+                rf"the transversal route gave no vector \(.* at most {_ROUTE_MAX_W} vertices")):
+            collatz_wielandt_brackets(d, tol=1e-12, max_iter=1)
+
+    def test_failure_gives_the_route_bracket(self):
+        # the bracket keeps a spread of a few ulps, far above 1e-18; the probe
+        # hands over at once, and the loop resumes from the route's vector
+        d = WeightedDigraph(3, {(0, 1): F(1, 3), (1, 2): F(1, 4), (2, 0): F(1, 5),
+                                (0, 2): F(1, 7), (1, 0): F(2, 9)}).to_float()
+        with pytest.raises(RuntimeError, match=(
+                r"did not reach tolerance 1e-18 in 5000 steps \(bracket \[.+\]\); "
+                r"the transversal route's bracket \[0\.\d+, 0\.\d+\] was not certified")):
+            collatz_wielandt_brackets(d, tol=1e-18)
+
+
 class TestExactBrackets:
     def test_loop_collapses_exactly(self):
         assert perron_bounds(loop(F(7, 10))) == (F(7, 10), F(7, 10))

@@ -56,6 +56,37 @@ class TestRunSweep:
         assert sweep_csv(rows).splitlines()[-1] == (
             "3,error:example1: partial sums of f reach 1 at index 2,,,,,,")
 
+    @pytest.mark.parametrize("error", [KeyError("n"), AttributeError("lam"), TypeError("tol")],
+                             ids=lambda e: type(e).__name__)
+    def test_a_bug_is_not_recorded_as_a_cell(self, monkeypatch, error):
+        def broken(d):
+            raise error
+
+        monkeypatch.setattr(sweeps, "perron_root", broken)
+        with pytest.raises(type(error)):
+            run_sweep(spec(n_grid=(5,)), progress=io.StringIO())
+
+    @pytest.mark.parametrize("error", [RuntimeError("stalled"), ZeroDivisionError("pivot"),
+                                       OverflowError("weight"), ValueError("order")],
+                             ids=lambda e: type(e).__name__)
+    def test_library_errors_are_recorded_as_cells(self, monkeypatch, error):
+        def failing(d):
+            raise error
+
+        monkeypatch.setattr(sweeps, "perron_root", failing)
+        [row] = run_sweep(spec(n_grid=(5,)), progress=io.StringIO())
+        assert row["lambda_n"] == f"error:{error}"
+
+    def test_transversal_error_is_recorded_in_its_cell(self, monkeypatch):
+        # the root and gain of the row were already in place: the error used to vanish
+        def failing(d, budget):
+            raise RuntimeError("transversal check failed")
+
+        monkeypatch.setattr(sweeps, "min_cycle_transversal", failing)
+        [row] = run_sweep(spec(n_grid=(5,)), progress=io.StringIO())
+        assert isinstance(row["lambda_n"], float)
+        assert row["fvs_size"] == "error:transversal check failed"
+
     def test_gap_column_uses_declared_limit(self):
         sink = io.StringIO()
         rows = run_sweep(spec(), progress=sink)
