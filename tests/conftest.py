@@ -607,12 +607,12 @@ def oracle_collatz_wielandt_brackets(
         op = ShiftedOperator(d, comp)
         if operators is not None:
             operators.append(op)
-        return _oracle_power_brackets(op, tol, max_iter)
+        return oracle_power_brackets(op, tol, max_iter)
 
     return _max_over_components(d, 0.0, brackets)
 
 
-def _oracle_power_brackets(op, tol: float, max_iter: int) -> tuple[float, float]:
+def oracle_power_brackets(op, tol: float, max_iter: int) -> tuple[float, float]:
     k = op.shape[0]
     x = np.ones(k)
     lo, hi = 0.0, math.inf

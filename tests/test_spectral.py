@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from substochastic import (
@@ -59,6 +59,7 @@ from substochastic.spectral import (
 
 from conftest import (
     CORPORA,
+    ShiftedOperator,
     acyclic3,
     brute_cycles,
     corpus,
@@ -74,6 +75,7 @@ from conftest import (
     oracle_elimination_charpoly,
     oracle_inverse,
     oracle_perron_bounds,
+    oracle_power_brackets,
     oracle_shifted,
     oracle_solve,
     poly_eval,
@@ -249,27 +251,48 @@ def assert_contains_numpy_radius(d: WeightedDigraph, lo: float, hi: float) -> No
     assert lo - slack <= rho <= hi + slack
 
 
+def assert_contains_the_exact_bracket(d: WeightedDigraph, comp, lo: float, hi: float) -> None:
+    """[lo, hi] contains the exact bracket, 1e-30 wide, of the component's binary rationals."""
+    elo, ehi = spectral._integer_power_brackets(lifted(d), sorted(comp), F(1, 10**30), 20_000)
+    assert F(lo) <= elo and ehi <= F(hi)
+
+
+def _eig_accepts(d: WeightedDigraph, comp, tol: float) -> bool:
+    return (len(comp) <= spectral._EIG_MAX_ORDER
+            and spectral._eig_brackets(d, comp, edge_operator(d, comp), tol) is not None)
+
+
 def _assert_matches_oracle(d: WeightedDigraph, tol: float = 1e-12) -> tuple[float, float]:
     """The float bracket against the pre-route power loop and the numpy radius.
 
-    Both brackets are sound, so they overlap; where the loop raised, only
-    the numpy radius is left to compare with.  A component that the loop
+    Per strong component, both brackets are sound, so they overlap; where
+    the loop raised, only the numpy radius is left to compare with.  A
+    component whose eigenvector check is accepted must contain the exact
+    bracket of its binary rationals.  Any other component that the loop
     settles within the route's prefix must give the loop's bracket bit for
     bit.
     """
-    operators: list = []
-    try:
-        olo, ohi = oracle_collatz_wielandt_brackets(d, tol, operators=operators)
-    except RuntimeError:  # the loop and its dense fallback both stalled
-        olo, ohi = -math.inf, math.inf
     lo, hi = collatz_wielandt_brackets(d, tol)
-    assert max(lo, olo) <= min(hi, ohi)
     assert_contains_numpy_radius(d, lo, hi)
     assert hi - lo <= tol * max(hi, 1e-300)
-    if all(op.matvecs <= _ROUTE_PREFIX for op in operators):
-        assert (lo, hi) == (olo, ohi)
+    for comp in _strong_components(d):
+        clo, chi = spectral._component_brackets(d, comp, tol, 500_000)
+        assert clo <= lo and chi <= hi
+        by_eig = _eig_accepts(d, comp, tol)
+        if by_eig:
+            assert_contains_the_exact_bracket(d, comp, clo, chi)
+        op = ShiftedOperator(d, comp)
+        try:
+            olo, ohi = oracle_power_brackets(op, tol, 500_000)
+        except RuntimeError:  # the loop and its dense fallback both stalled
+            continue
+        assert max(clo, olo) <= min(chi, ohi)
+        if not by_eig and op.matvecs <= _ROUTE_PREFIX:
+            assert (clo, chi) == (olo, ohi)
     return lo, hi
 
+
+WEIGHTINGS = ["truthly", "strictly", "stochastic", "substochastic"]
 
 FLOAT_FAMILIES = {
     "example1-power": ("example1", {"a": "1/2", "f": {"kind": "power", "epsilon": 0.5}}),
@@ -288,8 +311,7 @@ def _float_truncation(name: str, n: int) -> WeightedDigraph:
 class TestTransversalRoute:
     """Float brackets through a greedy cycle transversal, checked against the power loop."""
 
-    @given(st.integers(0, 10**6),
-           st.sampled_from(["truthly", "strictly", "stochastic", "substochastic"]))
+    @given(st.integers(0, 10**6), st.sampled_from(WEIGHTINGS))
     @settings(max_examples=40, deadline=None)
     def test_instance_stream_matches_the_oracle(self, seed, weighting):
         [(_i, d)] = instance_stream(seed, 1, 12, weighting=weighting, mode="float")
@@ -329,25 +351,38 @@ class TestTransversalRoute:
         assert transversal == sorted(declared) == [0]
         assert sorted(order) == list(range(1, n))
 
-    def test_small_root_meets_the_tolerance_through_the_route(self, monkeypatch):
-        # the shifted power loop cannot resolve rho ~ 1.2e-7 to 1e-12 relative
-        arcs = {(0, 1): 1e-20, (1, 2): 0.5, (2, 0): 1 / 3, (1, 0): 0.2}
-        d = WeightedDigraph(3, arcs)
-        results = []
-        route = spectral._transversal_route
-        monkeypatch.setattr(spectral, "_transversal_route",
-                            lambda op: results.append(route(op)) or results[-1])
-        lo, hi = collatz_wielandt_brackets(d, tol=1e-12)
-        assert results and results[0] is not None
+    SMALL_ROOT_ARCS = {(0, 1): 1e-20, (1, 2): 0.5, (2, 0): 1 / 3, (1, 0): 0.2}
+
+    @classmethod
+    def assert_brackets_the_cubic_root(cls, lo: float, hi: float) -> None:
         assert hi - lo <= 1e-12 * hi
+        assert lo <= 1.1856311577255319e-07 <= hi
         # the root of z^3 = w01 w10 z + w01 w12 w20, exactly, for the float weights
-        w = {a: F(v) for a, v in arcs.items()}
+        w = {a: F(v) for a, v in cls.SMALL_ROOT_ARCS.items()}
         p, q = w[(0, 1)] * w[(1, 0)], w[(0, 1)] * w[(1, 2)] * w[(2, 0)]
         a, b = F(0), F(1)
         for _ in range(120):
             mid = (a + b) / 2
             a, b = (mid, b) if mid**3 - p * mid - q < 0 else (a, mid)
         assert F(lo) <= a and b <= F(hi)
+
+    def test_small_root_meets_the_tolerance_through_the_route(self, monkeypatch):
+        # the shifted power loop cannot resolve rho ~ 1.2e-7 to 1e-12 relative
+        d = WeightedDigraph(3, self.SMALL_ROOT_ARCS)
+        results = []
+        route = spectral._transversal_route
+        monkeypatch.setattr(spectral, "_transversal_route",
+                            lambda op: results.append(route(op)) or results[-1])
+        lo, hi = spectral._power_brackets(edge_operator(d), 1e-12, 500_000)
+        assert results and results[0] is not None
+        self.assert_brackets_the_cubic_root(lo, hi)
+
+    def test_small_root_meets_the_tolerance_through_the_eigenvector(self, monkeypatch):
+        # the unshifted quotients of the eigenvector keep the small root's
+        # relative precision, so neither the loop nor the route runs
+        monkeypatch.setattr(spectral, "_power_brackets", lambda *a: pytest.fail("looped"))
+        lo, hi = collatz_wielandt_brackets(WeightedDigraph(3, self.SMALL_ROOT_ARCS), tol=1e-12)
+        self.assert_brackets_the_cubic_root(lo, hi)
 
     def test_beaded_chain_the_power_loop_cannot_settle(self):
         # |W| = 34; the loop alone ran 500,000 steps and its dense fallback raised
@@ -428,6 +463,109 @@ class TestTransversalRoute:
         d = WeightedDigraph(10, cycles | ring)
         assert len(_strong_components(d)) == 1
         assert perron_root(d) == pytest.approx(eig_radius(d), rel=1e-12)
+
+
+def _one_digraph_of(weighting: str, seed: int) -> WeightedDigraph:
+    [(_i, d)] = instance_stream(seed, 1, 12, weighting, "float")
+    return d
+
+
+class TestEigBrackets:
+    """Components up to _EIG_MAX_ORDER: one eigenvector and one outward-rounded quotient check."""
+
+    @staticmethod
+    def exact_quotients(op, x: np.ndarray) -> list[F]:
+        """(A x)_i / x_i exactly, for the binary rationals of the float weights and of x."""
+        y = [F(0)] * op.shape[0]
+        for r, c, v in zip(op.rows.tolist(), op.cols.tolist(), op.vals.tolist()):
+            y[r] += F(v) * F(float(x[c]))
+        return [yi / F(float(xi)) for yi, xi in zip(y, x)]
+
+    def assert_sound(self, d: WeightedDigraph, accepted: bool = False) -> None:
+        for comp in _strong_components(d):
+            op = edge_operator(d, comp)
+            bracket = spectral._eig_brackets(d, comp, op, 1e-12)
+            assert bracket is not None or not accepted
+            if bracket is not None:
+                lo, hi = bracket
+                assert hi - lo <= 1e-12 * hi
+                assert_contains_the_exact_bracket(d, comp, lo, hi)
+                q = self.exact_quotients(op, spectral._perron_vector(d, comp))
+                assert F(lo) <= min(q) and max(q) <= F(hi)
+
+    # Without any outward widening, seed 6 of the truthly stream excluded
+    # the exact root.  With the quotients rounded outward by one ulp but not
+    # widened by gamma_k, seed 13 of the stochastic stream excluded an exact
+    # quotient of its own vector.
+    @given(st.sampled_from(WEIGHTINGS), st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    @example("truthly", 6)
+    @example("stochastic", 13)
+    def test_instance_stream_contains_the_exact_bracket(self, weighting, seed):
+        self.assert_sound(_one_digraph_of(weighting, seed))
+
+    @given(st.sampled_from(BUILTIN_FAMILIES), st.integers(2, spectral._EIG_MAX_ORDER))
+    @settings(max_examples=8, deadline=None)
+    def test_family_truncations_contain_the_exact_bracket(self, name, n):
+        self.assert_sound(truncate(family_to_float(family_from_config(name)), n), accepted=True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vector_with_an_underflowed_entry_is_refused_quietly(self):
+        # the Perron vector is about (1, 8e-400, 2e-200): its entry at vertex 1
+        # underflows to zero, and no quotient is divided out
+        d = WeightedDigraph(3, {(0, 0): 0.5, (1, 1): 0.25, (0, 1): 1.0,
+                                (1, 2): 1e-200, (2, 0): 1e-200})
+        assert not spectral._perron_vector(d, range(3)).all()
+        assert spectral._eig_brackets(d, range(3), edge_operator(d), 1e-12) is None
+        with pytest.raises(RuntimeError, match=(
+                r"did not reach tolerance 1e-12 in 5000 steps \(bracket \[.+\]\); "
+                r"the transversal route gave no vector")):
+            collatz_wielandt_brackets(d)
+
+    def test_subnormal_product_is_refused(self):
+        # weights 3e-308 on a 2-cycle: the vector is about (0.71, 0.71), so
+        # each product a_ij x_j is about 2.1e-308, below the least normal float
+        d = WeightedDigraph(2, {(0, 1): 3e-308, (1, 0): 3e-308})
+        terms = edge_operator(d).vals * spectral._perron_vector(d, range(2))
+        assert 0 < terms.max() < np.finfo(float).tiny
+        assert spectral._eig_brackets(d, range(2), edge_operator(d), 1e-12) is None
+
+    def test_wide_bracket_is_refused_by_the_tolerance(self):
+        # the weakly coupled ring's eigenvector bracket is about 4.5e-5 wide
+        cycles = {(0, 1): 0.5, (1, 0): 0.5, (2, 3): 0.501, (3, 4): 0.501, (4, 2): 0.501,
+                  (5, 6): 0.502, (6, 7): 0.502, (7, 8): 0.502, (8, 9): 0.502, (9, 5): 0.502}
+        ring = {(0, 2): 1e-10, (2, 5): 1e-10, (5, 0): 1e-10}
+        d = WeightedDigraph(10, cycles | ring)
+        op = edge_operator(d)
+        assert spectral._eig_brackets(d, range(10), op, 1e-12) is None
+        lo, hi = spectral._eig_brackets(d, range(10), op, 1e-4)
+        assert 4e-5 * hi < hi - lo < 5e-5 * hi
+        assert_contains_numpy_radius(d, lo, hi)
+
+    def test_exact_and_float_brackets_share_one_eigensolver_run(self, monkeypatch):
+        # certify asks for both brackets of one digraph: one eig per component
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
+        for _i, d in instance_stream(7919, 20, 12):
+            before = len(calls)
+            perron_bounds(d)
+            perron_root(d)
+            assert len(calls) - before == len(_strong_components(d))
+
+    def test_components_above_the_cap_take_the_loop(self, monkeypatch):
+        # example1 at n = 33 is one strong component of 33 vertices
+        monkeypatch.setattr(spectral, "_perron_vector", lambda *a: pytest.fail("eig"))
+        d = _float_truncation("example1", spectral._EIG_MAX_ORDER + 1)
+        assert collatz_wielandt_brackets(d) == oracle_collatz_wielandt_brackets(d)
+
+    @pytest.mark.xfail(strict=True, reason="the loop's quotients on A + I are not rounded "
+                                           "outward: it returns [1.0, 1.0] against 1 + 7.7e-18")
+    def test_power_loop_contains_the_exact_root(self):
+        d = _one_digraph_of("stochastic", 0)
+        for comp in _strong_components(d):
+            lo, hi = spectral._power_brackets(edge_operator(d, comp), 1e-12, 500_000)
+            assert_contains_the_exact_bracket(d, comp, lo, hi)
 
 
 class TestRouteGuards:
@@ -616,8 +754,11 @@ class TestProbeHandOff:
         olo, ohi = oracle_collatz_wielandt_brackets(d, operators=operators)
         assert max(op.matvecs for op in operators) in range(spectral._ROUTE_PROBE + 1,
                                                             _ROUTE_PREFIX + 1)
+        # each component's loop directly: an order below _EIG_MAX_ORDER
+        # would otherwise take the eigenvector's bracket
         monkeypatch.setattr(spectral, "_transversal_route", lambda op: pytest.fail("handed off"))
-        assert collatz_wielandt_brackets(d) == (olo, ohi)
+        assert spectral._max_over_components(d, 0.0, lambda comp: spectral._power_brackets(
+            edge_operator(d, comp), 1e-12, 500_000)) == (olo, ohi)
 
     def test_closing_gap_goes_to_the_route_after_the_probe(self, monkeypatch):
         # example1 with a power-law lifetime extrapolates to about step 1459
