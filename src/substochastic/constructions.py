@@ -323,7 +323,7 @@ def build_example2(a, sorted_weights: bool = True) -> TruncationFamily:
     return TruncationFamily("example2", generator, facts, witness_submatrix=witness)
 
 
-def a_power(exponent: float = -0.75) -> Callable[[int], float]:
+def a_power(exponent: float) -> Callable[[int], float]:
     if exponent >= 0:
         raise ValueError("exponent must be negative")
     return lambda k: float(k) ** exponent
@@ -795,10 +795,6 @@ def _integer(at: str, value) -> int:
     return int(x)
 
 
-def _int_list(at: str, values) -> list[int]:
-    return [_integer(at, value) for value in values]
-
-
 def _length(at: str, value) -> int:
     x = _integer(at, value)
     if x < 1:
@@ -810,13 +806,16 @@ def _one_minus_inverse(lengths: Callable[[int], int]) -> Callable[[int], Fractio
     return lambda k: 1 - Fraction(1, lengths(k))
 
 
-_LIST = {"list": ({"values": ...}, lambda at, values: [_number(at, v) for v in values])}
+def _list(read):
+    """A list kind, each entry checked by ``read(at, value)``."""
+    return {"values": ...}, lambda at, values: [read(at, v) for v in values]
+
 
 # one table per vocabulary, kind -> (keys with their defaults, builder); a
 # default argument binds a value, checked, when the descriptor is read
 _SEQUENCES = {
-    **_LIST,
-    "int-list": ({"values": ...}, _int_list),
+    "list": _list(_number),
+    "int-list": _list(_integer),
     "linear": ({"start": 1, "step": 1}, lambda at, start, step: lambda k, s=_integer(
         f"{at}.start", start), d=_integer(f"{at}.step", step): s + d * (k - 1)),
     "powers-of-two": ({}, lambda at: lambda k: 2**k),
@@ -827,8 +826,7 @@ _SEQUENCES = {
         f"{at}.ratio", ratio): 1 - r**k),
 }
 # a length list or constant is checked here, not by the generator at some n
-_LENGTH_LIST = ({"values": ...}, lambda at, values: [_length(at, v) for v in values])
-_LENGTHS = {**_SEQUENCES, "list": _LENGTH_LIST, "int-list": _LENGTH_LIST, "constant": (
+_LENGTHS = {**_SEQUENCES, "list": _list(_length), "int-list": _list(_length), "constant": (
     {"value": ...}, lambda at, value: lambda k, v=_length(at, value): v)}
 _GAPS = {
     "exp2": ({}, lambda at: GapTarget.exp2()),
@@ -837,14 +835,15 @@ _GAPS = {
     "constant": ({"value": ...}, lambda at, value: GapTarget.constant(
         _positive(f"{at}.value", value))),
 }
+# a listed lifetime f_k or star weight a_k is checked positive here too
 _LIFETIMES = {
-    **_LIST,
+    "list": _list(_positive),
     "geometric": ({"ratio": "1/2"}, lambda at, ratio: f_geometric(_number(f"{at}.ratio", ratio))),
     "power": ({"epsilon": 0.5}, lambda at, epsilon: f_power(
         float(_number(f"{at}.epsilon", epsilon)))),
 }
 _STAR_WEIGHTS = {
-    **_LIST,
+    "list": _list(_positive),
     "power": ({"exponent": -0.75}, lambda at, exponent: a_power(
         float(_number(f"{at}.exponent", exponent)))),
 }

@@ -298,11 +298,10 @@ def strong_components(d: WeightedDigraph) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def classify_weighting(d: WeightedDigraph, tol=0) -> WeightingClass:
+def classify_weighting(d: WeightedDigraph) -> WeightingClass:
     """Strongest weighting class of ``d`` with a witness vertex.
 
-    The comparison tolerance applies only to float weights; exact weights are
-    compared exactly. ``tol=0`` is a strict IEEE comparison.
+    Out-weights compare with 1 exactly, and float ones by strict IEEE comparison.
     """
     if d.order == 0:
         return WeightingClass(Tag.STOCHASTIC, None)
@@ -310,10 +309,10 @@ def classify_weighting(d: WeightedDigraph, tol=0) -> WeightingClass:
     under: list[int] = []
     weights = [d.out_weight(v) for v in range(d.order)]
     for v, ow in enumerate(weights):
-        if ow > 1 + tol:
+        if ow > 1:
             if over is None or ow > weights[over]:
                 over = v
-        elif ow < 1 - tol:
+        elif ow < 1:
             under.append(v)
     if over is not None:
         return WeightingClass(Tag.NOT_SUBSTOCHASTIC, over)

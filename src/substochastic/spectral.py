@@ -6,16 +6,16 @@ nonnegative B, so the method that chooses x only decides how narrow the
 bracket is.  A floating-point bracket of a component of at most
 ``_EIG_MAX_ORDER`` vertices takes x from the dense eigensolver and rounds
 its quotients outward, so it is proven for the float weights' binary
-rationals.  A component that check refuses, and every larger one, takes x
-from a short power loop on A + I (the shift removes periodicity).  A
-component that loop does not settle in 256 steps, or whose bracket
-contracts during a 48-step probe too slowly to settle in 512, gets x from
-the first-return equation over a greedy cycle transversal, checked by one
-quotient evaluation, and otherwise goes back to the loop, which raises when
-it runs out of steps.  The loop's and the route's quotients are not rounded
-outward, so their brackets may miss the exact root by about an ulp.  Exact
-rational brackets run the power iteration over integers from the same float
-eigenvector.
+rationals.  A component that check refuses takes x from a power loop on the
+dense A + I (the shift removes periodicity), of at most 5000 steps; every
+larger one runs that loop on its arcs.  A component the loop does not
+settle in 256 steps, or whose bracket contracts during a 48-step probe too
+slowly to settle in 512, gets x from the first-return equation over a
+greedy cycle transversal, checked by one quotient evaluation, and otherwise
+goes back to the loop, which raises when it runs out of steps.  The loop's
+and the route's quotients are not rounded outward, so their brackets may
+miss the exact root by about an ulp.  Exact rational brackets run the power
+iteration over integers from the same float eigenvector.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .digraph import WeightedDigraph, _integer_weights, float_weight, strong_com
 from .errors import BudgetExceededError, SpectralRadiusError
 from .families import TruncationFamily, truncate
 from .rational import charpoly_exact, det_exact, inverse_exact, solve_exact
-
-_SPARSE_THRESHOLD = 256
 
 # Width of the exact Perron brackets that ``radius_brackets`` certifies with.
 BRACKET_WIDTH = Fraction(1, 10**18)
@@ -189,8 +187,11 @@ def _power_steps(step, x: np.ndarray, count: int, tol: float):
 def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float, float]:
     """Brackets for rho(A) on an irreducible component, A held by ``op``.
 
-    Power steps run on A + I (the shift removes periodicity), densely below
-    ``_SPARSE_THRESHOLD`` vertices.  A component not converged after
+    Power steps run on A + I (the shift removes periodicity): on the dense
+    matrix, for at most 5000 steps, on a component of at most
+    ``_EIG_MAX_ORDER`` vertices, which reaches the loop only when its
+    eigenvector check was refused; as x + A x on the arcs of any larger
+    component, for ``max_iter`` steps.  A component not converged after
     ``_ROUTE_PREFIX`` steps (or ``max_iter``, if fewer), or after the
     ``_ROUTE_PROBE`` steps of a probe whose contraction puts its settling
     beyond twice that, tries the transversal route, which accepts its vector
@@ -202,7 +203,7 @@ def _power_brackets(op: EdgeOperator, tol: float, max_iter: int) -> tuple[float,
     whatever chose the vector.
     """
     k = op.shape[0]
-    if k < _SPARSE_THRESHOLD:
+    if k <= _EIG_MAX_ORDER:
         step = (op.toarray() + np.eye(k)).__matmul__
         budget = min(max_iter, 5000)
     else:

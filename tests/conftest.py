@@ -63,7 +63,7 @@ from substochastic.inequalities import (
 )
 from substochastic.rational import det_exact, interpolate_exact, safe_log
 from substochastic.spectral import (
-    _SPARSE_THRESHOLD,
+    _EIG_MAX_ORDER,
     EdgeOperator,
     _max_over_components,
     exact_shifted,
@@ -569,8 +569,8 @@ def _allones_power_brackets(d, comp, width, max_iter):
 class ShiftedOperator:
     """I + A on one strong component, as the float power loop took it.
 
-    ``op @ x`` is a dense product below ``_SPARSE_THRESHOLD`` vertices and
-    x plus the bincount matvec above, ``toarray`` is the dense I + A, and
+    ``op @ x`` is a dense product up to ``_EIG_MAX_ORDER`` vertices and x
+    plus the bincount matvec above, ``toarray`` is the dense I + A, and
     ``matvecs`` counts the products, i.e. the power steps.
     """
 
@@ -585,7 +585,7 @@ class ShiftedOperator:
 
     def __matmul__(self, x):
         self.matvecs += 1
-        if self.shape[0] < _SPARSE_THRESHOLD:
+        if self.shape[0] <= _EIG_MAX_ORDER:
             return self.dense @ x
         return x + self.edges @ x
 
@@ -616,7 +616,7 @@ def oracle_power_brackets(op, tol: float, max_iter: int) -> tuple[float, float]:
     k = op.shape[0]
     x = np.ones(k)
     lo, hi = 0.0, math.inf
-    budget = min(max_iter, 5000) if k < _SPARSE_THRESHOLD else max_iter
+    budget = min(max_iter, 5000) if k <= _EIG_MAX_ORDER else max_iter
     for _ in range(budget):
         y = op @ x
         q = y / x

@@ -7,7 +7,16 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from substochastic import SweepSpec, family_from_config, perron_ladder, run_sweep, sweep_csv
+from substochastic import (
+    SweepSpec,
+    family_from_config,
+    family_to_float,
+    perron_ladder,
+    perron_root,
+    run_sweep,
+    sweep_csv,
+    truncate,
+)
 from substochastic.cli import EXIT_ERROR, EXIT_UNKNOWN, main
 
 RUN = [sys.executable, "-m", "substochastic.cli"]
@@ -160,6 +169,12 @@ class TestSpectralCommands:
         assert payload["coefficients"] == ["1", "0", "-1"]
         assert payload["nonzero_eig_count"] == 2
 
+    def test_perron_of_a_float_family_matches_the_library(self, capsys):
+        assert main(["spectral", "perron", "--family", "example2", "--n", "50",
+                     "--mode", "float"]) == 0
+        d = truncate(family_to_float(family_from_config("example2")), 50)
+        assert json.loads(capsys.readouterr().out) == {"perron_root": perron_root(d)}
+
     def test_ladder_csv(self):
         proc = run_cli(["spectral", "ladder", "--family", "example2", "--n-list", "2,4,8"])
         lines = proc.stdout.strip().splitlines()
@@ -202,6 +217,14 @@ class TestClassifyCommand:
         assert proc.returncode in (2, 3)
         if proc.returncode == 2:
             assert payload["confidence"] == "numerical"
+
+    def test_unknown_verdict_exit_three(self):
+        proc = run_cli(["classify", "--family", "example1", "--params", '{"f": {"kind": "power"}}',
+                        "--n-max", "60", "--p-max", "200"])
+        assert proc.returncode == EXIT_UNKNOWN == 3
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, VERDICT_SCHEMA)
+        assert payload["verdict"] == "unknown" and payload["confidence"] is None
 
 
 
@@ -605,12 +628,21 @@ class TestBoundaryErrors:
         ("prop1", '{"lengths": [0]}', "error: prop1 params.lengths: length 0 must be >= 1"),
         ("theorem2-fast", '{"lengths": [0]}',
          "error: theorem2-fast params.lengths: length 0 must be >= 1"),
-    ], ids=["gap-constant", "prop1-lengths", "theorem2-fast-lengths"])
+        ("example2", '{"a": ["3/5", "0"]}', "error: example2 params.a: '0' is not positive"),
+    ], ids=["gap-constant", "prop1-lengths", "theorem2-fast-lengths", "star-weight-list"])
     def test_values_a_generator_would_reject_are_named_at_build_time(self, family, params,
                                                                     message):
         proc = run_cli(["construct", family, "--params", params, "--emit-truncation", "3"])
         self.assert_one_line_error(proc)
         assert proc.stderr.strip() == message
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_nonpositive_listed_lifetime_fails_at_every_truncation(self, n):
+        # f_2 = 0 used to pass at n = 1 and fail inside the generator from n = 2
+        proc = run_cli(["construct", "example1", "--params", '{"f": ["1/2", "0"]}',
+                        "--emit-truncation", str(n)])
+        self.assert_one_line_error(proc)
+        assert proc.stderr.strip() == "error: example1 params.f: '0' is not positive"
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_declared_lambda(self, value):

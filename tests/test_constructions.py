@@ -597,13 +597,36 @@ def test_a_builder_range_error_names_its_path_once(name, params, message):
      "theorem2-fast params.lengths: length 0 must be >= 1"),
     ("prop1", {"targets": {"kind": "one-minus-inverse-length", "lengths": [0]}},
      "prop1 params.targets.lengths: length 0 must be >= 1"),
+    ("example1", {"f": ["1/2", "0"]}, "example1 params.f: '0' is not positive"),
+    ("example1", {"f": {"kind": "list", "values": ["1/4", -0.25]}},
+     "example1 params.f: -0.25 is not positive"),
+    ("example2", {"a": ["3/5", 0]}, "example2 params.a: 0 is not positive"),
 ], ids=["gap-constant", "gap-constant-zero", "prop1-list", "prop1-later-entry", "int-list",
-        "constant", "nested"])
+        "constant", "nested", "lifetime-list", "lifetime-list-kind", "star-weight-list"])
 def test_a_value_the_generator_would_reject_fails_at_build_time(name, params, message):
     # before any truncation is built, not as "generator failed at n=..."
     with pytest.raises(ValueError) as info:
         family_from_config(name, params)
     assert str(info.value) == message
+
+
+def test_a_target_list_is_left_to_the_generator():
+    # a target must lie in (0, 1), which the generator checks at the n that reads it
+    fam = family_from_config("prop1", {"targets": ["0", "1/2"]})
+    with pytest.raises(FamilyDefinitionError, match="target 0 at k=1 outside"):
+        truncate(fam, 3)
+
+
+def test_a_positive_declared_lambda_is_the_spectral_limit():
+    fam = family_from_config("prop1", {"declared_lambda": "1"})
+    assert fam.facts.spectral_limit == 1
+    assert truncate(fam, 20).to_json() == truncate(family_from_config("prop1"), 20).to_json()
+
+
+def test_a_positive_gap_constant_builds_corollary1():
+    fam = family_from_config("corollary1", {"g": {"kind": "constant", "value": "1/10"}})
+    want = build_corollary1(GapTarget.constant(F(1, 10)))
+    assert truncate(fam, 40).to_json() == truncate(want, 40).to_json()
 
 
 @pytest.mark.parametrize("value", ["\u0663/\u0664", "1_0/2_0", "1/0", "3 / 4", "0x10", "inf",

@@ -81,10 +81,10 @@ class TestClassifyWeighting:
         after = STRICTNESS_RANK[classify_weighting(WeightedDigraph(d.order, arcs)).tag]
         assert after <= before
 
-    def test_float_tolerance_relaxation(self):
-        d = WeightedDigraph(1, {(0, 0): 1.0 + 1e-12})
-        assert classify_weighting(d).tag is Tag.NOT_SUBSTOCHASTIC
-        assert classify_weighting(d, tol=1e-9).tag is Tag.STOCHASTIC
+    def test_float_out_weights_compare_strictly(self):
+        # no tolerance: 1e-12 over 1 is not stochastic, 1e-12 under is strictly sub
+        assert classify_weighting(loop(1.0 + 1e-12)).tag is Tag.NOT_SUBSTOCHASTIC
+        assert classify_weighting(loop(1.0 - 1e-12)).tag is Tag.STRICTLY_SUBSTOCHASTIC
 
 
 def is_strong(d: WeightedDigraph) -> bool:

@@ -49,7 +49,6 @@ from substochastic.inequalities import (
 from substochastic.spectral import (
     _ROUTE_MAX_W,
     _ROUTE_PREFIX,
-    _SPARSE_THRESHOLD,
     _transversal_route,
     det_shifted,
     edge_operator,
@@ -124,9 +123,9 @@ class TestPerronRoot:
 
 
 class TestEdgeOperator:
-    """Components of order >= _SPARSE_THRESHOLD use the numpy edge-list operator."""
+    """Components above _EIG_MAX_ORDER vertices run the power loop on the edge-list operator."""
 
-    N = _SPARSE_THRESHOLD + 44
+    N = 300
 
     @pytest.fixture(
         params=[
@@ -308,6 +307,23 @@ def _float_truncation(name: str, n: int) -> WeightedDigraph:
     return truncate(family_to_float(family_from_config(family, params)), n)
 
 
+class TestDenseComponentsOnTheEdgeOperator:
+    """Components above _EIG_MAX_ORDER run the power loop on their arcs, however dense."""
+
+    @given(st.integers(spectral._EIG_MAX_ORDER + 1, 96), st.sampled_from(WEIGHTINGS),
+           st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_bracket_meets_tol_contains_the_radius_and_overlaps_the_oracle(
+            self, order, weighting, seed):
+        d = random_strong_digraph(random.Random(seed), order, weighting).to_float()
+        for comp in _strong_components(d):
+            lo, hi = spectral._component_brackets(d, comp, 1e-12, 500_000)
+            assert hi - lo <= 1e-12 * hi
+            assert_contains_numpy_radius(d.induced(comp), lo, hi)
+            olo, ohi = oracle_power_brackets(ShiftedOperator(d, comp), 1e-12, 500_000)
+            assert max(lo, olo) <= min(hi, ohi)
+
+
 class TestTransversalRoute:
     """Float brackets through a greedy cycle transversal, checked against the power loop."""
 
@@ -320,7 +336,7 @@ class TestTransversalRoute:
     @given(st.integers(0, 10**6))
     @settings(max_examples=6, deadline=None)
     def test_sparse_strong_digraphs_on_the_edge_operator(self, seed):
-        d = _sparse_strong_digraph(seed, _SPARSE_THRESHOLD + seed % 64)
+        d = _sparse_strong_digraph(seed, 256 + seed % 64)
         _assert_matches_oracle(d)
 
     @given(st.sampled_from(sorted(FLOAT_FAMILIES)), st.integers(2, 150))
@@ -435,8 +451,8 @@ class TestTransversalRoute:
         assert hi - lo <= 1e-12 * hi
 
     def test_failure_reports_the_steps_actually_run(self):
-        # a component below _SPARSE_THRESHOLD stops its dense loop at 5000
-        # steps, not at max_iter's 500,000
+        # a component of at most _EIG_MAX_ORDER vertices stops its dense loop
+        # at 5000 steps, not at max_iter's 500,000
         d = random_strong_digraph(random.Random(5), 9)
         with pytest.raises(RuntimeError, match=r"did not reach tolerance -1\.0 in 5000 steps"):
             collatz_wielandt_brackets(d, tol=-1.0)
@@ -699,7 +715,7 @@ def _route_inputs(name: str):
             yield "corollary1:600", d, comp
     else:
         for seed in range(6):
-            d = _sparse_strong_digraph(seed, _SPARSE_THRESHOLD + seed * 11)
+            d = _sparse_strong_digraph(seed, 256 + seed * 11)
             for comp in _strong_components(d):
                 yield f"sparse:{seed}", d, comp
 
